@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import kendalltau
 
 from .errors import InputError
 from .exponents import TransversalFamily, ranking_i_rho
@@ -159,6 +158,10 @@ def _tau(series: list[float]) -> float:
     idx, vals = zip(*pairs)
     if len(set(vals)) == 1:
         return math.nan
+    # imported here: scipy.stats (and the scipy.optimize it pulls in) costs
+    # most of `import lojex`, and only the audits need it
+    from scipy.stats import kendalltau
+
     return float(kendalltau(idx, vals).statistic)
 
 

@@ -39,7 +39,14 @@ from .exponents import (
     theta,
     transversals,
 )
-from .fan import Fan, fan_exponents, normal_fan, simplicialize, unimodularize
+from .fan import (
+    Fan,
+    check_unimodularize_dim,
+    fan_exponents,
+    normal_fan,
+    simplicialize,
+    unimodularize,
+)
 from .nondegeneracy import check_model
 from .parser import model_to_text, parse_germ
 from .polyhedron import build_polyhedron, hat_polyhedron
@@ -92,6 +99,9 @@ def _provably_nonnegative(model: TaylorModel) -> bool:
 
 
 def _build_fans(poly) -> tuple[Fan, Fan]:
+    # the cap is checked before the normal fan and the triangulation, which
+    # would otherwise be built and then dropped
+    check_unimodularize_dim(poly.n)
     sigma0 = normal_fan(poly)
     return sigma0, unimodularize(simplicialize(sigma0))
 
@@ -356,7 +366,10 @@ def _build_argparser() -> argparse.ArgumentParser:
         sp.add_argument("--samples", type=int, default=256, help="directions per radius level")
         sp.add_argument("--radius", type=float, default=0.1, help="outer sampling radius")
         sp.add_argument("--tol", type=float, default=1e-10, help="non-degeneracy residual tolerance")
-        sp.add_argument("--starts", type=int, default=64, help="multistart count per sign orthant")
+        sp.add_argument(
+            "--starts", type=int, default=64,
+            help="Levenberg-Marquardt starts per sign orthant on numeric faces",
+        )
         sp.add_argument("--max-dim", type=int, default=None)
         sp.add_argument("--force", action="store_true", help="run audits despite failed gates (marked)")
         sp.add_argument(

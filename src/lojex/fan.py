@@ -320,6 +320,14 @@ def _parallelepiped_point(vectors: list[RayVec]) -> RayVec:
     return best[1]
 
 
+def check_unimodularize_dim(n: int) -> None:
+    """Raise CapExceededError when unimodularize would refuse dimension n."""
+    if n > UNIMODULARIZE_MAX_DIM:
+        raise CapExceededError(
+            f"unimodularization is capped at dimension {UNIMODULARIZE_MAX_DIM}, got {n}"
+        )
+
+
 def unimodularize(fan: Fan, trace: list | None = None) -> Fan:
     """Refine a simplicial fan until every maximal cone has determinant +-1.
 
@@ -332,10 +340,7 @@ def unimodularize(fan: Fan, trace: list | None = None) -> Fan:
     for cone in fan.maximal_cones():
         if len(cone.rays) != n:
             raise InputError("unimodularize requires a simplicial fan")
-    if n > UNIMODULARIZE_MAX_DIM:
-        raise CapExceededError(
-            f"unimodularization is capped at dimension {UNIMODULARIZE_MAX_DIM}, got {n}"
-        )
+    check_unimodularize_dim(n)
     rays: list[RayVec] = list(fan.rays)
     ray_index = {r: i for i, r in enumerate(rays)}
 

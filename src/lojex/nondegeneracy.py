@@ -11,6 +11,12 @@ quasi-homogeneous polynomial is invariant under the positive weighted
 scaling).  Everything else is decided numerically by multistart
 minimization of ||grad f_gamma||^2 over the slice max|x_i| = 1 of every
 sign orthant, and labeled 'nondegenerate-numeric': not a certificate.
+
+The multistart compiles the face polynomial once into a monomial basis for
+its gradient and Hessian and runs projected Levenberg-Marquardt on every
+start of every orthant together, in numpy blocks.  A point counts as a
+torus witness when its residual is at most the tolerance and every
+coordinate is at least TORUS_FLOOR in absolute value.
 """
 
 from __future__ import annotations
@@ -141,7 +147,7 @@ def _check_two_variable(fp: FacePolynomial, vi: int, vj: int) -> DegeneracyVerdi
             witness = [1.0] * fp.n
             witness[vi] = float(root)
             witness[vj] = float(sign)
-            res = _residual(fp, witness)
+            res = _residual(poly, fp.n, witness)
             return DegeneracyVerdict(
                 "degenerate", tuple(witness), res,
                 detail=f"common root of both partials at x{vi + 1} ~ {float(root):.6g}, "
@@ -153,79 +159,162 @@ def _check_two_variable(fp: FacePolynomial, vi: int, vj: int) -> DegeneracyVerdi
     )
 
 
-def _residual(fp: FacePolynomial, point) -> float:
-    poly = fp.poly()
+def _residual(poly: PolyDict, n: int, point) -> float:
     return math.fsum(
-        poly_eval_float(poly_diff(poly, i), point) ** 2 for i in range(fp.n)
+        poly_eval_float(poly_diff(poly, i), point) ** 2 for i in range(n)
     )
 
 
 # ---------------------------------------------------------------------------
 # numeric route
 
+_BLOCK_ROWS = 2048   # starts solved together; bounds the working arrays
+_MAX_ITER = 200
+_LAMBDA_START, _LAMBDA_MIN, _LAMBDA_MAX = 1e-3, 1e-12, 1e12
+_STALL_RTOL = 1e-12  # an accepted step gaining less than this share of the value stalls
+_POLISH_ROWS = 8     # best rows whose value is recomputed by _residual
+_SETTLED = 1e-3      # a row whose value is this share of tol has settled its verdict
+
+
 def _normalized_float_poly(fp: FacePolynomial) -> PolyDict:
     scale = max(abs(c) for _, c in fp.terms)
     return {exp: c / scale for exp, c in fp.terms}
 
 
-def _multistart(fp: FacePolynomial, tol: float, starts: int, seed: int) -> DegeneracyVerdict:
-    from scipy.optimize import minimize
+@dataclass(frozen=True)
+class _CompiledFace:
+    """Gradient and Hessian of a face polynomial over its k active
+    variables, on one monomial basis: [g | H] = monomials(x) @ coeffs."""
 
+    exps: np.ndarray    # (m, k) distinct exponents of every first and second partial
+    coeffs: np.ndarray  # (m, k + k*k)
+
+    @classmethod
+    def build(cls, poly: PolyDict, active: tuple[int, ...]) -> "_CompiledFace":
+        partials = [poly_diff(poly, i) for i in active]
+        columns = partials + [poly_diff(p, j) for p in partials for j in active]
+        basis = sorted({tuple(e[i] for i in active) for col in columns for e in col})
+        row = {e: r for r, e in enumerate(basis)}
+        coeffs = np.zeros((len(basis), len(columns)))
+        for c, col in enumerate(columns):
+            for e, value in col.items():
+                coeffs[row[tuple(e[i] for i in active)], c] = float(value)
+        return cls(np.array(basis, dtype=np.int64).reshape(len(basis), len(active)), coeffs)
+
+    def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """g (B, k) and H (B, k, k) at the rows of x (B, k)."""
+        b, k = x.shape
+        mono = np.ones((b, len(self.exps)))
+        for j in range(k):
+            col = self.exps[:, j]
+            top = int(col.max(initial=0))
+            if top:
+                mono *= (x[:, j : j + 1] ** np.arange(top + 1))[:, col]
+        out = mono @ self.coeffs
+        return out[:, :k], out[:, k:].reshape(b, k, k)
+
+
+def _levenberg_marquardt(
+    face: _CompiledFace, signs: np.ndarray, pinned: np.ndarray, z: np.ndarray, f_stop: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize ||grad f(signs * z)||^2 over z in [0, 1]^k for every row at once.
+
+    Projected Levenberg-Marquardt: coordinates that are pinned (the slice
+    pivot) or held at a bound by the gradient stay fixed, the others take
+    the damped Gauss-Newton step, clipped to the box.  Each row has its own
+    damping, kept in [_LAMBDA_MIN, _LAMBDA_MAX] so the system stays
+    positive definite.  A row stops once its value is at most f_stop, an
+    accepted step gains next to nothing, or no damping gives a descent.
+    Returns the final rows and their values.
+    """
+    z = z.copy()
+    k = z.shape[1]
+    diag = np.arange(k)
+    g, hess = face.evaluate(signs * z)
+    f = np.einsum("ba,ba->b", g, g)
+    lam = np.full(len(z), _LAMBDA_START)
+    live = np.flatnonzero(f > f_stop)
+    for _ in range(_MAX_ITER):
+        if live.size == 0:
+            break
+        s, zl, gl, laml = signs[live], z[live], g[live], lam[live]
+        jac = hess[live] * s[:, None, :]  # d g_a / d z_p
+        grad = np.einsum("bap,ba->bp", jac, gl)
+        fixed = pinned[live] | ((zl <= 0.0) & (grad > 0.0)) | ((zl >= 1.0) & (grad < 0.0))
+        free = ~fixed
+        a = np.einsum("bap,baq->bpq", jac, jac)
+        a[:, diag, diag] += laml[:, None] * (1.0 + a[:, diag, diag])
+        a *= free[:, :, None] & free[:, None, :]
+        a[:, diag, diag] += fixed
+        step = np.linalg.solve(a, np.where(fixed, 0.0, -grad)[..., None])[..., 0]
+        trial = np.clip(zl + step, 0.0, 1.0)
+        gt, ht = face.evaluate(s * trial)
+        ft = np.einsum("ba,ba->b", gt, gt)
+        fl = f[live]
+        better = ft < fl
+        up = live[better]
+        z[up], g[up], hess[up], f[up] = trial[better], gt[better], ht[better], ft[better]
+        lam[live] = np.where(
+            better, np.maximum(laml / 10.0, _LAMBDA_MIN), np.minimum(laml * 10.0, _LAMBDA_MAX)
+        )
+        done = np.where(
+            better,
+            (ft <= f_stop) | (fl - ft <= _STALL_RTOL * fl),
+            (laml >= _LAMBDA_MAX) | np.all(trial == zl, axis=1),
+        )
+        live = live[~done]
+    return z, f
+
+
+def _multistart(fp: FacePolynomial, tol: float, starts: int, seed: int) -> DegeneracyVerdict:
     active = fp.active_vars()
     k = len(active)
     poly = _normalized_float_poly(fp)
-    partials = [poly_diff(poly, i) for i in active]
-    hessrows = [[poly_diff(p, j) for j in active] for p in partials]
+    face = _CompiledFace.build(poly, active)
 
-    def objective(u: np.ndarray, signs, pivot):
-        x = [1.0] * fp.n
-        for pos, var in enumerate(active):
-            x[var] = signs[pos] * (1.0 if pos == pivot else u[pos if pos < pivot else pos - 1])
-        g = [poly_eval_float(p, x) for p in partials]
-        val = math.fsum(gi * gi for gi in g)
-        grad = np.zeros(k - 1)
-        for pos in range(k):
-            if pos == pivot:
-                continue
-            slot = pos if pos < pivot else pos - 1
-            d = math.fsum(
-                2.0 * g[a] * poly_eval_float(hessrows[a][pos], x) for a in range(k)
-            )
-            grad[slot] = d * signs[pos]
-        return val, grad, x
-
+    # row r starts in sign orthant r // starts with pivot (r % starts) % k
+    # held at 1 and the other coordinates drawn from [0.05, 1]
+    rows = 2**k * starts
     rng = np.random.default_rng(seed)
-    best_val = math.inf
-    best_x = None
-    best_torus_val = math.inf
-    best_torus_x = None
-    for signs in itertools.product((1.0, -1.0), repeat=k):
-        for s in range(starts):
-            pivot = s % k
-            u0 = rng.uniform(0.05, 1.0, size=k - 1)
-            res = minimize(
-                lambda u: objective(u, signs, pivot)[:2],
-                u0,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=[(0.0, 1.0)] * (k - 1),
-            )
-            val, _, x = objective(res.x, signs, pivot)
-            if val < best_val:
-                best_val = val
-                best_x = x
-            if min(abs(v) for v in x) >= TORUS_FLOOR and val < best_torus_val:
-                best_torus_val = val
-                best_torus_x = x
-    assert best_x is not None
+    drawn = rng.uniform(0.05, 1.0, size=(rows, k - 1))
+    signs = np.repeat(np.array(list(itertools.product((1.0, -1.0), repeat=k))), starts, axis=0)
+    pivot = (np.arange(rows) % starts) % k
+    pinned = np.arange(k) == pivot[:, None]
+    z0 = np.ones((rows, k))
+    z0[~pinned] = drawn.ravel()
+
+    z = np.empty_like(z0)
+    f = np.empty(rows)
+    for lo in range(0, rows, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, rows)
+        z[lo:hi], f[lo:hi] = _levenberg_marquardt(
+            face, signs[lo:hi], pinned[lo:hi], z0[lo:hi], tol * _SETTLED
+        )
+
+    x = np.ones((rows, fp.n))
+    x[:, list(active)] = signs * z
+    torus = np.flatnonzero(np.min(np.abs(x), axis=1) >= TORUS_FLOOR)
+
+    def best(candidates: np.ndarray) -> tuple[float, tuple[float, ...] | None]:
+        """The least _residual among the candidates with the least batch values."""
+        top = candidates[np.argsort(f[candidates], kind="stable")[:_POLISH_ROWS]]
+        points = [tuple(float(v) for v in x[r]) for r in top]
+        vals = [_residual(poly, fp.n, p) for p in points]
+        if not vals:
+            return math.inf, None
+        i = int(np.argmin(vals))
+        return vals[i], points[i]
+
+    best_val, best_x = best(np.arange(rows))
+    best_torus_val, best_torus_x = best(torus)
     if best_torus_x is not None and best_torus_val <= tol:
         return DegeneracyVerdict(
-            "degenerate", tuple(best_torus_x), best_torus_val,
+            "degenerate", best_torus_x, best_torus_val,
             detail=f"multistart minimizer with residual {best_torus_val:.3g}",
         )
     if best_val <= tol:
         return DegeneracyVerdict(
-            "inconclusive", tuple(best_x), best_val,
+            "inconclusive", best_x, best_val,
             detail="residual below tolerance only near a coordinate hyperplane; "
             "not a torus witness",
         )

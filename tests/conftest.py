@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
+import lojex
 from lojex.parser import parse_text
 from lojex.polyhedron import build_polyhedron
 from lojex.taylor import RemainderDescriptor, TaylorModel
@@ -32,6 +34,13 @@ GATED_NONNEG = ["circle", "quartic_mix", "monomial", "axis_mix", "uneven_axes",
 
 def germ(name: str) -> TaylorModel:
     return parse_text(CATALOG[name])
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment for a child Python that imports this same lojex."""
+    src = os.path.dirname(os.path.dirname(lojex.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 @pytest.fixture

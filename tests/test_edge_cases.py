@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from lojex import cli
 from lojex.cli import AnalysisOptions, analyze_germ, main
 from lojex.errors import InputError
 from lojex.fan import cone_det, normal_fan, simplicialize, unimodularize, validate_fan
@@ -93,3 +94,21 @@ def test_deep_exponent_is_capped():
 
     with pytest.raises(CapExceededError):
         parse_text(f"x^{10**7}")
+
+
+def test_fan_cap_checked_before_fan_work(monkeypatch, capsys):
+    # above the unimodularization cap no fan is built: the normal fan and
+    # its triangulation would only be thrown away
+    def no_fan_work(*args, **kwargs):
+        raise AssertionError("fan built above the unimodularization cap")
+
+    monkeypatch.setattr(cli, "normal_fan", no_fan_work)
+    monkeypatch.setattr(cli, "simplicialize", no_fan_work)
+    m = parse_text("x1^2 + x2^2 + x3^2 + x4^2 + x5^2 + x1*x2*x3")
+    out = analyze_germ(m, AnalysisOptions(), with_audits=False)
+    assert "fan-unavailable: unimodularization is capped at dimension 4, got 5" in out.report.flags
+    assert "fan" not in out.document
+    assert (out.report.fan_L, out.report.fan_N) == (None, None)
+
+    assert main(["fan", "x1^2 + x2^2 + x3^2 + x4^2 + x5^2"]) == 4
+    assert capsys.readouterr().err == "error: unimodularization is capped at dimension 4, got 5\n"

@@ -9,6 +9,8 @@ from lojex.cli import main
 from lojex.errors import InputError, ParseError
 from lojex.parser import model_to_text, parse_germ, parse_json, parse_text
 
+from .conftest import subprocess_env
+
 
 def test_parse_examples():
     m = parse_text("x1^2*x2^2")
@@ -207,4 +209,14 @@ def test_console_entry_point():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
+    assert "theta = 1/2" in proc.stdout
+
+
+def test_package_main():
+    proc = subprocess.run(
+        [sys.executable, "-m", "lojex", "exponents", "x^2 + y^2"],
+        capture_output=True, text=True, env=subprocess_env(),
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
     assert "theta = 1/2" in proc.stdout
