@@ -11,6 +11,13 @@ ratio LHS/RHS do not decay as the radius shrinks (Kendall tau on the level
 minima).  The comparison audits additionally require the maxima not to
 grow.  An exactly-zero envelope minimum is an outright violation.
 
+Every audit is one engine, `_ratio_audit`, fed log|LHS| and log|RHS| at
+every (radius level, direction).  Values are computed in log space: a
+monomial c·x^e at x = r·d is log|c| + e·log|d| + |e|·log r, and the terms of
+a sum are combined with a signed log-sum-exp, so high-degree germs (x^90 at
+r = 1e-4) neither underflow nor raise floating-point warnings.  Samples
+where RHS = 0 are left out of their level and counted (`excluded`).
+
 Verdicts are heuristic evidence, not certificates.
 """
 
@@ -26,13 +33,8 @@ import numpy as np
 
 from .errors import InputError
 from .exponents import TransversalFamily, ranking_i_rho
-from .polyhedron import NewtonPolyhedron, g_gamma_eval_many
-from .taylor import (
-    Exponent,
-    TaylorModel,
-    poly_eval_many,
-    poly_gradient_many,
-)
+from .polyhedron import NewtonPolyhedron
+from .taylor import Exponent, TaylorModel, poly_diff
 
 TAU_FAIL = -0.8
 DECAY_FACTOR = 0.8  # envelope must drop materially, not just drift in rank
@@ -74,6 +76,7 @@ class AuditResult:
     level_maxima: tuple[float, ...]
     forced: bool = False
     note: str = ""
+    excluded: tuple[int, ...] = ()  # per level: samples left out because RHS = 0
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +122,8 @@ def ranking_probes(family: TransversalFamily, n: int) -> list[tuple[float, ...]]
                 v[i] = 1.0
         probes.append(tuple(v))
         probes.append(tuple(-x for x in v))
-    return probes
+    # many rankings share a section: 80 640 rows, 16 distinct, for s = 8
+    return list(dict.fromkeys(probes))
 
 
 def direction_pool(
@@ -135,21 +139,6 @@ def direction_pool(
 
 # ---------------------------------------------------------------------------
 # envelope machinery
-
-def _level_envelopes(
-    ratios_per_level: list[np.ndarray],
-) -> tuple[list[float], list[float]]:
-    minima, maxima = [], []
-    for arr in ratios_per_level:
-        arr = arr[np.isfinite(arr)]
-        if arr.size == 0:
-            minima.append(math.nan)
-            maxima.append(math.nan)
-        else:
-            minima.append(float(arr.min()))
-            maxima.append(float(arr.max()))
-    return minima, maxima
-
 
 def _tau(series: list[float]) -> float:
     pairs = [(i, m) for i, m in enumerate(series) if math.isfinite(m)]
@@ -238,25 +227,95 @@ def lower_envelope_slope(
 
 
 # ---------------------------------------------------------------------------
+# log-space sampling: every sampled value is carried as log|value| in a
+# (levels, rows) array, one row per pool direction
+
+def _log_abs(a: np.ndarray) -> np.ndarray:
+    """log|a| elementwise, -inf at zeros (without a divide-by-zero warning)."""
+    return np.log(np.abs(a), out=np.full(np.shape(a), -np.inf), where=a != 0)
+
+
+def _logsumexp(a: np.ndarray, axis: int, sign: np.ndarray | None = None) -> np.ndarray:
+    """log|sum(sign * exp(a))| along axis; -inf where the sum is zero."""
+    top = np.max(a, axis=axis, keepdims=True)
+    top[np.isneginf(top)] = 0.0  # every term is zero: exp(a - top) stays 0
+    s = np.exp(a - top)
+    if sign is not None:
+        s *= sign
+    return np.squeeze(top, axis) + _log_abs(np.sum(s, axis=axis))
+
+
+def _log_poly(
+    poly: dict[Exponent, Fraction | int], dirs: np.ndarray, log_r: np.ndarray
+) -> np.ndarray:
+    """log|p(r·d)| at every radius r and pool direction d, as (levels, rows).
+
+    A term c·x^e is log|c| + e·log|d| + |e|·log r, so no power underflows; the
+    direction part is computed once per pool.  Its sign is that of c times the
+    parity of e on the negative coordinates.  A zero coordinate with a positive
+    exponent makes the term -inf (never 0·(-inf)).
+    """
+    if not poly:
+        return np.full((len(log_r), len(dirs)), -np.inf)
+    exps = np.array(list(poly), dtype=float).T  # (n, terms)
+    coeffs = np.array([float(c) for c in poly.values()])
+    log_d = _log_abs(dirs)
+    zero = np.isneginf(log_d)
+    base = np.where(zero, 0.0, log_d) @ exps + _log_abs(coeffs)
+    base[zero @ (exps > 0)] = -np.inf
+    terms = base + log_r[:, None, None] * exps.sum(axis=0)
+    sign = np.sign(coeffs) * (1.0 - 2.0 * (((dirs < 0) @ exps) % 2))
+    return _logsumexp(terms, axis=2, sign=sign)
+
+
+def _ratio_audit(
+    name: str,
+    exponent: float | None,
+    plan: SamplePlan,
+    log_lhs: np.ndarray,
+    log_rhs: np.ndarray,
+    scale: float,
+    two_sided: bool,
+    forced: bool,
+) -> AuditResult:
+    """Audit LHS >= c·RHS^scale (and LHS <= C·RHS^scale if two-sided).
+
+    Takes log|LHS| and log|RHS| as (levels, rows) arrays.  Rows where RHS = 0
+    are left out of their level and counted in `excluded`.
+    """
+    kept = np.isfinite(log_rhs)
+    log_ratio = log_lhs - scale * np.where(kept, log_rhs, 0.0)
+    excluded = np.count_nonzero(~kept, axis=1)
+    empty = excluded == kept.shape[1]
+    if empty.all():
+        raise InputError(f"every {name} sample has a zero right-hand side: degenerate sampling plan")
+    lo = np.exp(np.where(kept, log_ratio, np.inf).min(axis=1))
+    hi = np.exp(np.where(kept, log_ratio, -np.inf).max(axis=1))
+    minima = np.where(empty, np.nan, lo).tolist()
+    maxima = np.where(empty, np.nan, hi).tolist()
+    if two_sided:
+        verdict, tau, tau_upper = _two_sided_verdict(minima, maxima)
+    else:
+        (verdict, tau), tau_upper = _one_sided_verdict(minima), math.nan
+    near = np.array(plan.radii) <= SLOPE_RADIUS_CAP
+    slope = lower_envelope_slope(log_rhs[near].ravel(), log_lhs[near].ravel())
+    return AuditResult(
+        name, exponent, verdict,
+        min_ratio=float(lo[~empty].min()), max_ratio=float(hi[~empty].max()),
+        empirical_slope=slope, kendall_tau=tau, kendall_tau_upper=tau_upper,
+        radii=plan.radii, level_minima=tuple(minima), level_maxima=tuple(maxima),
+        forced=forced, excluded=tuple(int(k) for k in excluded),
+    )
+
+
+# ---------------------------------------------------------------------------
 # the audits
-
-def _sample_levels(plan: SamplePlan, dirs: np.ndarray):
-    for r in plan.radii:
-        yield r, r * dirs
-
 
 def dist_to_zero_set(point: Sequence[float], family: TransversalFamily) -> float:
     """Max-norm distance to the union of coordinate subspaces of the family."""
     if not family.lambda_hitting:
         return max(abs(x) for x in point)
     return min(max(abs(point[i]) for i in j) for j in family.lambda_hitting)
-
-
-def _dist_many(pts: np.ndarray, family: TransversalFamily) -> np.ndarray:
-    if not family.lambda_hitting:
-        return np.max(np.abs(pts), axis=1)
-    per = [np.max(np.abs(pts[:, sorted(j)]), axis=1) for j in family.lambda_hitting]
-    return np.min(per, axis=0)
 
 
 def audit_L1(
@@ -272,30 +331,10 @@ def audit_L1(
         raise InputError(f"gradient exponent must be in (0, 1), got {th}")
     poly = model.poly()
     dirs = direction_pool(plan, model.n, extra_probes)
-    level_ratios = []
-    slope_pred, slope_resp = [], []
-    for r, pts in _sample_levels(plan, dirs):
-        fv = np.abs(poly_eval_many(poly, pts))
-        gv = np.linalg.norm(poly_gradient_many(poly, pts, model.n), axis=1)
-        mask = fv > 0
-        level_ratios.append(gv[mask] / fv[mask] ** th)
-        if r <= SLOPE_RADIUS_CAP:
-            ok = mask & (gv > 0)
-            slope_pred.append(np.log(fv[ok]))
-            slope_resp.append(np.log(gv[ok]))
-    minima, maxima = _level_envelopes(level_ratios)
-    if all(not math.isfinite(m) for m in minima):
-        raise InputError("every sample hit f = 0: degenerate sampling plan")
-    verdict, tau = _one_sided_verdict(minima)
-    slope = lower_envelope_slope(np.concatenate(slope_pred), np.concatenate(slope_resp))
-    return AuditResult(
-        "L1", th, verdict,
-        min_ratio=float(np.nanmin([m for m in minima if math.isfinite(m)])),
-        max_ratio=float(np.nanmax([m for m in maxima if math.isfinite(m)])),
-        empirical_slope=slope, kendall_tau=tau, kendall_tau_upper=math.nan,
-        radii=plan.radii, level_minima=tuple(minima), level_maxima=tuple(maxima),
-        forced=forced,
-    )
+    log_r = np.log(plan.radii)
+    log_grad = np.stack([_log_poly(poly_diff(poly, i), dirs, log_r) for i in range(model.n)])
+    log_norm = 0.5 * _logsumexp(2.0 * log_grad, axis=0)
+    return _ratio_audit("L1", th, plan, log_norm, _log_poly(poly, dirs, log_r), th, False, forced)
 
 
 def audit_L0(
@@ -312,32 +351,11 @@ def audit_L0(
     the tightness witness.
     """
     al = float(alpha)
-    poly = model.poly()
-    g_poly = {tuple(g_exp): Fraction(1)}
     probes = list(extra_probes) + diagonal_probe(g_exp)
     dirs = direction_pool(plan, model.n, probes)
-    level_ratios = []
-    slope_pred, slope_resp = [], []
-    for r, pts in _sample_levels(plan, dirs):
-        fv = np.abs(poly_eval_many(poly, pts))
-        gv = np.abs(poly_eval_many(g_poly, pts))
-        mask = gv > 0
-        level_ratios.append(fv[mask] / gv[mask] ** al)
-        if r <= SLOPE_RADIUS_CAP:
-            ok = mask & (fv > 0)
-            slope_pred.append(np.log(gv[ok]))
-            slope_resp.append(np.log(fv[ok]))
-    minima, maxima = _level_envelopes(level_ratios)
-    verdict, tau = _one_sided_verdict(minima)
-    slope = lower_envelope_slope(np.concatenate(slope_pred), np.concatenate(slope_resp))
-    return AuditResult(
-        "L0", al, verdict,
-        min_ratio=float(np.nanmin([m for m in minima if math.isfinite(m)])),
-        max_ratio=float(np.nanmax([m for m in maxima if math.isfinite(m)])),
-        empirical_slope=slope, kendall_tau=tau, kendall_tau_upper=math.nan,
-        radii=plan.radii, level_minima=tuple(minima), level_maxima=tuple(maxima),
-        forced=forced,
-    )
+    log_r = np.log(plan.radii)
+    log_g = _log_poly({tuple(g_exp): 1}, dirs, log_r)
+    return _ratio_audit("L0", al, plan, _log_poly(model.poly(), dirs, log_r), log_g, al, False, forced)
 
 
 def audit_L2(
@@ -352,62 +370,14 @@ def audit_L2(
     Samples every ranking region through its tight section probe.
     """
     ld = float(loj_dist)
-    poly = model.poly()
-    probes = ranking_probes(family, model.n)
-    dirs = direction_pool(plan, model.n, probes)
-    level_ratios = []
-    slope_pred, slope_resp = [], []
-    for r, pts in _sample_levels(plan, dirs):
-        fv = np.abs(poly_eval_many(poly, pts))
-        dv = _dist_many(pts, family)
-        mask = dv > 0
-        level_ratios.append(fv[mask] / dv[mask] ** ld)
-        if r <= SLOPE_RADIUS_CAP:
-            ok = mask & (fv > 0)
-            slope_pred.append(np.log(dv[ok]))
-            slope_resp.append(np.log(fv[ok]))
-    minima, maxima = _level_envelopes(level_ratios)
-    verdict, tau = _one_sided_verdict(minima)
-    slope = lower_envelope_slope(np.concatenate(slope_pred), np.concatenate(slope_resp))
-    return AuditResult(
-        "L2", ld, verdict,
-        min_ratio=float(np.nanmin([m for m in minima if math.isfinite(m)])),
-        max_ratio=float(np.nanmax([m for m in maxima if math.isfinite(m)])),
-        empirical_slope=slope, kendall_tau=tau, kendall_tau_upper=math.nan,
-        radii=plan.radii, level_minima=tuple(minima), level_maxima=tuple(maxima),
-        forced=forced,
-    )
-
-
-def _comparison_audit(
-    name: str,
-    numerator_per_level,
-    poly_hull: NewtonPolyhedron,
-    plan: SamplePlan,
-    dirs: np.ndarray,
-    forced: bool,
-) -> AuditResult:
-    level_ratios = []
-    slope_pred, slope_resp = [], []
-    for r, pts in _sample_levels(plan, dirs):
-        num = numerator_per_level(pts)
-        gv = g_gamma_eval_many(poly_hull, pts)
-        mask = gv > 0
-        level_ratios.append(num[mask] / gv[mask])
-        if r <= SLOPE_RADIUS_CAP:
-            ok = mask & (num > 0)
-            slope_pred.append(np.log(gv[ok]))
-            slope_resp.append(np.log(num[ok]))
-    minima, maxima = _level_envelopes(level_ratios)
-    verdict, tau_lo, tau_hi = _two_sided_verdict(minima, maxima)
-    slope = lower_envelope_slope(np.concatenate(slope_pred), np.concatenate(slope_resp))
-    return AuditResult(
-        name, None, verdict,
-        min_ratio=float(np.nanmin([m for m in minima if math.isfinite(m)])),
-        max_ratio=float(np.nanmax([m for m in maxima if math.isfinite(m)])),
-        empirical_slope=slope, kendall_tau=tau_lo, kendall_tau_upper=tau_hi,
-        radii=plan.radii, level_minima=tuple(minima), level_maxima=tuple(maxima),
-        forced=forced,
+    dirs = direction_pool(plan, model.n, ranking_probes(family, model.n))
+    log_r = np.log(plan.radii)
+    log_d = _log_abs(dirs)
+    members = family.lambda_hitting or (range(model.n),)
+    log_dist = np.min([log_d[:, sorted(j)].max(axis=1) for j in members], axis=0)
+    return _ratio_audit(
+        "L2", ld, plan, _log_poly(model.poly(), dirs, log_r), log_dist + log_r[:, None],
+        ld, False, forced,
     )
 
 
@@ -421,12 +391,17 @@ def audit_euler_comparison(
     """Two-sided comparison of sum_i |x_i df/dx_i| with the vertex-monomial sum."""
     poly = model.poly()
     dirs = direction_pool(plan, model.n, extra_probes)
-
-    def numerator(pts: np.ndarray) -> np.ndarray:
-        grads = poly_gradient_many(poly, pts, model.n)
-        return np.sum(np.abs(pts * grads), axis=1)
-
-    return _comparison_audit("euler-comparison", numerator, poly_hull, plan, dirs, forced)
+    log_r = np.log(plan.radii)
+    # x_i df/dx_i has the terms of f, each weighted by its exponent of x_i
+    log_parts = np.stack([
+        _log_poly({e: c * e[i] for e, c in poly.items() if e[i]}, dirs, log_r)
+        for i in range(model.n)
+    ])
+    # g_Gamma = sum over vertices of |x^v|: the vertex polynomial at |x|
+    log_g = _log_poly(dict.fromkeys(poly_hull.vertices, 1), np.abs(dirs), log_r)
+    return _ratio_audit(
+        "euler-comparison", None, plan, _logsumexp(log_parts, axis=0), log_g, 1.0, True, forced
+    )
 
 
 def audit_f_vs_g(
@@ -437,13 +412,12 @@ def audit_f_vs_g(
     forced: bool = False,
 ) -> AuditResult:
     """Two-sided comparison of |f| with the vertex-monomial sum."""
-    poly = model.poly()
     dirs = direction_pool(plan, model.n, extra_probes)
-
-    def numerator(pts: np.ndarray) -> np.ndarray:
-        return np.abs(poly_eval_many(poly, pts))
-
-    return _comparison_audit("f-vs-g", numerator, poly_hull, plan, dirs, forced)
+    log_r = np.log(plan.radii)
+    log_g = _log_poly(dict.fromkeys(poly_hull.vertices, 1), np.abs(dirs), log_r)
+    return _ratio_audit(
+        "f-vs-g", None, plan, _log_poly(model.poly(), dirs, log_r), log_g, 1.0, True, forced
+    )
 
 
 def envelope_rows(result: AuditResult) -> list[tuple[float, float, float]]:

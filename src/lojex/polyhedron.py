@@ -296,15 +296,6 @@ def g_gamma_eval(poly: NewtonPolyhedron, point: Sequence[float]) -> float:
     )
 
 
-def g_gamma_eval_many(poly: NewtonPolyhedron, pts) -> "np.ndarray":
-    import numpy as np
-
-    pieces = [
-        np.abs(np.prod(pts ** np.asarray(v), axis=1)) for v in poly.vertices
-    ]
-    return np.sum(pieces, axis=0)
-
-
 def hat_vector(alpha: Exponent) -> Exponent:
     return tuple(1 if a > 0 else 0 for a in alpha)
 

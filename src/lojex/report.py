@@ -214,17 +214,17 @@ def audit_json(result: AuditResult) -> dict:
             else result.kendall_tau_upper
         ),
         "envelope": [
-            {"radius": r, "min_ratio": mn, "max_ratio": mx}
-            for r, mn, mx in envelope_rows(result)
+            {"radius": r, "min_ratio": mn, "max_ratio": mx, "excluded": k}
+            for (r, mn, mx), k in zip(envelope_rows(result), result.excluded)
         ],
         "note": result.note,
     }
 
 
 def audits_csv(results: list[AuditResult]) -> str:
-    lines = ["inequality,exponent,radius,min_ratio,max_ratio"]
+    lines = ["inequality,exponent,radius,min_ratio,max_ratio,excluded"]
     for res in results:
         exp = "" if res.exponent is None else repr(res.exponent)
-        for r, mn, mx in envelope_rows(res):
-            lines.append(f"{res.inequality},{exp},{r!r},{mn!r},{mx!r}")
+        for (r, mn, mx), k in zip(envelope_rows(res), res.excluded):
+            lines.append(f"{res.inequality},{exp},{r!r},{mn!r},{mx!r},{k}")
     return "\n".join(lines) + "\n"

@@ -180,12 +180,6 @@ def poly_eval_many(poly: PolyDict, pts: np.ndarray) -> np.ndarray:
     return np.sum(pieces, axis=0)
 
 
-def poly_gradient_many(poly: PolyDict, pts: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized gradient at an (m, n) array of points; returns (m, n)."""
-    cols = [poly_eval_many(poly_diff(poly, i), pts) for i in range(n)]
-    return np.stack(cols, axis=1)
-
-
 # ---------------------------------------------------------------------------
 # model operations
 

@@ -151,14 +151,24 @@ def test_cli_verify(tmp_path):
 
 
 def test_cli_csv_envelopes(tmp_path):
-    csv_path = tmp_path / "env.csv"
+    csv_path, json_path = tmp_path / "env.csv", tmp_path / "env.json"
     code = main([
-        "analyze", "x^2 + y^2", "--declare", "nonnegative", "--csv", str(csv_path)
+        "analyze", "x^2 + y^2", "--declare", "nonnegative", "--csv", str(csv_path),
+        "--json", str(json_path),
     ])
     assert code == 0
     lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "inequality,exponent,radius,min_ratio,max_ratio"
+    assert lines[0] == "inequality,exponent,radius,min_ratio,max_ratio,excluded"
     assert len(lines) > 16
+    # only L0 leaves samples out: its monomial (one coordinate) vanishes on the
+    # two probes along the other axis, each in the pool twice (axis and hat
+    # vertex probes), at every level
+    excluded = {line.split(",")[0]: int(line.split(",")[-1]) for line in lines[1:]}
+    assert excluded == {"L1": 0, "L0": 4, "L2": 0, "euler-comparison": 0, "f-vs-g": 0}
+    doc = json.loads(json_path.read_text())
+    assert {a["inequality"]: {e["excluded"] for e in a["envelope"]} for a in doc["audits"]} == {
+        k: {v} for k, v in excluded.items()
+    }
 
 
 def test_cli_force_runs_audits_on_failed_gates(tmp_path):
