@@ -1,15 +1,17 @@
 """Floating-point audits of the inequalities near the origin.
 
 Sampling happens on a fixed pool of max-norm unit directions (random pool
-plus deterministic probes: coordinate axes, hat-vertex diagonals, and the
-per-ranking tight sections for the distance audit), rescaled through a
-geometric grid of radius levels.  Reusing one pool across levels makes the
-per-level envelope minima directly comparable, so the pass/fail call is a
-trend test, not an absolute-constant test: the inequalities only claim
-"there exist c, eps", so the audit checks that the per-level minima of the
-ratio LHS/RHS do not decay as the radius shrinks (Kendall tau on the level
-minima).  The comparison audits additionally require the maxima not to
-grow.  An exactly-zero envelope minimum is an outright violation.
+plus deterministic probes: coordinate axes, hat-vertex diagonals, and for
+the distance audit the tight section of every ranking, one per distinct
+upper set, found among the subsets of the zero-set variables), rescaled
+through a geometric grid of radius levels.  Reusing one pool across levels
+makes the per-level envelope minima directly comparable, so the pass/fail
+call is a trend test, not an absolute-constant test: the inequalities only
+claim "there exist c, eps", so the audit checks that the per-level minima of
+the ratio LHS/RHS do not decay as the radius shrinks (Kendall tau on the
+level minima; nan on an envelope that is flat up to rounding).  The
+comparison audits additionally require the maxima not to grow.  An
+exactly-zero envelope minimum is an outright violation.
 
 Every audit is one engine, `_ratio_audit`, fed log|LHS| and log|RHS| at
 every (radius level, direction).  Values are computed in log space: a
@@ -32,7 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError
-from .exponents import TransversalFamily, ranking_i_rho
+from .exponents import TransversalFamily
 from .polyhedron import NewtonPolyhedron
 from .taylor import Exponent, TaylorModel, poly_diff
 
@@ -41,6 +43,7 @@ DECAY_FACTOR = 0.8  # envelope must drop materially, not just drift in rank
 ZERO_FLOOR = 1e-250
 SLOPE_RADIUS_CAP = 1e-2
 MIN_TREND_LEVELS = 4
+FLAT_RELATIVE_RANGE = 1e-12
 
 
 def _default_radii(outer: float = 1e-1, inner: float = 1e-4, levels: int = 16) -> tuple[float, ...]:
@@ -108,22 +111,19 @@ def diagonal_probe(vec: Sequence[int]) -> list[tuple[float, ...]]:
 def ranking_probes(family: TransversalFamily, n: int) -> list[tuple[float, ...]]:
     """Tight section per ranking: the curve realizing the distance exponent.
 
-    Variables of the zero-set index set with rank at least the realizing
-    rank move together; everything else is pinned to the zero subspace.
+    Variables of the ranking's upper set U (rank at least the realizing
+    rank) move together; everything else is pinned to the zero subspace.
+    The upper sets are exactly the U in I_f that meet every minimal hitting
+    set and meet one of them in a single index (that index ranked lowest in
+    U realizes the distance), so each section is listed once, from subsets.
     """
     probes = []
-    for order in itertools.permutations(family.I_f):
-        rank = {v: k for k, v in enumerate(order)}
-        i_rho = ranking_i_rho(family.lambda_hitting, rank)
-        floor = rank[i_rho]
-        v = [0.0] * n
-        for i in family.I_f:
-            if rank[i] >= floor:
-                v[i] = 1.0
-        probes.append(tuple(v))
-        probes.append(tuple(-x for x in v))
-    # many rankings share a section: 80 640 rows, 16 distinct, for s = 8
-    return list(dict.fromkeys(probes))
+    for size in range(1, len(family.I_f) + 1):
+        for upper in itertools.combinations(family.I_f, size):
+            if min((len(j.intersection(upper)) for j in family.lambda_hitting), default=0) == 1:
+                v = tuple(1.0 if i in upper else 0.0 for i in range(n))
+                probes += [v, tuple(-x for x in v)]
+    return probes
 
 
 def direction_pool(
@@ -145,7 +145,8 @@ def _tau(series: list[float]) -> float:
     if len(pairs) < 2:
         return math.nan
     idx, vals = zip(*pairs)
-    if len(set(vals)) == 1:
+    # an envelope flat up to rounding has no trend; its ranks are float noise
+    if max(vals) - min(vals) <= FLAT_RELATIVE_RANGE * max(abs(v) for v in vals):
         return math.nan
     # imported here: scipy.stats (and the scipy.optimize it pulls in) costs
     # most of `import lojex`, and only the audits need it

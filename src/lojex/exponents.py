@@ -9,8 +9,9 @@ Everything here is exact lattice combinatorics on the Newton polyhedron:
   * the diagonal entry parameters d(alpha*) of the hat vertices and their
     maximum d, the domination exponent;
   * the transversal families describing the zero set as a union of
-    coordinate subspaces, and the per-ranking distance exponents whose
-    maximum is the distance inequality exponent.
+    coordinate subspaces, and the distance inequality exponent: the
+    maximum over rankings of the per-ranking exponents, attained by the
+    ranking that puts one hat support on top, so computed per hat support.
 
 Whenever a gate fails the corresponding value is reported n/a with a
 reason, and the generic toric-resolution bound (L, 1 - 1/N, or N) is
@@ -25,12 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import CapExceededError
 from .linalg import dot
 from .polyhedron import NewtonPolyhedron, contains, diagonal_exponent
 from .taylor import Exponent, TaylorModel
-
-MAX_RANKING_VARS = 9
 
 
 @dataclass(frozen=True)
@@ -261,32 +259,24 @@ class DistResult:
     extended: bool  # exact-transversal family is empty or wrong; hitting sets used
 
 
-def ranking_i_rho(
-    family: Sequence[frozenset[int]], rank: Mapping[int, int]
-) -> int:
-    """The index realizing the distance to the union of subspaces on this region.
-
-    Per member J the distance to T_J is |x_i| for the highest-ranked i in J;
-    across the family the distance is the minimum, i.e. the lowest-ranked of
-    those per-member maxima.
-    """
-    tops = [max(j, key=lambda i: rank[i]) for j in family]
-    return min(tops, key=lambda i: rank[i])
-
-
 def dist_exponent(
     poly: NewtonPolyhedron,
     family: TransversalFamily,
     hyp: Hypotheses,
     fan_n: int | None = None,
 ) -> DistResult:
-    s = len(family.I_f)
-    if s > MAX_RANKING_VARS:
-        raise CapExceededError(
-            f"{s} zero-set variables need {s}! rankings; cap is {MAX_RANKING_VARS}"
-        )
+    """The distance exponent: max over rankings rho of min{|v| : v in V(rho)}.
+
+    V(rho) holds the vertices supported in the ranking's upper set U(rho),
+    the indices ranked at least as high as the one realizing the distance.
+    U(rho) meets every minimal hitting set, so it contains a hat support S,
+    V(rho) contains the vertices supported in S, and its least |v| is at
+    most theirs.  Ranking S on top gives U(rho) = S, because hat supports
+    form an antichain.  So the value is the maximum over hat supports S of
+    min{|v| : supp v in S}, and `per_ranking` holds the top-S ranking for
+    each S.
+    """
     extended = not family.agree
-    work_family = family.lambda_hitting
     gates_ok = hyp.nonnegative and hyp.kn and hyp.nondegenerate
     reason = None
     if not hyp.nonnegative:
@@ -296,26 +286,18 @@ def dist_exponent(
     elif not hyp.nondegenerate:
         reason = "non-degeneracy not established"
 
-    i_f_set = set(family.I_f)
     per: list[RankingData] = []
-    for order in itertools.permutations(family.I_f):
-        rank = {v: k for k, v in enumerate(order)}
-        i_rho = ranking_i_rho(work_family, rank)
-        floor = rank[i_rho]
+    for top in family.supports:
         verts = tuple(
-            sorted(
-                v
-                for v in poly.vertices
-                if set(i for i, e in enumerate(v) if e) <= i_f_set
-                and all(rank[i] >= floor for i, e in enumerate(v) if e)
-            )
+            sorted(v for v in poly.vertices if all(i in top for i, e in enumerate(v) if e))
         )
         if not verts:
             raise RuntimeError(
-                f"no vertex is supported above rank {floor} for ranking {order}; "
-                "this contradicts the non-emptiness of the ranked vertex set"
+                f"no vertex is supported in the hat support {sorted(top)}; "
+                "this contradicts the hat construction"
             )
-        per.append(RankingData(order, i_rho, verts, min(sum(v) for v in verts)))
+        order = tuple(i for i in family.I_f if i not in top) + tuple(sorted(top))
+        per.append(RankingData(order, min(top), verts, min(sum(v) for v in verts)))
     value = max(r.exponent for r in per) if per else None
     if not gates_ok:
         return DistResult(None, reason, fan_n, tuple(per), extended)

@@ -144,23 +144,6 @@ def fulldim_cone_contains(vectors: Sequence[RayVec], v: Sequence) -> bool:
     return all(dot(z, v) >= 0 for z in duals)
 
 
-def cone_all_face_sets(vectors: Sequence[RayVec]) -> set[frozenset[int]]:
-    """All nonempty faces of cone(vectors) as generator-index sets (incl. itself)."""
-    full = frozenset(range(len(vectors)))
-    result = {full}
-    queue = [frozenset(f) for f in cone_facet_sets(vectors)]
-    while queue:
-        face = queue.pop()
-        if face in result or not face:
-            continue
-        result.add(face)
-        sub = [vectors[i] for i in sorted(face)]
-        local = sorted(face)
-        for f2 in cone_facet_sets(sub):
-            queue.append(frozenset(local[i] for i in f2))
-    return result
-
-
 # ---------------------------------------------------------------------------
 # normal fan
 
@@ -436,70 +419,3 @@ def chart_pullback_exponents(fan: Fan, cone: Cone, alpha: Sequence[int]) -> tupl
     if len(gens) != fan.n or mat_rank(gens) != fan.n:
         raise InputError("chart pullback needs a full-dimensional simplicial cone")
     return tuple(dot(g, alpha) for g in gens)
-
-
-# ---------------------------------------------------------------------------
-# validation (used heavily by the test suite)
-
-def validate_fan(fan: Fan) -> None:
-    """Check the fan condition pairwise on maximal cones.
-
-    For each pair, the exact intersection cone must be spanned by the common
-    rays, and the common ray set must be a face of both cones.
-    """
-    maxc = fan.maximal_cones()
-    duals = [dd_dual_rays(fan.generators(c)) for c in maxc]
-    for i, j in itertools.combinations(range(len(maxc)), 2):
-        common = sorted(set(maxc[i].rays) & set(maxc[j].rays))
-        inter_rays = dd_dual_rays(duals[i] + duals[j])
-        common_vecs = [fan.rays[r] for r in common]
-        for r in inter_rays:
-            if not (
-                common_vecs
-                and simplicial_cone_contains_or_member(common_vecs, r)
-            ):
-                raise AssertionError(
-                    f"cones {maxc[i].rays} and {maxc[j].rays} intersect outside "
-                    f"their common rays (witness ray {r})"
-                )
-        for cone_idx in (i, j):
-            faces = cone_all_face_sets(fan.generators(maxc[cone_idx]))
-            local = frozenset(
-                k for k, r in enumerate(maxc[cone_idx].rays) if r in common
-            )
-            if common and local not in faces:
-                raise AssertionError(
-                    f"common rays {common} are not a face of cone {maxc[cone_idx].rays}"
-                )
-
-
-def simplicial_cone_contains_or_member(vectors: list[RayVec], v: Sequence) -> bool:
-    """Membership that tolerates a linearly dependent generating set."""
-    basis: list[RayVec] = []
-    for vec in vectors:
-        if mat_rank(basis + [vec]) > len(basis):
-            basis.append(vec)
-    coeffs = _coords_in_basis(basis, v) if basis else None
-    if coeffs is None:
-        return False
-    if len(basis) == len(vectors):
-        return all(c >= 0 for c in coeffs)
-    return fulldim_cone_contains_lower(vectors, v)
-
-
-def fulldim_cone_contains_lower(vectors: list[RayVec], v: Sequence) -> bool:
-    """Exact membership for a pointed cone of any dimension via span coordinates."""
-    basis: list[RayVec] = []
-    for vec in vectors:
-        if mat_rank(basis + [vec]) > len(basis):
-            basis.append(vec)
-    vc = _coords_in_basis(basis, v)
-    if vc is None:
-        return False
-    projected = []
-    for vec in vectors:
-        c = _coords_in_basis(basis, vec)
-        assert c is not None
-        projected.append(tuple(c))
-    duals = dd_dual_rays(projected)
-    return all(dot(z, vc) >= 0 for z in duals)

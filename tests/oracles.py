@@ -3,15 +3,20 @@
 These deliberately avoid the code paths they check: the vertex test is an
 exact phase-1 simplex on the strict-separation system, the 2D hull oracle
 is a staircase walk, the zero-set oracle enumerates coordinate-zero
-patterns, and the entry-parameter oracle bisects on membership.
+patterns, the entry-parameter oracle bisects on membership, the distance
+oracle walks all s! rankings of the zero-set variables, and the fan
+validator checks the fan condition pairwise with exact cone algebra.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Sequence
 
-from lojex.polyhedron import NewtonPolyhedron, contains
+from lojex.fan import Fan, RayVec, _coords_in_basis, cone_facet_sets
+from lojex.linalg import dot, mat_rank
+from lojex.polyhedron import NewtonPolyhedron, contains, dd_dual_rays
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +160,43 @@ def family_zero_patterns(family, n: int) -> set[frozenset[int]]:
 
 
 # ---------------------------------------------------------------------------
+# the distance exponent by walking every ranking
+
+def ranking_i_rho(family, rank) -> int:
+    """The index realizing the distance to the union of subspaces on this region.
+
+    Per member J the distance to T_J is |x_i| for the highest-ranked i in J;
+    across the family the distance is the minimum, i.e. the lowest-ranked of
+    those per-member maxima.
+    """
+    tops = [max(j, key=lambda i: rank[i]) for j in family]
+    return min(tops, key=lambda i: rank[i])
+
+
+def ranking_data(poly: NewtonPolyhedron, family, order) -> tuple[int, tuple, int]:
+    """(i_rho, V(rho), least |v| on V(rho)) of one ranking, smallest first.
+
+    V(rho) holds the vertices supported in the upper set: the zero-set
+    variables ranked at least as high as i_rho.
+    """
+    rank = {v: k for k, v in enumerate(order)}
+    i_rho = ranking_i_rho(family.lambda_hitting, rank)
+    verts = tuple(sorted(
+        v for v in poly.vertices
+        if all(i in rank and rank[i] >= rank[i_rho] for i, e in enumerate(v) if e)
+    ))
+    return i_rho, verts, min(sum(v) for v in verts)
+
+
+def dist_by_rankings(poly: NewtonPolyhedron, family) -> int:
+    """The distance exponent as the maximum over all s! rankings."""
+    return max(
+        ranking_data(poly, family, order)[2]
+        for order in itertools.permutations(family.I_f)
+    )
+
+
+# ---------------------------------------------------------------------------
 # entry parameter by bisection on membership
 
 def entry_parameter_bisect(
@@ -174,3 +216,87 @@ def entry_parameter_bisect(
         else:
             lo = mid
     return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# fan validation: the fan condition checked pairwise with exact cone algebra
+
+def validate_fan(fan: Fan) -> None:
+    """Check the fan condition pairwise on maximal cones.
+
+    For each pair, the exact intersection cone must be spanned by the common
+    rays, and the common ray set must be a face of both cones.
+    """
+    maxc = fan.maximal_cones()
+    duals = [dd_dual_rays(fan.generators(c)) for c in maxc]
+    for i, j in itertools.combinations(range(len(maxc)), 2):
+        common = sorted(set(maxc[i].rays) & set(maxc[j].rays))
+        inter_rays = dd_dual_rays(duals[i] + duals[j])
+        common_vecs = [fan.rays[r] for r in common]
+        for r in inter_rays:
+            if not (
+                common_vecs
+                and simplicial_cone_contains_or_member(common_vecs, r)
+            ):
+                raise AssertionError(
+                    f"cones {maxc[i].rays} and {maxc[j].rays} intersect outside "
+                    f"their common rays (witness ray {r})"
+                )
+        for cone_idx in (i, j):
+            faces = cone_all_face_sets(fan.generators(maxc[cone_idx]))
+            local = frozenset(
+                k for k, r in enumerate(maxc[cone_idx].rays) if r in common
+            )
+            if common and local not in faces:
+                raise AssertionError(
+                    f"common rays {common} are not a face of cone {maxc[cone_idx].rays}"
+                )
+
+
+def simplicial_cone_contains_or_member(vectors: list[RayVec], v: Sequence) -> bool:
+    """Membership that tolerates a linearly dependent generating set."""
+    basis: list[RayVec] = []
+    for vec in vectors:
+        if mat_rank(basis + [vec]) > len(basis):
+            basis.append(vec)
+    coeffs = _coords_in_basis(basis, v) if basis else None
+    if coeffs is None:
+        return False
+    if len(basis) == len(vectors):
+        return all(c >= 0 for c in coeffs)
+    return fulldim_cone_contains_lower(vectors, v)
+
+
+def fulldim_cone_contains_lower(vectors: list[RayVec], v: Sequence) -> bool:
+    """Exact membership for a pointed cone of any dimension via span coordinates."""
+    basis: list[RayVec] = []
+    for vec in vectors:
+        if mat_rank(basis + [vec]) > len(basis):
+            basis.append(vec)
+    vc = _coords_in_basis(basis, v)
+    if vc is None:
+        return False
+    projected = []
+    for vec in vectors:
+        c = _coords_in_basis(basis, vec)
+        assert c is not None
+        projected.append(tuple(c))
+    duals = dd_dual_rays(projected)
+    return all(dot(z, vc) >= 0 for z in duals)
+
+
+def cone_all_face_sets(vectors: Sequence[RayVec]) -> set[frozenset[int]]:
+    """All nonempty faces of cone(vectors) as generator-index sets (incl. itself)."""
+    full = frozenset(range(len(vectors)))
+    result = {full}
+    queue = [frozenset(f) for f in cone_facet_sets(vectors)]
+    while queue:
+        face = queue.pop()
+        if face in result or not face:
+            continue
+        result.add(face)
+        sub = [vectors[i] for i in sorted(face)]
+        local = sorted(face)
+        for f2 in cone_facet_sets(sub):
+            queue.append(frozenset(local[i] for i in f2))
+    return result

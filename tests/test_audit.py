@@ -20,12 +20,13 @@ from lojex.audit import (
 )
 from lojex.cli import AnalysisOptions, analyze_germ
 from lojex.errors import InputError
-from lojex.exponents import ranking_i_rho, transversals
+from lojex.exponents import transversals
 from lojex.parser import parse_germ, parse_text
 from lojex.polyhedron import build_polyhedron, g_gamma_eval, hat_polyhedron
 from lojex.taylor import euler_field_value, evaluate, gradient, support
 
 from .conftest import GATED_NONNEG, germ
+from .oracles import ranking_i_rho
 
 PLAN = SamplePlan(seed=5)
 DEEP_PLAN = SamplePlan(radii=_default_radii(1e-1, 1e-5, 16), seed=5)
@@ -264,6 +265,16 @@ def test_ranking_probes_distinct_and_complete():
             sections.update((v, tuple(-x for x in v)))
         assert set(probes) == sections, text
     assert len(probes) == 16  # from 2 * 8! = 80 640 rows for the sum of squares
+
+
+def test_tau_is_nan_on_envelopes_flat_up_to_rounding():
+    noisy = [1.0, 1 + 1e-15, 1 - 1e-15, 1.0, 1 + 2e-16, 1 - 4e-16, math.nan, 1 + 1e-15]
+    assert math.isnan(audit._tau(noisy))
+    assert math.isnan(audit._tau([0.0, 0.0, 0.0]))
+    assert math.isnan(audit._tau([1e-300 * (1 + 1e-14 * k) for k in range(8)]))
+    assert audit._tau([1.0, 0.9, 0.8, 0.7]) == pytest.approx(-1.0)
+    # a trend of relative size just above the cut still counts
+    assert audit._tau([1 + 1e-11 * k for k in range(8)]) == pytest.approx(1.0)
 
 
 @pytest.mark.xfail(strict=True, reason=(

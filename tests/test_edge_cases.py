@@ -6,11 +6,13 @@ import pytest
 from lojex import cli
 from lojex.cli import AnalysisOptions, analyze_germ, main
 from lojex.errors import InputError
-from lojex.fan import cone_det, normal_fan, simplicialize, unimodularize, validate_fan
+from lojex.fan import cone_det, normal_fan, simplicialize, unimodularize
 from lojex.nondegeneracy import check_model
 from lojex.parser import parse_text
 from lojex.polyhedron import build_polyhedron
 from lojex.taylor import RemainderDescriptor, TaylorModel, support
+
+from .oracles import validate_fan
 
 
 def test_one_variable_germ_full_pipeline():

@@ -1,7 +1,8 @@
+import json
 import random
 from fractions import Fraction
 
-
+from lojex.cli import AnalysisOptions, analyze_germ
 from lojex.exponents import (
     Hypotheses,
     alpha_exponent,
@@ -13,7 +14,7 @@ from lojex.exponents import (
     theta,
     transversals,
 )
-from lojex.parser import parse_text
+from lojex.parser import parse_germ, parse_text
 from lojex.polyhedron import build_polyhedron, hat_polyhedron
 from lojex.taylor import RemainderDescriptor, TaylorModel, support
 
@@ -21,8 +22,14 @@ from .conftest import (
     example_flat_germ,
     random_hat_supports,
     random_positive_even_germ,
+    random_support,
 )
-from .oracles import family_zero_patterns, monomial_zero_patterns
+from .oracles import (
+    dist_by_rankings,
+    family_zero_patterns,
+    monomial_zero_patterns,
+    ranking_data,
+)
 
 ALL = Hypotheses(True, True, True)
 
@@ -195,14 +202,29 @@ def test_dist_extended_flag_on_triple():
     assert res.value == 4
 
 
-def test_dist_ranking_cap():
-    vecs = set()
-    # a 10-variable zero set would need 10! rankings
-    model = TaylorModel.from_dict(8, {tuple([2] * 8): 1})
-    poly = build_polyhedron(support(model))
-    fam = transversals(hat_polyhedron(poly))
-    assert len(fam.I_f) == 8  # within cap: should not raise
-    dist_exponent(poly, fam, ALL)
+def test_dist_matches_ranking_walk():
+    # the per-hat-support value against the maximum over all s! rankings
+    rng = random.Random(31)
+    for _ in range(150):
+        n = rng.randint(2, 6)
+        poly = build_polyhedron(random_support(rng, n, max_points=8, max_entry=6))
+        fam = transversals(hat_polyhedron(poly))
+        res = dist_exponent(poly, fam, ALL)
+        assert res.value == dist_by_rankings(poly, fam)
+        assert len(res.per_ranking) == len(fam.supports)
+        for r in res.per_ranking:
+            assert sorted(r.order) == list(fam.I_f)
+            assert ranking_data(poly, fam, r.order) == (r.i_rho, r.vertices, r.exponent)
+
+
+def test_dist_sum_of_eight_squares():
+    text = " + ".join(f"x{i}^2" for i in range(1, 9)) + " + x1^2*x2^2"
+    outcome = analyze_germ(parse_germ(text), AnalysisOptions(), with_audits=False)
+    assert outcome.report.dist.value == 2
+    assert len(outcome.report.dist.per_ranking) == 8  # one per hat support, not 8!
+    # the report as `--json` writes it: 17.5 MB with one entry per ranking;
+    # now ~245 KB, most of it the 255 compact faces of the non-degeneracy check
+    assert len(json.dumps(outcome.document, indent=2)) < 300_000
 
 
 def test_combined_case_consistency():

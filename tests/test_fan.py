@@ -14,13 +14,13 @@ from lojex.fan import (
     simplicial_cone_contains,
     simplicialize,
     unimodularize,
-    validate_fan,
 )
 from lojex.linalg import dot
 from lojex.polyhedron import build_polyhedron, support_value
 from lojex.taylor import support
 
 from .conftest import germ, random_support
+from .oracles import validate_fan
 
 
 def _refined(poly):
