@@ -148,11 +148,14 @@ def _tau(series: list[float]) -> float:
     # an envelope flat up to rounding has no trend; its ranks are float noise
     if max(vals) - min(vals) <= FLAT_RELATIVE_RANGE * max(abs(v) for v in vals):
         return math.nan
-    # imported here: scipy.stats (and the scipy.optimize it pulls in) costs
-    # most of `import lojex`, and only the audits need it
-    from scipy.stats import kendalltau
-
-    return float(kendalltau(idx, vals).statistic)
+    # Kendall tau-b against the level index, which has no ties (Knight 1966):
+    # S over sqrt(pairs) * sqrt(pairs untied in the values), clipped as scipy does
+    v = np.array(vals)
+    signs = np.sign(v[None, :] - v[:, None])[np.triu_indices(len(v), 1)]
+    tot, ties = signs.size, int(np.count_nonzero(signs == 0))
+    if ties == tot:
+        return math.nan
+    return min(1.0, max(-1.0, int(signs.sum()) / math.sqrt(tot) / math.sqrt(tot - ties)))
 
 
 def _one_sided_verdict(minima: list[float]) -> tuple[str, float]:

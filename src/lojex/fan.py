@@ -9,10 +9,14 @@ vertex.  Refinement happens in two deterministic stages:
       ray of each cone, recursively), introducing no new rays;
   unimodularize: 2D cones via the Hirzebruch-Jung chain, 3D/4D cones via
       stellar subdivision at the minimal-coefficient-sum primitive lattice
-      point of the fundamental parallelepiped.
+      point of the fundamental parallelepiped, found among the |det|
+      classes of Z^n modulo the cone's lattice.
 
 Rays live in a deduplicated table; cones reference ray indices.  All
-arithmetic is exact.
+arithmetic is exact and runs on integers: determinants, ranks, span
+coordinates and inverses come from the one elimination in `linalg`, scaled
+by the pivot rather than divided; only the coordinates of a rational point
+(`_coords_in_basis`) are handed back as Fractions.
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import CapExceededError, InputError
-from .linalg import dot, mat_det, mat_inverse, mat_rank, solve
+from .linalg import dot, eliminate, mat_rank, solve_scaled
 from .polyhedron import (
     NewtonPolyhedron,
     _enumerate_proper_faces,
@@ -76,33 +81,22 @@ class FanExponents:
 # ---------------------------------------------------------------------------
 # cone helpers (exact)
 
-def cone_det(vectors: Sequence[RayVec]) -> Fraction:
-    return mat_det(list(vectors))
+def cone_det(vectors: Sequence[RayVec]) -> int:
+    work, pivots = eliminate(vectors)
+    return work[-1][-1] if len(pivots) == len(work) else 0
 
 
 def _coords_in_basis(basis: list[RayVec], v: Sequence) -> list[Fraction] | None:
-    """Coefficients c with sum c_i basis_i = v, or None if v is outside the span."""
-    n = len(basis[0])
-    cols = [i for i in range(n)]
-    # pick an invertible column subset of the basis matrix
-    chosen: list[int] = []
-    for c in cols:
-        sub = [[row[j] for j in chosen + [c]] for row in basis]
-        if mat_rank(sub) == len(chosen) + 1:
-            chosen.append(c)
-            if len(chosen) == len(basis):
-                break
-    if len(chosen) < len(basis):
+    """Coefficients c with sum c_i basis_i = v, or None if v is outside the span
+    or the basis is linearly dependent.  v may be rational."""
+    frac = [Fraction(x) for x in v]
+    den = lcm(*(x.denominator for x in frac))
+    scaled = [x.numerator * (den // x.denominator) for x in frac]
+    sol = solve_scaled(list(zip(*basis)), [scaled])
+    if sol is None:
         return None
-    square = [[Fraction(basis[i][j]) for i in range(len(basis))] for j in chosen]
-    rhs = [Fraction(v[j]) for j in chosen]
-    coeffs = solve(square, rhs)
-    if coeffs is None:
-        return None
-    for j in range(n):
-        if sum(coeffs[i] * basis[i][j] for i in range(len(basis))) != Fraction(v[j]):
-            return None
-    return coeffs
+    p, (coeffs,) = sol
+    return [Fraction(c, p * den) for c in coeffs]
 
 
 def simplicial_cone_contains(vectors: Sequence[RayVec], v: Sequence) -> bool:
@@ -117,22 +111,19 @@ def cone_facet_sets(vectors: Sequence[RayVec]) -> list[frozenset[int]]:
     Lower-dimensional cones are handled by passing to span coordinates.
     """
     vectors = list(vectors)
-    rank = mat_rank(vectors)
+    # with the generators as columns, the pivot columns are the first
+    # independent generators and each reduced column holds p times the
+    # coordinates of its generator in them: an integer projection to the span
+    work, pivots = eliminate(list(zip(*vectors)))
+    rank = len(pivots)
     if rank <= 1:
         return []
     if len(vectors) == rank:
         return [frozenset(s) for s in itertools.combinations(range(len(vectors)), rank - 1)]
-    basis: list[RayVec] = []
-    for v in vectors:
-        if mat_rank(basis + [v]) > len(basis):
-            basis.append(v)
-    projected = []
-    for v in vectors:
-        c = _coords_in_basis(basis, v)
-        assert c is not None
-        projected.append(tuple(c))
+    sign = 1 if work[rank - 1][pivots[-1]] > 0 else -1
+    projected = [tuple(sign * row[k] for row in work[:rank]) for k in range(len(vectors))]
     facets = []
-    for z in dd_dual_rays([tuple(p) for p in projected]):
+    for z in dd_dual_rays(projected):
         tight = frozenset(i for i, p in enumerate(projected) if dot(p, z) == 0)
         facets.append(tight)
     return facets
@@ -284,23 +275,33 @@ def hirzebruch_jung_chain(u: RayVec, v: RayVec) -> list[RayVec]:
 
 def _parallelepiped_point(vectors: list[RayVec]) -> RayVec:
     """Primitive lattice point of {sum t_i g_i : 0 <= t_i < 1} with minimal
-    coefficient sum, ties broken lexicographically."""
+    coefficient sum, ties broken lexicographically.
+
+    The lattice points of this half-open parallelepiped are one per class of
+    Z^n / B Z^n, B with the g_i as columns.  With D = |det B| the class of z
+    is held as its coefficients times D, the residues D B^-1 z mod D; the
+    classes of the unit vectors generate the group, so closing them under
+    addition lists every class.
+    """
     n = len(vectors)
-    inv = mat_inverse([[vectors[i][j] for i in range(n)] for j in range(n)])
-    assert inv is not None
-    sums = [sum(v[j] for v in vectors) for j in range(n)]
-    best: tuple[Fraction, RayVec] | None = None
-    for cand in itertools.product(*(range(max(s, 1)) for s in sums)):
-        if not any(cand):
-            continue
-        coeffs = [sum(inv[i][j] * cand[j] for j in range(n)) for i in range(n)]
-        if any(c < 0 or c >= 1 for c in coeffs):
-            continue
-        key = (sum(coeffs), cand)
-        if best is None or key < best:
-            best = key
-    assert best is not None, "parallelepiped of a non-unimodular cone has a lattice point"
-    return best[1]
+    unit = [[int(i == j) for i in range(n)] for j in range(n)]
+    det, cols = solve_scaled(list(zip(*vectors)), unit)
+    d = abs(det)
+    assert d > 1, "parallelepiped of a non-unimodular cone has a lattice point"
+    steps = [tuple((x if det > 0 else -x) % d for x in col) for col in cols]
+    classes = {(0,) * n}
+    frontier = list(classes)
+    while frontier:
+        fresh = {
+            tuple((a + b) % d for a, b in zip(u, step)) for u in frontier for step in steps
+        } - classes
+        classes |= fresh
+        frontier = list(fresh)
+
+    def point(u: tuple[int, ...]) -> RayVec:
+        return tuple(sum(c * g[j] for c, g in zip(u, vectors)) // d for j in range(n))
+
+    return min((sum(u), point(u)) for u in classes if any(u))[1]
 
 
 def check_unimodularize_dim(n: int) -> None:
@@ -349,35 +350,37 @@ def unimodularize(fan: Fan, trace: list | None = None) -> Fan:
                 out.append((tuple(sorted((intern(a), intern(b)))), attached))
         return _assemble_simplicial(n, rays, out)
 
+    # each cone carries its |det|.  A point with coefficients c in a cone has
+    # integer coordinates t = |det| c, and putting it in place of generator j
+    # gives a cone whose |det| is t_j, so no determinant is computed twice
+    cones = [
+        (idx, attached, abs(cone_det([rays[i] for i in idx]))) for idx, attached in max_cones
+    ]
     while True:
-        bad = [
-            (abs(cone_det([rays[i] for i in idx])), idx, attached)
-            for idx, attached in max_cones
-            if abs(cone_det([rays[i] for i in idx])) != 1
-        ]
+        bad = [c for c in cones if c[2] != 1]
         if not bad:
             break
         if trace is not None:
-            worst_det = max(b[0] for b in bad)
-            trace.append((worst_det, sum(1 for b in bad if b[0] == worst_det)))
-        _, worst_idx, _ = max(
-            bad, key=lambda b: (b[0], [rays[i] for i in b[1]])
-        )
+            worst_det = max(c[2] for c in bad)
+            trace.append((worst_det, sum(1 for c in bad if c[2] == worst_det)))
+        worst_idx = max(bad, key=lambda c: (c[2], [rays[i] for i in c[0]]))[0]
         w = _parallelepiped_point([rays[i] for i in worst_idx])
         w_idx = intern(w)
-        updated: list[tuple[tuple[int, ...], frozenset[Exponent] | None]] = []
-        for idx, attached in max_cones:
-            gens = [rays[i] for i in idx]
-            coeffs = solve([[g[j] for g in gens] for j in range(n)], list(w))
-            if coeffs is None or any(c < 0 for c in coeffs):
-                updated.append((idx, attached))
+        updated = []
+        for idx, attached, det in cones:
+            p, (t,) = solve_scaled(list(zip(*(rays[i] for i in idx))), [w])
+            if p < 0:
+                t = [-x for x in t]
+            if any(x < 0 for x in t):
+                updated.append((idx, attached, det))
                 continue
-            assert all(c < 1 for c in coeffs)
-            for j, c in enumerate(coeffs):
-                if c > 0:
+            assert all(x < det for x in t)
+            for j, x in enumerate(t):
+                if x > 0:
                     repl = tuple(sorted(set(idx) - {idx[j]} | {w_idx}))
-                    updated.append((repl, attached))
-        max_cones = updated
+                    updated.append((repl, attached, x))
+        cones = updated
+    max_cones = [(idx, attached) for idx, attached, _ in cones]
     return _assemble_simplicial(n, rays, max_cones)
 
 

@@ -1,23 +1,27 @@
-"""Small exact linear algebra over Fraction, used by the lattice geometry.
+"""Small exact linear algebra over the integers, used by the lattice geometry.
 
-Matrices are lists of row tuples/lists; everything is copied before
-elimination, nothing is mutated in place from the caller's view.
+Matrices are lists of row tuples/lists of Python ints.  One fraction-free
+Gauss-Jordan elimination (Bareiss 1968) serves every caller: rank,
+determinant, solutions and inverses are all read off its result, so no
+rational number is ever formed.  Entries go through `operator.index`, so a
+`Fraction` or float is rejected rather than truncated.  Inputs are copied;
+nothing is mutated from the caller's view.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import Iterable, Sequence
 
 
-def dot(a: Sequence, b: Sequence) -> Fraction | int:
+def dot(a: Sequence, b: Sequence):
     return sum(x * y for x, y in zip(a, b, strict=True))
 
 
 def primitive(vec: Iterable[int]) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries (zero vector stays zero)."""
-    v = tuple(int(x) for x in vec)
+    v = tuple(index(x) for x in vec)
     g = 0
     for x in v:
         g = gcd(g, abs(x))
@@ -26,106 +30,72 @@ def primitive(vec: Iterable[int]) -> tuple[int, ...]:
     return tuple(x // g for x in v)
 
 
-def rational_primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector (same ray)."""
-    lcm = 1
-    for x in vec:
-        d = Fraction(x).denominator
-        lcm = lcm * d // gcd(lcm, d)
-    return primitive(int(x * lcm) for x in vec)
+def eliminate(
+    rows: Iterable[Sequence[int]], width: int | None = None
+) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination; returns (reduced rows, pivot columns).
 
-
-def _echelon(rows: list[list[Fraction]]) -> int:
-    """In-place fraction Gaussian elimination; returns the rank."""
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col] / pv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
+    Pivots are taken left to right among the first `width` columns (all of
+    them by default), each in the first row at or below the current rank
+    with a nonzero entry.  A row swap also negates the row moved down, so
+    the determinant of every leading block is kept and the last pivot p is
+    det A for a nonsingular square A.  Every pivot row ends with p in its
+    pivot column and 0 in the other pivot columns; a nonsingular left block
+    A of [A | B] ends as [p*I | p*A^-1*B].  Each division is exact (Bareiss),
+    so all entries stay integers: minors of the input.
+    """
+    work = [[index(x) for x in row] for row in rows]
+    ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
+    prev = 1
+    for col in range(ncols if width is None else width):
+        rank = len(pivots)
+        if rank == len(work):
             break
-    return rank
+        pr = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pr is None:
+            continue
+        if pr != rank:
+            work[rank], work[pr] = work[pr], [-x for x in work[rank]]
+        prow = work[rank]
+        pv = prow[col]
+        for r, row in enumerate(work):
+            if r != rank:
+                f = row[col]
+                work[r] = [(pv * a - f * b) // prev for a, b in zip(row, prow)]
+        pivots.append(col)
+        prev = pv
+    return work, pivots
 
 
-def mat_rank(rows: Iterable[Sequence]) -> int:
-    work = [[Fraction(x) for x in row] for row in rows]
-    return _echelon(work)
+def mat_rank(rows: Iterable[Sequence[int]]) -> int:
+    return len(eliminate(rows)[1])
 
 
-def affine_rank(points: Sequence[Sequence]) -> int:
+def affine_rank(points: Sequence[Sequence[int]]) -> int:
     """Dimension of the affine hull of the given points (-1 for the empty set)."""
     pts = list(points)
     if not pts:
         return -1
     base = pts[0]
-    diffs = [[Fraction(a) - Fraction(b) for a, b in zip(p, base)] for p in pts[1:]]
-    return _echelon(diffs)
+    return mat_rank([[a - b for a, b in zip(p, base)] for p in pts[1:]])
 
 
-def mat_det(rows: Sequence[Sequence]) -> Fraction:
-    work = [[Fraction(x) for x in row] for row in rows]
-    n = len(work)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        pv = work[col][col]
-        det *= pv
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                factor = work[r][col] / pv
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return det
+def solve_scaled(
+    matrix: Sequence[Sequence[int]], rhs_cols: Sequence[Sequence[int]]
+) -> tuple[int, list[list[int]]] | None:
+    """Solve matrix @ x = b for each column b of `rhs_cols` without fractions.
 
-
-def solve(matrix: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
-    """Solve the square system matrix @ x = rhs exactly; None if singular."""
-    n = len(matrix)
-    work = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return None
-        work[col], work[pivot] = work[pivot], work[col]
-        pv = work[col][col]
-        work[col] = [a / pv for a in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return [work[r][n] for r in range(n)]
-
-
-def mat_inverse(matrix: Sequence[Sequence]) -> list[list[Fraction]] | None:
-    """Exact inverse of a square matrix; None if singular."""
-    n = len(matrix)
-    work = [
-        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return None
-        work[col], work[pivot] = work[pivot], work[col]
-        pv = work[col][col]
-        work[col] = [a / pv for a in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+    Returns (p, X) with p a nonzero integer and X[j] the integer vector p*x_j,
+    where x_j solves matrix @ x_j = rhs_cols[j].  For a square matrix, p is
+    its determinant.  None when the columns of `matrix` are linearly
+    dependent (the solution would not be unique) or some right-hand side is
+    outside their span.
+    """
+    k = len(matrix[0])
+    aug = [list(row) + [b[i] for b in rhs_cols] for i, row in enumerate(matrix)]
+    work, pivots = eliminate(aug, width=k)
+    if len(pivots) < k or any(any(row[k:]) for row in work[k:]):
+        return None
+    p = work[k - 1][k - 1]
+    return p, [[work[i][k + j] for i in range(k)] for j in range(len(rhs_cols))]

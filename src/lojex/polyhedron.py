@@ -13,7 +13,7 @@ Both representations are computed exactly:
          is exactly "all facet inequalities hold".
 
 The H-rep comes from a double-description run on the homogenization
-cone( {(p,1)} + {(e_i,0)} ) in dimension n+1; all pivots are Fractions.
+cone( {(p,1)} + {(e_i,0)} ) in dimension n+1, in integer arithmetic.
 Vertices are then certified against the H-rep: a support point is a vertex
 iff n linearly independent facets are active there.
 """
@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, InputError
-from .linalg import affine_rank, dot, mat_rank, rational_primitive
+from .linalg import affine_rank, dot, eliminate, mat_rank, primitive, solve_scaled
 from .taylor import MAX_DIM, Exponent, check_exponent
 
 MAX_SUPPORT = 10_000
@@ -88,25 +88,16 @@ def dd_dual_rays(generators: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]
     vectors in a deterministic order.
     """
     d = len(generators[0])
-    # greedy full-rank starting basis
-    basis_idx: list[int] = []
-    rows: list[tuple[int, ...]] = []
-    for i, g in enumerate(generators):
-        if mat_rank(rows + [g]) > len(rows):
-            basis_idx.append(i)
-            rows.append(g)
-            if len(rows) == d:
-                break
-    if len(rows) < d:
+    # starting basis: the first independent generators, in order
+    _, basis_idx = eliminate(list(zip(*generators)))
+    if len(basis_idx) < d:
         raise InputError("generator set does not span the ambient space")
-
-    from .linalg import mat_inverse
-
-    inv = mat_inverse(rows)
-    assert inv is not None
-    # ray j satisfies <ray_j, basis_i> = delta_ij, so the initial dual cone is simplicial
+    # ray j satisfies <ray_j, basis_i> = delta_ij, so the initial dual cone is
+    # simplicial: ray j is column j of the basis matrix's inverse, times det
+    unit = [[int(i == j) for i in range(d)] for j in range(d)]
+    det, cols = solve_scaled([generators[i] for i in basis_idx], unit)
     rays: list[tuple[int, ...]] = [
-        rational_primitive([inv[r][j] for r in range(d)]) for j in range(d)
+        primitive(x if det > 0 else -x for x in col) for col in cols
     ]
     active: list[frozenset[int]] = [
         frozenset(basis_idx[i] for i in range(d) if i != j) for j in range(d)
@@ -137,7 +128,7 @@ def dd_dual_rays(generators: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]
             combo = tuple(
                 vals[p] * rays[m][t] - vals[m] * rays[p][t] for t in range(d)
             )
-            new_rays.append(rational_primitive([Fraction(x) for x in combo]))
+            new_rays.append(primitive(combo))
             new_active.append(common | {k})
         rays = [rays[i] for i in plus] + [rays[i] for i in zero] + new_rays
         active = (

@@ -4,13 +4,16 @@ These deliberately avoid the code paths they check: the vertex test is an
 exact phase-1 simplex on the strict-separation system, the 2D hull oracle
 is a staircase walk, the zero-set oracle enumerates coordinate-zero
 patterns, the entry-parameter oracle bisects on membership, the distance
-oracle walks all s! rankings of the zero-set variables, and the fan
-validator checks the fan condition pairwise with exact cone algebra.
+oracle walks all s! rankings of the zero-set variables, the fan
+validator checks the fan condition pairwise with exact cone algebra, and
+the parallelepiped oracle walks the bounding box of the cone with a
+Fraction inverse.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -280,7 +283,9 @@ def fulldim_cone_contains_lower(vectors: list[RayVec], v: Sequence) -> bool:
     for vec in vectors:
         c = _coords_in_basis(basis, vec)
         assert c is not None
-        projected.append(tuple(c))
+        # a positive multiple generates the same ray, and DD takes integers
+        den = math.lcm(*(x.denominator for x in c))
+        projected.append(tuple(int(x * den) for x in c))
     duals = dd_dual_rays(projected)
     return all(dot(z, vc) >= 0 for z in duals)
 
@@ -300,3 +305,46 @@ def cone_all_face_sets(vectors: Sequence[RayVec]) -> set[frozenset[int]]:
         for f2 in cone_facet_sets(sub):
             queue.append(frozenset(local[i] for i in f2))
     return result
+
+
+# ---------------------------------------------------------------------------
+# parallelepiped point by walking the bounding box
+
+def _fraction_inverse(matrix: list[list[int]]) -> list[list[Fraction]]:
+    """Inverse of a nonsingular square matrix by Fraction Gauss-Jordan."""
+    n = len(matrix)
+    work = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if work[r][col] != 0)
+        work[col], work[pivot] = work[pivot], work[col]
+        pv = work[col][col]
+        work[col] = [a / pv for a in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+    return [row[n:] for row in work]
+
+
+def parallelepiped_point_box_walk(vectors: list[RayVec]) -> RayVec:
+    """The lattice point of {sum t_i g_i : 0 <= t_i < 1} other than 0 with the
+    least coefficient sum, ties broken lexicographically, found by testing
+    every point of the bounding box of the (nonnegative) generators."""
+    n = len(vectors)
+    inv = _fraction_inverse([[vectors[i][j] for i in range(n)] for j in range(n)])
+    sums = [sum(v[j] for v in vectors) for j in range(n)]
+    best: tuple[Fraction, RayVec] | None = None
+    for cand in itertools.product(*(range(max(s, 1)) for s in sums)):
+        if not any(cand):
+            continue
+        coeffs = [sum(inv[i][j] * cand[j] for j in range(n)) for i in range(n)]
+        if any(c < 0 or c >= 1 for c in coeffs):
+            continue
+        key = (sum(coeffs), cand)
+        if best is None or key < best:
+            best = key
+    assert best is not None, "parallelepiped of a non-unimodular cone has a lattice point"
+    return best[1]

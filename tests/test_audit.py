@@ -1,5 +1,9 @@
 import itertools
+import json
 import math
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +29,7 @@ from lojex.parser import parse_germ, parse_text
 from lojex.polyhedron import build_polyhedron, g_gamma_eval, hat_polyhedron
 from lojex.taylor import euler_field_value, evaluate, gradient, support
 
-from .conftest import GATED_NONNEG, germ
+from .conftest import CATALOG, GATED_NONNEG, germ, subprocess_env
 from .oracles import ranking_i_rho
 
 PLAN = SamplePlan(seed=5)
@@ -288,3 +292,47 @@ def test_comparison_audits_pass_on_positive_even_germ():
     verdicts = {a.inequality: a.verdict for a in outcome.audits}
     assert verdicts["euler-comparison"] == "pass"
     assert verdicts["f-vs-g"] == "pass"
+
+
+def test_tau_matches_scipy_kendalltau():
+    from scipy.stats import kendalltau
+
+    def scipy_tau(series):
+        idx, vals = zip(*((i, m) for i, m in enumerate(series) if math.isfinite(m)))
+        return float(kendalltau(idx, vals).statistic)
+
+    # every envelope the audits draw on the catalog, and envelopes with ties,
+    # infinities and nans, which real envelopes rarely have
+    series = []
+    for name in CATALOG:
+        for result in analyze_germ(germ(name), AnalysisOptions(samples=64)).audits:
+            series += [result.level_minima, result.level_maxima]
+    rng = random.Random(3)
+    for _ in range(2000):
+        series.append([rng.choice([rng.random(), float(rng.randint(0, 3)), math.nan, math.inf])
+                       for _ in range(rng.randint(2, 16))])
+    compared = 0
+    for s in series:
+        tau = audit._tau(s)
+        if not math.isnan(tau):
+            assert tau == scipy_tau(s), s  # the same float, not just close
+            compared += 1
+    assert compared > 1500
+
+
+def test_analyze_needs_no_scipy(tmp_path):
+    # a fresh interpreter, so that imports made by other tests cannot hide one
+    out = tmp_path / "report.json"
+    code = (
+        "import sys\n"
+        "from lojex.cli import main\n"
+        f"main(['analyze', '3*x1^4 + x1^2*x2^2 + 5*x2^6', '--json', {str(out)!r}])\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"
+    audits = json.loads(out.read_text())["audits"]
+    assert any(a["kendall_tau"] is not None for a in audits)

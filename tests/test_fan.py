@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from lojex.cli import main
 from lojex.errors import CapExceededError, InputError
 from lojex.fan import (
+    _parallelepiped_point,
     chart_pullback_exponents,
     cone_det,
     fan_exponents,
@@ -16,11 +18,12 @@ from lojex.fan import (
     unimodularize,
 )
 from lojex.linalg import dot
+from lojex.parser import parse_text
 from lojex.polyhedron import build_polyhedron, support_value
 from lojex.taylor import support
 
 from .conftest import germ, random_support
-from .oracles import validate_fan
+from .oracles import parallelepiped_point_box_walk, validate_fan
 
 
 def _refined(poly):
@@ -111,6 +114,51 @@ def test_hj_chain_dets_random():
             assert simplicial_cone_contains([u, v], w) or simplicial_cone_contains(
                 [v, u], w
             )
+
+
+def test_simplicial_cone_contains_rational_point():
+    # truncating -1/2 to 0 would put the point on the cone's boundary
+    assert not simplicial_cone_contains([(1, 0), (0, 1)], (Fraction(-1, 2), 1))
+    assert simplicial_cone_contains([(1, 0), (0, 1)], (Fraction(1, 2), 1))
+    assert not simplicial_cone_contains([(2, 1), (1, 2)], (Fraction(1, 3), Fraction(3, 2)))
+
+
+def test_parallelepiped_point_matches_box_walk():
+    rng = random.Random(41)
+    checked = 0
+    while checked < 200:
+        n = rng.choice([2, 3, 4])
+        top = {2: 12, 3: 4, 4: 2}[n]
+        gens = [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(n)]
+        if abs(cone_det(gens)) < 2:
+            continue
+        assert _parallelepiped_point(gens) == parallelepiped_point_box_walk(gens), gens
+        checked += 1
+
+
+@pytest.mark.parametrize("text, rays, maximal, cones, trace", [
+    ("x^4 + y^6 + z^9", 13, 21, 67,
+     [(9, 1), (6, 1), (5, 1), (4, 1), (3, 3), (3, 2), (2, 4), (2, 2), (2, 1)]),
+    ("x^4 + y^5 + z^7", 15, 25, 79,
+     [(35, 1), (20, 1), (5, 4), (5, 2), (5, 1), (4, 1), (3, 2), (3, 1), (2, 4),
+      (2, 2), (2, 1)]),
+])
+def test_unimodular_refinement_pinned(text, rays, maximal, cones, trace):
+    got: list = []
+    fan = unimodularize(simplicialize(normal_fan(build_polyhedron(support(parse_text(text))))),
+                        trace=got)
+    assert (len(fan.rays), len(fan.maximal), len(fan.cones)) == (rays, maximal, cones)
+    assert got == trace
+
+
+def test_large_brieskorn_fan_finishes(capsys):
+    # the bounding-box walk never finished this one
+    assert main(["fan", "x^7 + y^11 + z^13"]) == 0
+    assert "L = 1001, N = 1924" in capsys.readouterr().out
+    fan = unimodularize(simplicialize(normal_fan(build_polyhedron(
+        support(parse_text("x^7 + y^11 + z^13"))))))
+    assert all(abs(cone_det(fan.generators(c))) == 1 for c in fan.maximal_cones())
+    validate_fan(fan)
 
 
 def test_unimodularize_cusp_rays_and_exponents():
