@@ -106,13 +106,16 @@ def _build_fans(poly) -> tuple[Fan, Fan]:
     return sigma0, unimodularize(simplicialize(sigma0))
 
 
+def _check_max_dim(model: TaylorModel, opts: AnalysisOptions) -> None:
+    """Raise CapExceededError when the germ has more variables than --max-dim."""
+    if opts.max_dim is not None and model.n > opts.max_dim:
+        raise CapExceededError(f"dimension {model.n} exceeds --max-dim {opts.max_dim}")
+
+
 def analyze_germ(
     model: TaylorModel, opts: AnalysisOptions, with_audits: bool = True
 ) -> AnalysisOutcome:
-    if opts.max_dim is not None and model.n > opts.max_dim:
-        raise CapExceededError(
-            f"dimension {model.n} exceeds --max-dim {opts.max_dim}"
-        )
+    _check_max_dim(model, opts)
     flags: list[str] = []
     supp = support(model)
     poly = build_polyhedron(supp)
@@ -426,8 +429,7 @@ def run(args) -> int:
         return outcome.exit_code
 
     if args.command == "fan":
-        if opts.max_dim is not None and model.n > opts.max_dim:
-            raise CapExceededError(f"dimension {model.n} exceeds --max-dim {opts.max_dim}")
+        _check_max_dim(model, opts)
         poly = build_polyhedron(support(model))
         sigma0, sigma = _build_fans(poly)
         fanexp = fan_exponents(sigma, poly)
@@ -444,6 +446,7 @@ def run(args) -> int:
         return 0
 
     if args.command == "nondegen":
+        _check_max_dim(model, opts)
         poly = build_polyhedron(support(model))
         verdicts, ok = check_model(model, poly, tol=opts.tol, starts=opts.starts, seed=opts.seed)
         doc = {

@@ -3,10 +3,14 @@
 The normal fan of a Newton polyhedron decomposes the dual nonnegative
 orthant by which face each covector minimizes on; maximal cones correspond
 to vertices and are generated by the normals of the facets through the
-vertex.  Refinement happens in two deterministic stages:
+vertex.  The cones and their rays are read from the polyhedron's face
+lattice (`polyhedron._enumerate_proper_faces`), which lists the facets
+through every face; no cone is handed to double description again.
+Refinement happens in two deterministic stages:
 
   simplicialize: pulling triangulation (apex = lexicographically smallest
-      ray of each cone, recursively), introducing no new rays;
+      ray of each cone, recursively), introducing no new rays; a cone's
+      facets are its maximal proper sub-cones among the fan's cones;
   unimodularize: 2D cones via the Hirzebruch-Jung chain, 3D/4D cones via
       stellar subdivision at the minimal-coefficient-sum primitive lattice
       point of the fundamental parallelepiped, found among the |det|
@@ -29,13 +33,7 @@ from typing import Sequence
 
 from .errors import CapExceededError, InputError
 from .linalg import dot, eliminate, mat_rank, solve_scaled
-from .polyhedron import (
-    NewtonPolyhedron,
-    _enumerate_proper_faces,
-    active_facets,
-    dd_dual_rays,
-    support_value,
-)
+from .polyhedron import NewtonPolyhedron, _enumerate_proper_faces, support_value
 from .taylor import Exponent
 
 UNIMODULARIZE_MAX_DIM = 4
@@ -104,37 +102,6 @@ def simplicial_cone_contains(vectors: Sequence[RayVec], v: Sequence) -> bool:
     return coeffs is not None and all(c >= 0 for c in coeffs)
 
 
-def cone_facet_sets(vectors: Sequence[RayVec]) -> list[frozenset[int]]:
-    """Facets of cone(vectors) as sets of generator indices.
-
-    The cone is assumed pointed (all our cones sit inside the dual orthant).
-    Lower-dimensional cones are handled by passing to span coordinates.
-    """
-    vectors = list(vectors)
-    # with the generators as columns, the pivot columns are the first
-    # independent generators and each reduced column holds p times the
-    # coordinates of its generator in them: an integer projection to the span
-    work, pivots = eliminate(list(zip(*vectors)))
-    rank = len(pivots)
-    if rank <= 1:
-        return []
-    if len(vectors) == rank:
-        return [frozenset(s) for s in itertools.combinations(range(len(vectors)), rank - 1)]
-    sign = 1 if work[rank - 1][pivots[-1]] > 0 else -1
-    projected = [tuple(sign * row[k] for row in work[:rank]) for k in range(len(vectors))]
-    facets = []
-    for z in dd_dual_rays(projected):
-        tight = frozenset(i for i, p in enumerate(projected) if dot(p, z) == 0)
-        facets.append(tight)
-    return facets
-
-
-def fulldim_cone_contains(vectors: Sequence[RayVec], v: Sequence) -> bool:
-    """Exact membership for a full-dimensional pointed cone."""
-    duals = dd_dual_rays(list(vectors))
-    return all(dot(z, v) >= 0 for z in duals)
-
-
 # ---------------------------------------------------------------------------
 # normal fan
 
@@ -144,49 +111,48 @@ def normal_fan(poly: NewtonPolyhedron) -> Fan:
     Cones are the normal cones of the proper faces of the polyhedron: the
     cone of a face is generated by the normals of the facets through it,
     and maximal cones correspond to vertices.  attached_face holds the
-    vertex set of the polyhedron face each cone maps to.
+    vertex set of the polyhedron face each cone maps to.  The facets are
+    sorted by their normals, which are distinct, so facet k is ray k and a
+    face's tight facet indices are its cone's rays.
     """
     n = poly.n
-    ray_table: list[RayVec] = sorted({f.normal for f in poly.facets})
-    ray_index = {r: i for i, r in enumerate(ray_table)}
+    ray_table = tuple(f.normal for f in poly.facets)
     cones: list[Cone] = []
-    seen: set[tuple[int, ...]] = set()
     maximal: list[int] = []
-    for verts, rays in _enumerate_proper_faces(poly):
-        act = active_facets(poly, verts, rays)
-        idx = tuple(sorted(ray_index[f.normal] for f in act))
-        if idx in seen:
-            continue
-        seen.add(idx)
-        cone = Cone(idx, frozenset(verts))
-        cones.append(cone)
+    for verts, rays, tight in _enumerate_proper_faces(poly):
+        cones.append(Cone(tight, verts))
         if len(verts) == 1 and not rays:
             # vertex of the polyhedron: full-dimensional normal cone
-            assert mat_rank([ray_table[i] for i in idx]) == n
+            assert mat_rank([ray_table[i] for i in tight]) == n
             maximal.append(len(cones) - 1)
     order = sorted(range(len(cones)), key=lambda i: cones[i].rays)
     remap = {old: new for new, old in enumerate(order)}
     cones = [cones[i] for i in order]
     maximal = sorted(remap[i] for i in maximal)
-    return Fan(n, tuple(ray_table), tuple(cones), tuple(maximal))
+    return Fan(n, ray_table, tuple(cones), tuple(maximal))
 
 
 # ---------------------------------------------------------------------------
 # simplicialization (pulling triangulation)
 
-def _pull_triangulate(fan_rays: Sequence[RayVec], idx: tuple[int, ...]) -> list[tuple[int, ...]]:
-    vectors = [fan_rays[i] for i in idx]
-    rank = mat_rank(vectors)
-    if len(idx) == rank:
+def _pull_triangulate(fan: Fan, idx: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Pulling triangulation of the fan cone with rays idx.
+
+    The facets of a cone of a fan are its maximal proper sub-cones, and
+    the fan lists every one of them, so they are read off `fan.cones`.
+    """
+    vectors = [fan.rays[i] for i in idx]
+    if len(idx) == mat_rank(vectors):
         return [idx]
-    apex_local = min(range(len(idx)), key=lambda i: vectors[i])
+    apex = min(idx, key=lambda i: fan.rays[i])
+    inside = set(idx)
+    faces = [face for face in (set(c.rays) for c in fan.cones) if face < inside]
     out = []
-    for facet in cone_facet_sets(vectors):
-        if apex_local in facet:
+    for face in faces:
+        if apex in face or any(face < other for other in faces):
             continue
-        sub = tuple(idx[i] for i in sorted(facet))
-        for tri in _pull_triangulate(fan_rays, sub):
-            out.append(tuple(sorted(set(tri) | {idx[apex_local]})))
+        for tri in _pull_triangulate(fan, tuple(sorted(face))):
+            out.append(tuple(sorted(tri + (apex,))))
     return out
 
 
@@ -219,7 +185,7 @@ def simplicialize(fan: Fan) -> Fan:
     """Refine every maximal cone to simplicial cones without adding rays."""
     new_max: list[tuple[tuple[int, ...], frozenset[Exponent] | None]] = []
     for cone in fan.maximal_cones():
-        for tri in _pull_triangulate(fan.rays, cone.rays):
+        for tri in _pull_triangulate(fan, cone.rays):
             new_max.append((tri, cone.attached_face))
     return _assemble_simplicial(fan.n, fan.rays, new_max)
 

@@ -16,6 +16,12 @@ The H-rep comes from a double-description run on the homogenization
 cone( {(p,1)} + {(e_i,0)} ) in dimension n+1, in integer arithmetic.
 Vertices are then certified against the H-rep: a support point is a vertex
 iff n linearly independent facets are active there.
+
+The face lattice is read from these two representations once: each facet
+is a bitmask over the vertices and coordinate directions it contains, the
+faces are the AND-closure of those masks, and every face carries the
+indices of the facets through it (`_enumerate_proper_faces`).  Compact
+faces and the normal fan take their facet incidences from there.
 """
 
 from __future__ import annotations
@@ -211,45 +217,43 @@ def face_of_normal(
 
 def _enumerate_proper_faces(
     poly: NewtonPolyhedron,
-) -> list[tuple[frozenset[Exponent], frozenset[int]]]:
-    """All nonempty proper faces as (vertex set, recession coordinate set) pairs.
+) -> list[tuple[frozenset[Exponent], frozenset[int], tuple[int, ...]]]:
+    """All nonempty proper faces as (vertex set, recession coordinate set,
+    indices of the facets through the face) triples.
 
-    Faces are intersections of facets; the closure under pairwise
-    intersection with facets reaches every one.  A face of this pointed
-    polyhedron is nonempty iff it contains a vertex.
+    Each facet is one bitmask over the vertices and the coordinate
+    directions it contains.  Every face is the intersection of the facets
+    through it, so closing the masks under AND reaches each face once, and
+    the facets through a face are those whose mask covers the face's.  A
+    face of this pointed polyhedron is nonempty iff it contains a vertex.
     """
-    incidences = []
-    for f in poly.facets:
-        verts = frozenset(v for v in poly.vertices if dot(f.normal, v) == f.offset)
-        rays = frozenset(i for i in range(poly.n) if f.normal[i] == 0)
-        incidences.append((verts, rays))
-    seen: set[tuple[frozenset, frozenset]] = set()
-    queue = [fc for fc in incidences if fc[0]]
-    result = []
+    verts = sorted(poly.vertices)
+    masks = [
+        sum(1 << k for k, v in enumerate(verts) if dot(f.normal, v) == f.offset)
+        | sum(1 << (len(verts) + i) for i, a in enumerate(f.normal) if a == 0)
+        for f in poly.facets
+    ]
+    on_vertex = (1 << len(verts)) - 1
+    seen: set[int] = set()
+    queue = [m for m in masks if m & on_vertex]
     while queue:
         face = queue.pop()
         if face in seen:
             continue
         seen.add(face)
-        result.append(face)
-        for fverts, frays in incidences:
-            verts = face[0] & fverts
-            if verts:
-                nxt = (verts, face[1] & frays)
-                if nxt not in seen:
-                    queue.append(nxt)
+        for m in masks:
+            nxt = face & m
+            if nxt & on_vertex and nxt not in seen:
+                queue.append(nxt)
+    result = [
+        (
+            frozenset(v for k, v in enumerate(verts) if face >> k & 1),
+            frozenset(i for i in range(poly.n) if face >> (len(verts) + i) & 1),
+            tuple(k for k, m in enumerate(masks) if m & face == face),
+        )
+        for face in seen
+    ]
     return sorted(result, key=lambda fc: (sorted(fc[0]), sorted(fc[1])))
-
-
-def active_facets(poly: NewtonPolyhedron, verts: frozenset[Exponent],
-                  rays: frozenset[int]) -> list[Facet]:
-    out = []
-    for f in poly.facets:
-        if all(dot(f.normal, v) == f.offset for v in verts) and all(
-            f.normal[i] == 0 for i in rays
-        ):
-            out.append(f)
-    return out
 
 
 def compact_faces(
@@ -263,11 +267,10 @@ def compact_faces(
     """
     support = list(support)
     out: dict[frozenset[Exponent], FaceData] = {}
-    for verts, rays in _enumerate_proper_faces(poly):
+    for verts, rays, tight in _enumerate_proper_faces(poly):
         if rays:
             continue  # recession directions: the face is unbounded
-        act = active_facets(poly, verts, rays)
-        normal = tuple(sum(f.normal[i] for f in act) for i in range(poly.n))
+        normal = tuple(sum(poly.facets[k].normal[i] for k in tight) for i in range(poly.n))
         assert all(x > 0 for x in normal)
         level = dot(normal, next(iter(verts)))
         pts = frozenset(p for p in support if dot(normal, p) == level)

@@ -4,9 +4,11 @@ These deliberately avoid the code paths they check: the vertex test is an
 exact phase-1 simplex on the strict-separation system, the 2D hull oracle
 is a staircase walk, the zero-set oracle enumerates coordinate-zero
 patterns, the entry-parameter oracle bisects on membership, the distance
-oracle walks all s! rankings of the zero-set variables, the fan
-validator checks the fan condition pairwise with exact cone algebra, and
-the parallelepiped oracle walks the bounding box of the cone with a
+oracle walks all s! rankings of the zero-set variables, cone facets and
+cone membership come from a fresh double-description run on the cone's
+generators (lojex reads cone facets off the face lattice instead), the
+fan validator checks the fan condition pairwise with exact cone algebra,
+and the parallelepiped oracle walks the bounding box of the cone with a
 Fraction inverse.
 """
 
@@ -17,8 +19,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from lojex.fan import Fan, RayVec, _coords_in_basis, cone_facet_sets
-from lojex.linalg import dot, mat_rank
+from lojex.fan import Fan, RayVec, _coords_in_basis
+from lojex.linalg import dot, eliminate, mat_rank
 from lojex.polyhedron import NewtonPolyhedron, contains, dd_dual_rays
 
 
@@ -219,6 +221,40 @@ def entry_parameter_bisect(
         else:
             lo = mid
     return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# cone facets and membership by a fresh double-description run
+
+def cone_facet_sets(vectors: Sequence[RayVec]) -> list[frozenset[int]]:
+    """Facets of cone(vectors) as sets of generator indices.
+
+    The cone is assumed pointed (all our cones sit inside the dual orthant).
+    Lower-dimensional cones are handled by passing to span coordinates.
+    """
+    vectors = list(vectors)
+    # with the generators as columns, the pivot columns are the first
+    # independent generators and each reduced column holds p times the
+    # coordinates of its generator in them: an integer projection to the span
+    work, pivots = eliminate(list(zip(*vectors)))
+    rank = len(pivots)
+    if rank <= 1:
+        return []
+    if len(vectors) == rank:
+        return [frozenset(s) for s in itertools.combinations(range(len(vectors)), rank - 1)]
+    sign = 1 if work[rank - 1][pivots[-1]] > 0 else -1
+    projected = [tuple(sign * row[k] for row in work[:rank]) for k in range(len(vectors))]
+    facets = []
+    for z in dd_dual_rays(projected):
+        tight = frozenset(i for i, p in enumerate(projected) if dot(p, z) == 0)
+        facets.append(tight)
+    return facets
+
+
+def fulldim_cone_contains(vectors: Sequence[RayVec], v: Sequence) -> bool:
+    """Exact membership for a full-dimensional pointed cone."""
+    duals = dd_dual_rays(list(vectors))
+    return all(dot(z, v) >= 0 for z in duals)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from lojex.exponents import (
     transversals,
 )
 from lojex.fan import cone_det, fan_exponents, normal_fan, simplicialize, unimodularize
-from lojex.fan import fulldim_cone_contains, simplicial_cone_contains
+from lojex.fan import simplicial_cone_contains
 from lojex.linalg import affine_rank, dot
 from lojex.nondegeneracy import check_model
 from lojex.parser import parse_text
@@ -46,7 +46,12 @@ from .conftest import (
     random_positive_even_germ,
     random_support,
 )
-from .oracles import family_zero_patterns, is_vertex_lp, monomial_zero_patterns
+from .oracles import (
+    family_zero_patterns,
+    fulldim_cone_contains,
+    is_vertex_lp,
+    monomial_zero_patterns,
+)
 
 ALL = Hypotheses(True, True, True)
 

@@ -6,11 +6,12 @@ import pytest
 from lojex.cli import main
 from lojex.errors import CapExceededError, InputError
 from lojex.fan import (
+    Cone,
+    Fan,
     _parallelepiped_point,
     chart_pullback_exponents,
     cone_det,
     fan_exponents,
-    fulldim_cone_contains,
     hirzebruch_jung_chain,
     normal_fan,
     simplicial_cone_contains,
@@ -23,7 +24,12 @@ from lojex.polyhedron import build_polyhedron, support_value
 from lojex.taylor import support
 
 from .conftest import germ, random_support
-from .oracles import parallelepiped_point_box_walk, validate_fan
+from .oracles import (
+    cone_facet_sets,
+    fulldim_cone_contains,
+    parallelepiped_point_box_walk,
+    validate_fan,
+)
 
 
 def _refined(poly):
@@ -69,10 +75,12 @@ def test_simplicialize_2d_identity():
 
 
 def test_simplicialize_square_pyramid():
-    from lojex.fan import _pull_triangulate
-
+    # a fan's cones list every face of each cone: here the four rays, the
+    # four 2D faces and the pyramid itself
     rays = ((0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1))
-    tris = _pull_triangulate(rays, (0, 1, 2, 3))
+    faces = [(0,), (0, 1), (0, 1, 2, 3), (0, 2), (1,), (1, 3), (2,), (2, 3), (3,)]
+    fan = Fan(3, rays, tuple(Cone(f) for f in faces), (2,))
+    tris = [c.rays for c in simplicialize(fan).maximal_cones()]
     got = {frozenset(rays[i] for i in t) for t in tris}
     assert got == {
         frozenset({(0, 1, 0), (1, 0, 1), (0, 1, 1)}),
@@ -330,3 +338,39 @@ def test_fan_exponents_rejects_non_unimodular():
     fan = simplicialize(normal_fan(poly))  # still has determinant 2 and 3 cones
     with pytest.raises(InputError):
         fan_exponents(fan, poly)
+
+
+def _listed_facets(fan, cone):
+    """The maximal proper sub-cones of a fan cone among the cones the fan lists."""
+    subs = [set(c.rays) for c in fan.cones if set(c.rays) < set(cone.rays)]
+    return {frozenset(s) for s in subs if not any(s < t for t in subs)}
+
+
+def test_listed_sub_cones_are_the_dd_facets():
+    rng = random.Random(29)
+    shape = {2: (10, 8), 3: (10, 6), 4: (8, 4), 5: (7, 3)}
+    for n, (points, entry) in shape.items():
+        for _ in range(8):
+            fan = normal_fan(build_polyhedron(random_support(rng, n, points, entry)))
+            for cone in fan.cones:
+                dd = {frozenset(cone.rays[i] for i in f) for f in cone_facet_sets(fan.generators(cone))}
+                assert _listed_facets(fan, cone) == dd, (fan.rays, cone.rays)
+
+
+def test_fan_refinement_runs_no_double_description(monkeypatch):
+    import lojex.fan
+    import lojex.polyhedron
+
+    polys = [build_polyhedron(random_support(random.Random(s), 4, 8, 4)) for s in range(6)]
+
+    def forbidden(generators):
+        raise AssertionError("double description after build_polyhedron")
+
+    monkeypatch.setattr(lojex.polyhedron, "dd_dual_rays", forbidden)
+    monkeypatch.setattr(lojex.fan, "dd_dual_rays", forbidden, raising=False)
+    pulled = 0
+    for poly in polys:
+        fan = normal_fan(poly)
+        pulled += sum(len(c.rays) > poly.n for c in fan.maximal_cones())
+        simplicialize(fan)
+    assert pulled  # some maximal cone needed the pulling triangulation

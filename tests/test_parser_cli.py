@@ -109,7 +109,8 @@ def test_cli_exit_codes(tmp_path):
     germ_file.write_text("x1^2*x2^2\n@remainder exp=(1,0) flat=(x2)\n")
     assert main(["analyze", str(germ_file)]) == 2
     assert main(["analyze", "x^2 + $"]) == 3
-    assert main(["analyze", "x^2 + y^2", "--max-dim", "1"]) == 4
+    for command in ("analyze", "fan", "nondegen"):
+        assert main([command, "x^2 + y^2", "--max-dim", "1"]) == 4, command
     assert main(["nonsense-command"]) == 3
 
 
@@ -216,7 +217,7 @@ def test_cli_exit_codes_across_catalog(tmp_path):
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "lojex.cli", "exponents", "x^2 + y^2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=subprocess_env(),
     )
     assert proc.returncode == 0
     assert "theta = 1/2" in proc.stdout
