@@ -59,8 +59,8 @@ class SamplePlan:
 
     def __post_init__(self):
         r = tuple(float(x) for x in self.radii)
-        if not r or any(x <= 0 for x in r) or any(a <= b for a, b in zip(r, r[1:])):
-            raise InputError("radii must be strictly decreasing and positive")
+        if not r or not all(0 < x < math.inf for x in r) or any(a <= b for a, b in zip(r, r[1:])):
+            raise InputError("radii must be strictly decreasing, positive and finite")
         object.__setattr__(self, "radii", r)
 
 

@@ -352,6 +352,15 @@ def _read_input(value: str) -> str:
     return value
 
 
+def _exponent(text: str) -> Fraction:
+    """p/q or a decimal that a float can hold."""
+    try:
+        float(value := Fraction(text))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise argparse.ArgumentTypeError(f"invalid exponent {text!r}") from None
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with code 2; we reserve that
         raise InputError(message)
@@ -383,13 +392,16 @@ def _build_argparser() -> argparse.ArgumentParser:
     for name in ("analyze", "exponents", "fan", "nondegen", "verify"):
         sp = sub.add_parser(name)
         common(sp)
-    sub.choices["verify"].add_argument("--theta", help="gradient exponent to audit (p/q or decimal)")
-    sub.choices["verify"].add_argument("--alpha", help="domination exponent to audit")
-    sub.choices["verify"].add_argument("--dist", help="distance exponent to audit")
+    verify = sub.choices["verify"]
+    verify.add_argument("--theta", type=_exponent, help="gradient exponent to audit (p/q or decimal)")
+    verify.add_argument("--alpha", type=_exponent, help="domination exponent to audit")
+    verify.add_argument("--dist", type=_exponent, help="distance exponent to audit")
     return p
 
 
 def _opts_from_args(args) -> AnalysisOptions:
+    if args.seed < 0 or args.samples < 0:
+        raise InputError("--seed and --samples must be >= 0")
     return AnalysisOptions(
         declare_nonnegative="nonnegative" in args.declare,
         declare_convex="convex" in args.declare,
@@ -469,16 +481,14 @@ def run(args) -> int:
         for v, _ in rep.alpha.per_hat_vertex:
             hat_probes.extend(audit_mod.diagonal_probe(v))
         audits = []
-        if args.theta:
-            audits.append(audit_mod.audit_L1(model, Fraction(args.theta), plan, hat_probes))
-        if args.alpha and rep.alpha.witness is not None:
+        if args.theta is not None:
+            audits.append(audit_mod.audit_L1(model, args.theta, plan, hat_probes))
+        if args.alpha is not None and rep.alpha.witness is not None:
             audits.append(
-                audit_mod.audit_L0(model, rep.alpha.witness, Fraction(args.alpha), plan, hat_probes)
+                audit_mod.audit_L0(model, rep.alpha.witness, args.alpha, plan, hat_probes)
             )
-        if args.dist:
-            audits.append(
-                audit_mod.audit_L2(model, Fraction(args.dist), rep.transversal, plan)
-            )
+        if args.dist is not None:
+            audits.append(audit_mod.audit_L2(model, args.dist, rep.transversal, plan))
         if not audits:
             raise InputError("verify needs at least one of --theta/--alpha/--dist")
         for a in audits:

@@ -14,7 +14,8 @@ Refinement happens in two deterministic stages:
   unimodularize: 2D cones via the Hirzebruch-Jung chain, 3D/4D cones via
       stellar subdivision at the minimal-coefficient-sum primitive lattice
       point of the fundamental parallelepiped, found among the |det|
-      classes of Z^n modulo the cone's lattice.
+      classes of Z^n modulo the cone's lattice.  That search is a stellar
+      step's one elimination, and only the cones around the new ray are split.
 
 Rays live in a deduplicated table; cones reference ray indices.  All
 arithmetic is exact and runs on integers: determinants, ranks, span
@@ -239,9 +240,10 @@ def hirzebruch_jung_chain(u: RayVec, v: RayVec) -> list[RayVec]:
         cur = w
 
 
-def _parallelepiped_point(vectors: list[RayVec]) -> RayVec:
+def _parallelepiped_point(vectors: list[RayVec]) -> tuple[RayVec, tuple[int, ...]]:
     """Primitive lattice point of {sum t_i g_i : 0 <= t_i < 1} with minimal
-    coefficient sum, ties broken lexicographically.
+    coefficient sum, ties broken lexicographically, and its coefficients times
+    |det|.
 
     The lattice points of this half-open parallelepiped are one per class of
     Z^n / B Z^n, B with the g_i as columns.  With D = |det B| the class of z
@@ -267,7 +269,7 @@ def _parallelepiped_point(vectors: list[RayVec]) -> RayVec:
     def point(u: tuple[int, ...]) -> RayVec:
         return tuple(sum(c * g[j] for c, g in zip(u, vectors)) // d for j in range(n))
 
-    return min((sum(u), point(u)) for u in classes if any(u))[1]
+    return min((sum(u), point(u), u) for u in classes if any(u))[1:]
 
 
 def check_unimodularize_dim(n: int) -> None:
@@ -304,9 +306,6 @@ def unimodularize(fan: Fan, trace: list | None = None) -> Fan:
         (c.rays, c.attached_face) for c in fan.maximal_cones()
     ]
 
-    if n == 1:
-        return _assemble_simplicial(n, rays, max_cones)
-
     if n == 2:
         out = []
         for idx, attached in max_cones:
@@ -316,38 +315,36 @@ def unimodularize(fan: Fan, trace: list | None = None) -> Fan:
                 out.append((tuple(sorted((intern(a), intern(b)))), attached))
         return _assemble_simplicial(n, rays, out)
 
-    # each cone carries its |det|.  A point with coefficients c in a cone has
-    # integer coordinates t = |det| c, and putting it in place of generator j
-    # gives a cone whose |det| is t_j, so no determinant is computed twice
+    # each cone carries its |det|.  The new ray w is t / d in the worst cone's
+    # generators and lies in its face F = {g_j : t_j > 0}; the cones holding w
+    # are those with F among their rays, and g_j -> w scales their |det| by t_j / d
     cones = [
         (idx, attached, abs(cone_det([rays[i] for i in idx]))) for idx, attached in max_cones
     ]
-    while True:
-        bad = [c for c in cones if c[2] != 1]
-        if not bad:
-            break
+    while (d := max((c[2] for c in cones), default=1)) != 1:
+        worst = [c for c in cones if c[2] == d]
         if trace is not None:
-            worst_det = max(c[2] for c in bad)
-            trace.append((worst_det, sum(1 for c in bad if c[2] == worst_det)))
-        worst_idx = max(bad, key=lambda c: (c[2], [rays[i] for i in c[0]]))[0]
-        w = _parallelepiped_point([rays[i] for i in worst_idx])
+            trace.append((d, len(worst)))
+        worst_idx = max(worst, key=lambda c: [rays[i] for i in c[0]])[0]
+        w, t = _parallelepiped_point([rays[i] for i in worst_idx])
         w_idx = intern(w)
+        face = {r: x for r, x in zip(worst_idx, t) if x}
+        some_ray = next(iter(face))
         updated = []
-        for idx, attached, det in cones:
-            p, (t,) = solve_scaled(list(zip(*(rays[i] for i in idx))), [w])
-            if p < 0:
-                t = [-x for x in t]
-            if any(x < 0 for x in t):
-                updated.append((idx, attached, det))
+        for cone in cones:
+            idx = cone[0]
+            # one ray of F tested first turns most cones away without a set
+            if some_ray not in idx or not face.keys() <= set(idx):
+                updated.append(cone)
                 continue
-            assert all(x < det for x in t)
-            for j, x in enumerate(t):
-                if x > 0:
-                    repl = tuple(sorted(set(idx) - {idx[j]} | {w_idx}))
-                    updated.append((repl, attached, x))
+            _, attached, det = cone
+            for r in idx:
+                if r in face:
+                    assert det * face[r] % d == 0
+                    repl = tuple(sorted(set(idx) - {r} | {w_idx}))
+                    updated.append((repl, attached, det * face[r] // d))
         cones = updated
-    max_cones = [(idx, attached) for idx, attached, _ in cones]
-    return _assemble_simplicial(n, rays, max_cones)
+    return _assemble_simplicial(n, rays, [c[:2] for c in cones])
 
 
 # ---------------------------------------------------------------------------

@@ -333,8 +333,8 @@ def check_face(
     starts: int = DEFAULT_STARTS,
     seed: int = 0,
 ) -> DegeneracyVerdict:
-    if tol <= 0:
-        raise InputError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise InputError(f"tolerance must be positive and finite, got {tol}")
     if starts < 1:
         raise InputError(f"starts must be >= 1, got {starts}")
     if fp.underdetermined:
@@ -370,11 +370,6 @@ def check_face(
                 detail=f"partial in x{i + 1} is a nonzero monomial",
             )
     active = fp.active_vars()
-    if len(active) == 1:
-        # quasi-homogeneity forces a single term on one active variable
-        return DegeneracyVerdict(
-            "nondegenerate-exact", None, math.inf, detail="monomial face",
-        )
     if len(active) == 2:
         return _check_two_variable(fp, active[0], active[1])
     return _multistart(fp, tol, starts, seed)

@@ -19,7 +19,7 @@ exponent lengths.  JSON input is an object:
      "remainders": [{"exp": [2, 0], "flat": [2]}, {"exp": [3, 1], "unit": true}]}
 
 where coefficients may also be integers or "p/q" strings, and "flat" lists
-1-based variable indices.
+1-based variable indices.  Exponents, indices and "n" are JSON integers.
 """
 
 from __future__ import annotations
@@ -212,15 +212,25 @@ def parse_text(text: str) -> TaylorModel:
 
 
 def _coeff_from_json(value) -> Fraction:
-    if isinstance(value, bool):
-        raise InputError(f"invalid coefficient {value!r}")
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     if isinstance(value, dict) and set(value) <= {"num", "den"}:
-        return Fraction(value["num"], value.get("den", 1))
+        num, den = value.get("num"), value.get("den", 1)
+        if type(num) is int and type(den) is int and den:
+            return Fraction(num, den)
     raise InputError(f"invalid coefficient {value!r}")
+
+
+def _json_ints(value, what: str) -> tuple[int, ...]:
+    # type() rather than isinstance: a JSON true is not the integer 1
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise InputError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(value)
 
 
 def parse_json(data: dict | str) -> TaylorModel:
@@ -233,19 +243,24 @@ def parse_json(data: dict | str) -> TaylorModel:
         raise InputError("JSON germ must be an object")
     terms = data.get("terms", [])
     remainders_raw = data.get("remainders", [])
-    exps = [tuple(t["exp"]) for t in terms] + [tuple(r["exp"]) for r in remainders_raw]
+    for key, entries in (("terms", terms), ("remainders", remainders_raw)):
+        if not isinstance(entries, list) or not all(isinstance(e, dict) and "exp" in e for e in entries):
+            raise InputError(f'"{key}" must be a list of objects with an "exp"')
+    exps = [_json_ints(t["exp"], '"exp"') for t in terms + remainders_raw]
     n = data.get("n") or max((len(e) for e in exps), default=1)
+    if type(n) is not int:
+        raise InputError(f'"n" must be an integer, got {n!r}')
     coeffs: dict[tuple[int, ...], Fraction] = {}
-    for t in terms:
-        exp = _pad(tuple(int(x) for x in t["exp"]), n)
-        coeffs[exp] = coeffs.get(exp, Fraction(0)) + _coeff_from_json(t["coeff"])
+    for t, exp in zip(terms, exps):
+        exp = _pad(exp, n)
+        coeffs[exp] = coeffs.get(exp, Fraction(0)) + _coeff_from_json(t.get("coeff"))
     remainders = []
-    for r in remainders_raw:
-        exp = _pad(tuple(int(x) for x in r["exp"]), n)
+    for r, exp in zip(remainders_raw, exps[len(terms):]):
+        exp = _pad(exp, n)
         if r.get("unit"):
             remainders.append(RemainderDescriptor(exp, frozenset(), True))
         else:
-            flat = frozenset(int(i) - 1 for i in r.get("flat", []))
+            flat = frozenset(i - 1 for i in _json_ints(r.get("flat", []), '"flat"'))
             remainders.append(RemainderDescriptor(exp, flat, False))
     if not coeffs and not remainders:
         raise InputError("empty germ: no terms and no remainders")

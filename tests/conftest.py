@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -41,6 +43,18 @@ def subprocess_env() -> dict[str, str]:
     src = os.path.dirname(os.path.dirname(lojex.__file__))
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def run_lojex(*args: str) -> subprocess.CompletedProcess:
+    """`python -m lojex *args` in a child process; a run that takes over 60 s
+    fails the test, so a hang regression cannot hang the suite."""
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "lojex", *args],
+            capture_output=True, text=True, env=subprocess_env(), timeout=60,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"lojex {' '.join(args)} did not finish within 60 s")
 
 
 @pytest.fixture

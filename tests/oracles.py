@@ -8,8 +8,9 @@ oracle walks all s! rankings of the zero-set variables, cone facets and
 cone membership come from a fresh double-description run on the cone's
 generators (lojex reads cone facets off the face lattice instead), the
 fan validator checks the fan condition pairwise with exact cone algebra,
-and the parallelepiped oracle walks the bounding box of the cone with a
-Fraction inverse.
+the parallelepiped oracle walks the bounding box of the cone with a
+Fraction inverse, and the stellar-step oracle solves for the new ray in
+every maximal cone instead of splitting only the cones around its face.
 """
 
 from __future__ import annotations
@@ -19,8 +20,15 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from lojex.fan import Fan, RayVec, _coords_in_basis
-from lojex.linalg import dot, eliminate, mat_rank
+from lojex.fan import (
+    Fan,
+    RayVec,
+    _assemble_simplicial,
+    _coords_in_basis,
+    _parallelepiped_point,
+    cone_det,
+)
+from lojex.linalg import dot, eliminate, mat_rank, solve_scaled
 from lojex.polyhedron import NewtonPolyhedron, contains, dd_dual_rays
 
 
@@ -384,3 +392,52 @@ def parallelepiped_point_box_walk(vectors: list[RayVec]) -> RayVec:
             best = key
     assert best is not None, "parallelepiped of a non-unimodular cone has a lattice point"
     return best[1]
+
+
+# ---------------------------------------------------------------------------
+# unimodular refinement solving for the new ray in every cone
+
+def unimodularize_every_cone(fan: Fan, trace: list | None = None) -> Fan:
+    """`unimodularize` for simplicial fans of dimension >= 3, finding the cones
+    that hold each new ray by solving for its coordinates in every maximal
+    cone at every stellar step."""
+    n = fan.n
+    assert n >= 3 and all(len(c.rays) == n for c in fan.maximal_cones())
+    rays: list[RayVec] = list(fan.rays)
+    ray_index = {r: i for i, r in enumerate(rays)}
+
+    def intern(vec: RayVec) -> int:
+        if vec not in ray_index:
+            ray_index[vec] = len(rays)
+            rays.append(vec)
+        return ray_index[vec]
+
+    cones = [
+        (c.rays, c.attached_face, abs(cone_det([rays[i] for i in c.rays])))
+        for c in fan.maximal_cones()
+    ]
+    while True:
+        bad = [c for c in cones if c[2] != 1]
+        if not bad:
+            break
+        if trace is not None:
+            worst_det = max(c[2] for c in bad)
+            trace.append((worst_det, sum(1 for c in bad if c[2] == worst_det)))
+        worst_idx = max(bad, key=lambda c: (c[2], [rays[i] for i in c[0]]))[0]
+        w = _parallelepiped_point([rays[i] for i in worst_idx])[0]
+        w_idx = intern(w)
+        updated = []
+        for idx, attached, det in cones:
+            p, (t,) = solve_scaled(list(zip(*(rays[i] for i in idx))), [w])
+            if p < 0:
+                t = [-x for x in t]
+            if any(x < 0 for x in t):
+                updated.append((idx, attached, det))
+                continue
+            assert all(x < det for x in t)
+            for j, x in enumerate(t):
+                if x > 0:
+                    repl = tuple(sorted(set(idx) - {idx[j]} | {w_idx}))
+                    updated.append((repl, attached, x))
+        cones = updated
+    return _assemble_simplicial(n, rays, [(idx, attached) for idx, attached, _ in cones])

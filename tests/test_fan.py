@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from lojex.cli import main
 from lojex.errors import CapExceededError, InputError
 from lojex.fan import (
     Cone,
@@ -18,16 +17,17 @@ from lojex.fan import (
     simplicialize,
     unimodularize,
 )
-from lojex.linalg import dot
+from lojex.linalg import dot, solve_scaled
 from lojex.parser import parse_text
 from lojex.polyhedron import build_polyhedron, support_value
 from lojex.taylor import support
 
-from .conftest import germ, random_support
+from .conftest import germ, random_support, run_lojex
 from .oracles import (
     cone_facet_sets,
     fulldim_cone_contains,
     parallelepiped_point_box_walk,
+    unimodularize_every_cone,
     validate_fan,
 )
 
@@ -140,7 +140,7 @@ def test_parallelepiped_point_matches_box_walk():
         gens = [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(n)]
         if abs(cone_det(gens)) < 2:
             continue
-        assert _parallelepiped_point(gens) == parallelepiped_point_box_walk(gens), gens
+        assert _parallelepiped_point(gens)[0] == parallelepiped_point_box_walk(gens), gens
         checked += 1
 
 
@@ -159,14 +159,63 @@ def test_unimodular_refinement_pinned(text, rays, maximal, cones, trace):
     assert got == trace
 
 
-def test_large_brieskorn_fan_finishes(capsys):
+def test_large_brieskorn_fan_finishes():
     # the bounding-box walk never finished this one
-    assert main(["fan", "x^7 + y^11 + z^13"]) == 0
-    assert "L = 1001, N = 1924" in capsys.readouterr().out
+    proc = run_lojex("fan", "x^7 + y^11 + z^13")
+    assert proc.returncode == 0, proc.stderr
+    assert "L = 1001, N = 1924" in proc.stdout
     fan = unimodularize(simplicialize(normal_fan(build_polyhedron(
         support(parse_text("x^7 + y^11 + z^13"))))))
     assert all(abs(cone_det(fan.generators(c))) == 1 for c in fan.maximal_cones())
     validate_fan(fan)
+
+
+def test_unimodularize_matches_every_cone_oracle():
+    # splitting only the cones around the new ray gives the fan and the trace
+    # that solving for it in every cone gives
+    rng = random.Random(7)
+    for k in range(30):
+        sigma = simplicialize(normal_fan(build_polyhedron(random_support(rng, 3 + k % 2, 6, 6))))
+        got: list = []
+        want: list = []
+        assert unimodularize(sigma, trace=got) == unimodularize_every_cone(sigma, trace=want)
+        assert got == want
+
+
+def test_unimodularize_solves_once_per_stellar_step(monkeypatch):
+    import lojex.fan
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_scaled(*args)
+
+    monkeypatch.setattr(lojex.fan, "solve_scaled", counted)
+    for text in ("x^4 + y^5 + z^7", "x1^3 + x2^4 + x3^5 + x4^2 + x1*x2*x3*x4"):
+        sigma = simplicialize(normal_fan(build_polyhedron(support(parse_text(text)))))
+        calls.clear()
+        trace: list = []
+        unimodularize(sigma, trace=trace)
+        assert trace and len(calls) == len(trace), text
+
+
+def test_seeded_n4_support_refines_in_time():
+    # solving for the new ray in every cone at each of its 1637 stellar steps
+    # took about 5 minutes on a 2-core VM
+    proc = run_lojex(
+        "fan",
+        "x1^2*x3^5*x4^5 + x1^2*x2^2*x3^5*x4^6 + x1^2*x2^3*x3^2*x4^6 + x1^2*x2^6*x3^4*x4^5"
+        " + x1^3*x3^2*x4^5 + x1^3*x2^2*x3^4 + x1^3*x2^5*x4^5 + x1^6*x3^2*x4^6",
+    )
+    assert proc.returncode == 0, proc.stderr
+    # simplicializing adds no ray and each stellar step adds one, so the
+    # refinement's 1654 rays are the 17 facet normals and 1637 steps
+    assert proc.stdout.splitlines() == [
+        "normal fan: 6 maximal cones, 17 rays",
+        "refinement: 7133 maximal cones, 1654 rays",
+        "L = 348, N = 1032",
+    ]
 
 
 def test_unimodularize_cusp_rays_and_exponents():

@@ -9,7 +9,7 @@ from lojex.cli import main
 from lojex.errors import InputError, ParseError
 from lojex.parser import model_to_text, parse_germ, parse_json, parse_text
 
-from .conftest import subprocess_env
+from .conftest import run_lojex, subprocess_env
 
 
 def test_parse_examples():
@@ -109,6 +109,24 @@ def test_cli_exit_codes(tmp_path):
     germ_file.write_text("x1^2*x2^2\n@remainder exp=(1,0) flat=(x2)\n")
     assert main(["analyze", str(germ_file)]) == 2
     assert main(["analyze", "x^2 + $"]) == 3
+    # malformed JSON germs and flag values are input errors, not tracebacks;
+    # a float or bool exponent is not truncated to an integer
+    for text in (
+        '{"terms":[{"coeff":1,"exp":[2.5,2]},{"coeff":1,"exp":[0,2]}]}',
+        '{"terms":[{"coeff":1,"exp":[true,2]},{"coeff":1,"exp":[0,2]}]}',
+        '{"terms":[{"coeff":1}]}',
+        '{"terms":5}',
+        '{"terms":[{"coeff":{"num":1,"den":0},"exp":[2,2]}]}',
+        '{"terms":[{"coeff":"abc","exp":[2,2]}]}',
+        '{"n":"2","terms":[{"coeff":1,"exp":[2,2]}]}',
+        '{"terms":[{"coeff":1,"exp":[2,2]}],"remainders":[{"exp":[2,0],"flat":[true]}]}',
+    ):
+        assert main(["analyze", text]) == 3, text
+    for flags in (["--theta", "abc"], ["--dist", "1/0"], ["--theta", "1/2", "--samples", "-1"],
+                  ["--theta", "1/2", "--seed", "-1"], ["--theta", "1/2", "--radius", "inf"]):
+        assert main(["verify", "x^2 + y^2", *flags]) == 3, flags
+    # a NaN tolerance used to certify the planted degenerate face
+    assert main(["nondegen", "x^2*y^2 - 2*x*y*z^2 + z^4 + x^6 + y^6 + z^6", "--tol", "nan"]) == 3
     for command in ("analyze", "fan", "nondegen"):
         assert main([command, "x^2 + y^2", "--max-dim", "1"]) == 4, command
     assert main(["nonsense-command"]) == 3
@@ -224,10 +242,7 @@ def test_console_entry_point():
 
 
 def test_package_main():
-    proc = subprocess.run(
-        [sys.executable, "-m", "lojex", "exponents", "x^2 + y^2"],
-        capture_output=True, text=True, env=subprocess_env(),
-    )
+    proc = run_lojex("exponents", "x^2 + y^2")
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "theta = 1/2" in proc.stdout
