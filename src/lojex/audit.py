@@ -42,6 +42,8 @@ TAU_FAIL = -0.8
 DECAY_FACTOR = 0.8  # envelope must drop materially, not just drift in rank
 ZERO_FLOOR = 1e-250
 SLOPE_RADIUS_CAP = 1e-2
+SLOPE_BINS = 32
+SLOPE_LOWER_FRACTION = 0.5  # share of the predictor range the slope is fitted on
 MIN_TREND_LEVELS = 4
 FLAT_RELATIVE_RANGE = 1e-12
 
@@ -193,10 +195,7 @@ def _two_sided_verdict(minima: list[float], maxima: list[float]) -> tuple[str, f
     return verdict, tau_lo, tau_hi
 
 
-def lower_envelope_slope(
-    predictor: np.ndarray, response: np.ndarray, bins: int = 32,
-    lower_fraction: float = 0.5,
-) -> float | None:
+def lower_envelope_slope(predictor: np.ndarray, response: np.ndarray) -> float | None:
     """Least-squares slope through per-bin minima of a log-log cloud.
 
     Only the lower part of the predictor range enters the fit: the
@@ -207,10 +206,10 @@ def lower_envelope_slope(
     x, y = predictor[mask], response[mask]
     if x.size < 2 or x.max() == x.min():
         return None
-    edges = np.linspace(x.min(), x.max(), bins + 1)
+    edges = np.linspace(x.min(), x.max(), SLOPE_BINS + 1)
     centers, mins = [], []
-    which = np.clip(np.digitize(x, edges) - 1, 0, bins - 1)
-    for b in range(bins):
+    which = np.clip(np.digitize(x, edges) - 1, 0, SLOPE_BINS - 1)
+    for b in range(SLOPE_BINS):
         sel = which == b
         if sel.any():
             centers.append(0.5 * (edges[b] + edges[b + 1]))
@@ -222,7 +221,7 @@ def lower_envelope_slope(
     # spikes in sparsely sampled bins
     for i in range(len(mins) - 2, -1, -1):
         mins[i] = min(mins[i], mins[i + 1])
-    cutoff = x.min() + lower_fraction * (x.max() - x.min())
+    cutoff = x.min() + SLOPE_LOWER_FRACTION * (x.max() - x.min())
     lower = [(c, m) for c, m in zip(centers, mins) if c <= cutoff]
     if len(lower) >= 2:
         centers, mins = zip(*lower)

@@ -40,7 +40,7 @@ from .exponents import (
     transversals,
 )
 from .fan import (
-    Fan,
+    FanExponents,
     check_unimodularize_dim,
     fan_exponents,
     normal_fan,
@@ -98,12 +98,20 @@ def _provably_nonnegative(model: TaylorModel) -> bool:
     )
 
 
-def _build_fans(poly) -> tuple[Fan, Fan]:
+def _fan_section(poly) -> tuple[dict, FanExponents]:
+    """The report's fan section (both fans and their exponents) and the exponents."""
     # the cap is checked before the normal fan and the triangulation, which
     # would otherwise be built and then dropped
     check_unimodularize_dim(poly.n)
     sigma0 = normal_fan(poly)
-    return sigma0, unimodularize(simplicialize(sigma0))
+    sigma = unimodularize(simplicialize(sigma0))
+    fanexp = fan_exponents(sigma, poly)
+    section = {
+        name: report_mod.fan_json(fan, poly)
+        for name, fan in (("normal", sigma0), ("unimodular", sigma))
+    }
+    section["exponents"] = report_mod.fan_exponents_json(fanexp)
+    return section, fanexp
 
 
 def _check_max_dim(model: TaylorModel, opts: AnalysisOptions) -> None:
@@ -132,11 +140,10 @@ def analyze_germ(
     else:
         overall = "inconclusive"
 
-    fan_pair: tuple[Fan, Fan] | None = None
-    fanexp = None
+    fan_doc, fan_L, fan_N = None, None, None
     try:
-        fan_pair = _build_fans(poly)
-        fanexp = fan_exponents(fan_pair[1], poly)
+        fan_doc, fanexp = _fan_section(poly)
+        fan_L, fan_N = fanexp.L, fanexp.N
     except CapExceededError as exc:
         flags.append(f"fan-unavailable: {exc}")
 
@@ -162,9 +169,9 @@ def analyze_germ(
     conv = convenience(poly)
     fam = transversals(hat)
     hyp = Hypotheses(kn.satisfied, nondeg_ok, nonnegative)
-    theta_res = theta(conv, hyp, fanexp.N if fanexp else None)
-    alpha_res = alpha_exponent(poly, hat, hyp, fanexp.L if fanexp else None)
-    dist_res = dist_exponent(poly, fam, hyp, fanexp.N if fanexp else None)
+    theta_res = theta(conv, hyp, fan_N)
+    alpha_res = alpha_exponent(poly, hat, hyp, fan_L)
+    dist_res = dist_exponent(poly, fam, hyp, fan_N)
     if dist_res.extended:
         flags.append("transversal-family-extended")
     combined = combined_case(conv, fam, theta_res, alpha_res, dist_res, hyp)
@@ -179,8 +186,8 @@ def analyze_germ(
         alpha=alpha_res,
         dist=dist_res,
         combined=combined,
-        fan_L=fanexp.L if fanexp else None,
-        fan_N=fanexp.N if fanexp else None,
+        fan_L=fan_L,
+        fan_N=fan_N,
         convex_vertex_shape=shape_ok,
         hypotheses=hyp,
         flags=tuple(flags),
@@ -198,13 +205,8 @@ def analyze_germ(
         "exponents": report_mod.exponent_report_json(report),
         "audits": [report_mod.audit_json(a) for a in audits],
     }
-    if fan_pair is not None:
-        doc["fan"] = {
-            "normal": report_mod.fan_json(fan_pair[0], poly),
-            "unimodular": report_mod.fan_json(fan_pair[1], poly),
-        }
-        if fanexp is not None:
-            doc["fan"]["exponents"] = report_mod.fan_exponents_json(fanexp)
+    if fan_doc is not None:
+        doc["fan"] = fan_doc
     exit_code = 0 if gates_ok else 2
     return AnalysisOutcome(doc, exit_code, report, audits)
 
@@ -217,6 +219,14 @@ def default_plan(opts: AnalysisOptions) -> SamplePlan:
     )
 
 
+def _hat_probes(report: ExponentReport) -> list[tuple[float, ...]]:
+    """The diagonal probes through every hat vertex."""
+    probes = []
+    for v, _ in report.alpha.per_hat_vertex:
+        probes.extend(audit_mod.diagonal_probe(v))
+    return probes
+
+
 def _run_audits(
     model: TaylorModel,
     poly,
@@ -226,9 +236,7 @@ def _run_audits(
 ) -> list:
     plan = default_plan(opts)
     forced = not gates_ok
-    hat_probes: list[tuple[float, ...]] = []
-    for v, _ in report.alpha.per_hat_vertex:
-        hat_probes.extend(audit_mod.diagonal_probe(v))
+    hat_probes = _hat_probes(report)
     # degenerate-face witnesses are the directions where the comparison
     # lemmas break down: probe them explicitly under --force
     for verdict in report.face_verdicts.values():
@@ -344,11 +352,14 @@ def _summarize(outcome: AnalysisOutcome, out) -> None:
 
 
 def _read_input(value: str) -> str:
-    if value == "-":
-        return sys.stdin.read()
-    if os.path.exists(value):
-        with open(value, "r", encoding="utf-8") as fh:
-            return fh.read()
+    try:
+        if value == "-":
+            return sys.stdin.read()
+        if os.path.exists(value):
+            with open(value, "r", encoding="utf-8") as fh:
+                return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {value!r}: {exc}") from None
     return value
 
 
@@ -399,6 +410,10 @@ def _build_argparser() -> argparse.ArgumentParser:
     return p
 
 
+# built once per process; the append action copies the --declare default first
+_PARSER = _build_argparser()
+
+
 def _opts_from_args(args) -> AnalysisOptions:
     if args.seed < 0 or args.samples < 0:
         raise InputError("--seed and --samples must be >= 0")
@@ -443,18 +458,12 @@ def run(args) -> int:
     if args.command == "fan":
         _check_max_dim(model, opts)
         poly = build_polyhedron(support(model))
-        sigma0, sigma = _build_fans(poly)
-        fanexp = fan_exponents(sigma, poly)
-        doc = {
-            "polyhedron": report_mod.polyhedron_json(poly),
-            "normal": report_mod.fan_json(sigma0, poly),
-            "unimodular": report_mod.fan_json(sigma, poly),
-            "exponents": report_mod.fan_exponents_json(fanexp),
-        }
-        print(f"normal fan: {len(sigma0.maximal)} maximal cones, {len(sigma0.rays)} rays")
-        print(f"refinement: {len(sigma.maximal)} maximal cones, {len(sigma.rays)} rays")
+        section, fanexp = _fan_section(poly)
+        for label, key in (("normal fan", "normal"), ("refinement", "unimodular")):
+            fan = section[key]
+            print(f"{label}: {len(fan['maximal_cones'])} maximal cones, {len(fan['rays'])} rays")
         print(f"L = {fanexp.L}, N = {fanexp.N}")
-        _emit(doc, args, [])
+        _emit({"polyhedron": report_mod.polyhedron_json(poly), **section}, args, [])
         return 0
 
     if args.command == "nondegen":
@@ -477,9 +486,7 @@ def run(args) -> int:
         rep = outcome.report
         assert rep is not None
         plan = default_plan(opts)
-        hat_probes = []
-        for v, _ in rep.alpha.per_hat_vertex:
-            hat_probes.extend(audit_mod.diagonal_probe(v))
+        hat_probes = _hat_probes(rep)
         audits = []
         if args.theta is not None:
             audits.append(audit_mod.audit_L1(model, args.theta, plan, hat_probes))
@@ -501,9 +508,8 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_argparser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return run(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

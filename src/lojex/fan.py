@@ -353,6 +353,7 @@ def unimodularize(fan: Fan, trace: list | None = None) -> Fan:
 def fan_exponents(fan: Fan, poly: NewtonPolyhedron) -> FanExponents:
     """Per-cone ray support values and the aggregated bounds L and N."""
     n = fan.n
+    ray_values = [support_value(poly, r) for r in fan.rays]
     per = []
     for pos, cone in enumerate(fan.maximal_cones()):
         gens = fan.generators(cone)
@@ -360,7 +361,7 @@ def fan_exponents(fan: Fan, poly: NewtonPolyhedron) -> FanExponents:
             raise InputError("fan_exponents requires a simplicial fan")
         if abs(cone_det(gens)) != 1:
             raise InputError("fan_exponents requires a unimodular fan")
-        l_values = tuple(support_value(poly, g) for g in gens)
+        l_values = tuple(ray_values[i] for i in cone.rays)
         per.append(ConeExponents(pos, l_values, max(l_values), sum(l_values)))
     if not per:
         raise InputError("fan has no maximal cones")

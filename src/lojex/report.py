@@ -15,7 +15,7 @@ from .audit import AuditResult, envelope_rows
 from .exponents import ExponentReport
 from .fan import Fan, FanExponents, cone_det
 from .nondegeneracy import DegeneracyVerdict
-from .polyhedron import NewtonPolyhedron
+from .polyhedron import NewtonPolyhedron, support_value
 from .taylor import TaylorModel
 
 
@@ -57,18 +57,15 @@ def polyhedron_json(poly: NewtonPolyhedron) -> dict:
     }
 
 
-def fan_json(fan: Fan, poly: NewtonPolyhedron | None = None) -> dict:
-    from .polyhedron import support_value
-
+def fan_json(fan: Fan, poly: NewtonPolyhedron) -> dict:
+    ray_values = [support_value(poly, r) for r in fan.rays]
     cones = []
-    for idx in fan.maximal:
-        cone = fan.cones[idx]
+    for cone in fan.maximal_cones():
         gens = fan.generators(cone)
         entry: dict[str, Any] = {"rays": list(cone.rays)}
         if len(gens) == fan.n:
             entry["det"] = int(cone_det(gens))
-        if poly is not None:
-            entry["l_values"] = [support_value(poly, g) for g in gens]
+        entry["l_values"] = [ray_values[i] for i in cone.rays]
         if cone.attached_face is not None:
             entry["attached_vertices"] = [list(v) for v in sorted(cone.attached_face)]
         cones.append(entry)

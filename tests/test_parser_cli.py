@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import lojex.cli
+import lojex.report
 from lojex.cli import main
 from lojex.errors import InputError, ParseError
 from lojex.parser import model_to_text, parse_germ, parse_json, parse_text
@@ -130,6 +132,14 @@ def test_cli_exit_codes(tmp_path):
     for command in ("analyze", "fan", "nondegen"):
         assert main([command, "x^2 + y^2", "--max-dim", "1"]) == 4, command
     assert main(["nonsense-command"]) == 3
+    # unreadable input paths are input errors too, not tracebacks
+    not_utf8 = tmp_path / "bytes.germ"
+    not_utf8.write_bytes(b"\xff\xfe")
+    for path in (tmp_path, not_utf8):
+        assert main(["exponents", str(path)]) == 3, path
+    # an unknown flag, and --theta outside verify
+    assert main(["analyze", "x^2 + y^2", "--bogus"]) == 3
+    assert main(["analyze", "x^2 + y^2", "--theta", "1/2"]) == 3
 
 
 def test_cli_kn_flat_family(tmp_path):
@@ -150,6 +160,75 @@ def test_cli_fan_dump(tmp_path):
     assert doc["exponents"]["L"] == 6 and doc["exponents"]["N"] == 9
     for cone in doc["unimodular"]["maximal_cones"]:
         assert abs(cone["det"]) == 1
+
+
+def test_fan_command_is_the_analyze_fan_section(tmp_path):
+    from .conftest import CATALOG
+
+    fan_out, analyze_out = tmp_path / "fan.json", tmp_path / "analyze.json"
+    for text in (*CATALOG.values(), "x^4 + y^5 + z^7"):
+        main(["analyze", text, "--json", str(analyze_out)])
+        assert main(["fan", text, "--json", str(fan_out)]) == 0, text
+        analyzed = json.loads(analyze_out.read_text())
+        expected = {"polyhedron": analyzed["polyhedron"], **analyzed["fan"]}
+        assert fan_out.read_text() == json.dumps(expected, indent=2) + "\n", text
+
+
+def test_main_reuses_one_parser(monkeypatch):
+    def no_new_parser():
+        raise AssertionError("main built a new argument parser")
+
+    monkeypatch.setattr(lojex.cli, "_build_argparser", no_new_parser)
+    assert main(["exponents", "x^2 + y^2"]) == 0
+
+
+def test_declare_does_not_leak_between_calls(tmp_path):
+    declared, plain = tmp_path / "declared.json", tmp_path / "plain.json"
+    main(["analyze", "x^3 + y^2", "--declare", "nonnegative", "--json", str(declared)])
+    main(["analyze", "x^3 + y^2", "--json", str(plain)])
+    declared_flags = json.loads(declared.read_text())["exponents"]["flags"]
+    plain_flags = json.loads(plain.read_text())["exponents"]["flags"]
+    assert any("declared-nonnegative-violated" in f for f in declared_flags)
+    assert not any(f.startswith("declared-") for f in plain_flags)
+    assert lojex.cli._PARSER.parse_args(["analyze", "x"]).declare == []
+
+
+# the names a span tracer wraps to time each layer; the pipeline has to look
+# each of them up on its module at call time, or the layer's time reads 0
+TRACED_CLI_NAMES = (
+    "analyze_germ", "build_polyhedron", "check_model", "hat_polyhedron", "check_kn",
+    "normal_fan", "simplicialize", "unimodularize", "fan_exponents", "transversals",
+    "dist_exponent", "_emit",
+)
+TRACED_REPORT_NAMES = (
+    "model_json", "polyhedron_json", "fan_json", "fan_exponents_json",
+    "exponent_report_json", "audit_json", "_verdict_json",
+)
+
+
+def test_pipeline_calls_traced_names_through_their_modules(monkeypatch, tmp_path):
+    calls: dict[str, list] = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.setdefault(name, []).append((args, kwargs))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, names in ((lojex.cli, TRACED_CLI_NAMES), (lojex.report, TRACED_REPORT_NAMES)):
+        for name in names:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    out = str(tmp_path / "report.json")
+    for argv in (["analyze", "x^2 + y^4"], ["fan", "x^3 + y^2"],
+                 ["nondegen", "x^2 - 2*x*y + y^2"], ["verify", "x^2 + y^2", "--theta", "1/2"]):
+        main([*argv, "--json", out])
+    assert sorted(calls) == sorted(TRACED_CLI_NAMES + TRACED_REPORT_NAMES)
+    # the tracer's wrappers read these arguments positionally
+    for args, kwargs in calls["_emit"]:
+        assert len(args) == 3 and not kwargs and args[1].json_path == out
+    for args, kwargs in calls["unimodularize"]:
+        assert len(args) == 1 and set(kwargs) <= {"trace"}
 
 
 def test_cli_nondegen(tmp_path):
