@@ -250,33 +250,23 @@ def _run_audits(
             audit_mod.audit_L1(model, theta_exp, plan, hat_probes, forced=forced)
         )
 
-    alpha_formula = (
-        max(d for _, d in report.alpha.per_hat_vertex)
-        if report.alpha.per_hat_vertex
-        else None
-    )
-    alpha_exp = report.alpha.value
-    alpha_forced = forced
-    if alpha_exp is None and opts.force and alpha_formula is not None:
-        alpha_exp = alpha_formula
-        alpha_forced = True
-    if alpha_exp is not None and report.alpha.witness is not None:
+    # under --force, an exponent that a gate blocks is audited at its formula
+    alpha, dist = report.alpha, report.dist
+    alpha_exp = alpha.formula if opts.force else alpha.value
+    if alpha_exp is not None and alpha.witness is not None:
         audits.append(
             audit_mod.audit_L0(
-                model, report.alpha.witness, alpha_exp, plan, hat_probes,
-                forced=alpha_forced,
+                model, alpha.witness, alpha_exp, plan, hat_probes,
+                forced=forced or alpha.value is None,
             )
         )
 
-    dist_exp = report.dist.value
-    dist_forced = forced
-    if dist_exp is None and opts.force and report.dist.per_ranking:
-        dist_exp = max(r.exponent for r in report.dist.per_ranking)
-        dist_forced = True
+    dist_exp = dist.formula if opts.force else dist.value
     if dist_exp is not None:
         audits.append(
             audit_mod.audit_L2(
-                model, dist_exp, report.transversal, plan, forced=dist_forced
+                model, dist_exp, report.transversal, plan,
+                forced=forced or dist.value is None,
             )
         )
 
@@ -317,28 +307,13 @@ def _summarize(outcome: AnalysisOutcome, out) -> None:
         ),
         file=out,
     )
-    theta_v = rep.theta.value
-    print(
-        "theta = {}{}".format(
-            _fmt_frac(theta_v),
-            "" if theta_v is not None else f" ({rep.theta.reason}; fallback 1-1/N = {_fmt_frac(rep.theta.fallback)})",
-        ),
-        file=out,
-    )
-    print(
-        "alpha = {}{}".format(
-            _fmt_frac(rep.alpha.value),
-            "" if rep.alpha.value is not None else f" ({rep.alpha.reason}; fallback L = {rep.alpha.fallback})",
-        ),
-        file=out,
-    )
-    print(
-        "dist exponent = {}{}".format(
-            _fmt_frac(rep.dist.value),
-            "" if rep.dist.value is not None else f" ({rep.dist.reason}; fallback N = {rep.dist.fallback})",
-        ),
-        file=out,
-    )
+    for name, res, fallback in (
+        ("theta", rep.theta, f"1-1/N = {_fmt_frac(rep.theta.fallback)}"),
+        ("alpha", rep.alpha, f"L = {rep.alpha.fallback}"),
+        ("dist exponent", rep.dist, f"N = {rep.dist.fallback}"),
+    ):
+        note = "" if res.value is not None else f" ({res.reason}; fallback {fallback})"
+        print(f"{name} = {_fmt_frac(res.value)}{note}", file=out)
     print(f"fan bounds: L = {rep.fan_L}, N = {rep.fan_N}", file=out)
     for a in outcome.audits:
         print(

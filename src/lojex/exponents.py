@@ -13,16 +13,16 @@ Everything here is exact lattice combinatorics on the Newton polyhedron:
     maximum over rankings of the per-ranking exponents, attained by the
     ranking that puts one hat support on top, so computed per hat support.
 
-Whenever a gate fails the corresponding value is reported n/a with a
-reason, and the generic toric-resolution bound (L, 1 - 1/N, or N) is
-attached as a fallback.
+Whenever a gate fails the corresponding value is reported n/a with the
+reason `Hypotheses.blocker` gives, and the generic toric-resolution bound
+(L, 1 - 1/N, or N) is attached as a fallback.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -36,6 +36,21 @@ class Hypotheses:
     kn: bool
     nondegenerate: bool
     nonnegative: bool
+
+    def blocker(self, needs_nonnegative: bool = True) -> str | None:
+        """The reason of the first failed gate, or None when every gate holds."""
+        if needs_nonnegative and not self.nonnegative:
+            return "germ not declared non-negative"
+        if not self.kn:
+            return "monomial-ideal condition fails"
+        if not self.nondegenerate:
+            return "non-degeneracy not established"
+        return None
+
+
+def _gated(result):
+    """The result with its value set to its formula, unless a gate blocks it."""
+    return result if result.reason else replace(result, value=result.formula)
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +163,8 @@ def theta(
     fallback = Fraction(1) - Fraction(1, fan_n) if fan_n else None
     if not conv.partially_convenient:
         return ThetaResult(None, "germ is not partially convenient", fallback)
-    if not hyp.kn:
-        return ThetaResult(None, "monomial-ideal condition fails", fallback)
-    if not hyp.nondegenerate:
-        return ThetaResult(None, "non-degeneracy not established", fallback)
+    if reason := hyp.blocker(needs_nonnegative=False):
+        return ThetaResult(None, reason, fallback)
     assert conv.nu_max is not None
     return ThetaResult(Fraction(1) - Fraction(1, conv.nu_max), None, fallback)
 
@@ -166,6 +179,11 @@ class AlphaResult:
     fallback: int | None  # L for the computed fan
     per_hat_vertex: tuple[tuple[Exponent, Fraction], ...]
     witness: Exponent | None  # hat vertex attaining the maximum
+
+    @property
+    def formula(self) -> Fraction | None:
+        """The largest entry parameter d, whether or not the gates hold."""
+        return max((d for _, d in self.per_hat_vertex), default=None)
 
 
 def alpha_exponent(
@@ -184,14 +202,7 @@ def alpha_exponent(
             )
         per.append((v, Fraction(d)))
     witness = max(per, key=lambda p: p[1])[0] if per else None
-    value = max(p[1] for p in per) if per else None
-    if not hyp.nonnegative:
-        return AlphaResult(None, "germ not declared non-negative", fan_l, tuple(per), witness)
-    if not hyp.kn:
-        return AlphaResult(None, "monomial-ideal condition fails", fan_l, tuple(per), witness)
-    if not hyp.nondegenerate:
-        return AlphaResult(None, "non-degeneracy not established", fan_l, tuple(per), witness)
-    return AlphaResult(value, None, fan_l, tuple(per), witness)
+    return _gated(AlphaResult(None, hyp.blocker(), fan_l, tuple(per), witness))
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +269,11 @@ class DistResult:
     per_ranking: tuple[RankingData, ...]
     extended: bool  # exact-transversal family is empty or wrong; hitting sets used
 
+    @property
+    def formula(self) -> int | None:
+        """The largest per-hat-support exponent, whether or not the gates hold."""
+        return max((r.exponent for r in self.per_ranking), default=None)
+
 
 def dist_exponent(
     poly: NewtonPolyhedron,
@@ -276,16 +292,6 @@ def dist_exponent(
     min{|v| : supp v in S}, and `per_ranking` holds the top-S ranking for
     each S.
     """
-    extended = not family.agree
-    gates_ok = hyp.nonnegative and hyp.kn and hyp.nondegenerate
-    reason = None
-    if not hyp.nonnegative:
-        reason = "germ not declared non-negative"
-    elif not hyp.kn:
-        reason = "monomial-ideal condition fails"
-    elif not hyp.nondegenerate:
-        reason = "non-degeneracy not established"
-
     per: list[RankingData] = []
     for top in family.supports:
         verts = tuple(
@@ -298,10 +304,7 @@ def dist_exponent(
             )
         order = tuple(i for i in family.I_f if i not in top) + tuple(sorted(top))
         per.append(RankingData(order, min(top), verts, min(sum(v) for v in verts)))
-    value = max(r.exponent for r in per) if per else None
-    if not gates_ok:
-        return DistResult(None, reason, fan_n, tuple(per), extended)
-    return DistResult(value, None, fan_n, tuple(per), extended)
+    return _gated(DistResult(None, hyp.blocker(), fan_n, tuple(per), not family.agree))
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +330,7 @@ def combined_case(
     Also asserts agreement with the general-path values; a mismatch would be
     an implementation bug, not a property of the germ.
     """
-    if not (
-        conv.partially_convenient
-        and hyp.kn
-        and hyp.nondegenerate
-        and hyp.nonnegative
-    ):
+    if not conv.partially_convenient or hyp.blocker():
         return None
     nu = conv.nu_max
     assert nu is not None

@@ -365,14 +365,18 @@ def fan_exponents(fan: Fan, poly: NewtonPolyhedron) -> FanExponents:
         per.append(ConeExponents(pos, l_values, max(l_values), sum(l_values)))
     if not per:
         raise InputError("fan has no maximal cones")
-    # covering spot-check: the coordinate rays and the diagonal must be covered
+    # covering spot-check: the coordinate rays and the diagonal must be covered.
+    # One elimination per cone solves for every probe still uncovered; it gives
+    # p*x for a probe's coordinates x, so the probe is in the cone iff p*(p*x) >= 0
     probes = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     probes.append((1,) * n)
-    for p in probes:
-        if not any(
-            simplicial_cone_contains(fan.generators(c), p) for c in fan.maximal_cones()
-        ):
-            raise InputError("fan does not cover the dual nonnegative orthant")
+    for cone in fan.maximal_cones():
+        if not probes:
+            break
+        p, cols = solve_scaled(list(zip(*fan.generators(cone))), probes)
+        probes = [q for q, x in zip(probes, cols) if any(p * c < 0 for c in x)]
+    if probes:
+        raise InputError("fan does not cover the dual nonnegative orthant")
     return FanExponents(
         tuple(per),
         L=max(c.l_sigma for c in per),

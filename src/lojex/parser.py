@@ -106,11 +106,11 @@ def _parse_factor(tz: _Tokenizer, powers: dict[int, int]) -> Fraction | None:
     raise ParseError(f"expected a coefficient or variable, got {value!r}", tz.line, col)
 
 
-def _parse_expression(text: str, line: int) -> dict[tuple[int, ...], Fraction]:
-    """Terms of one polynomial line, keyed by sparse {1-based var: power} maps."""
+def _parse_expression(text: str, line: int) -> list[tuple[dict[int, int], Fraction]]:
+    """Terms of one polynomial line as sparse ({1-based var: power}, coeff) pairs."""
     tz = _Tokenizer(text, line)
     if not tz.tokens:
-        return {}
+        return []
     sparse_terms: list[tuple[dict[int, int], Fraction]] = []
     sign = Fraction(1)
     kind, value, _ = tz.peek()
@@ -138,12 +138,7 @@ def _parse_expression(text: str, line: int) -> dict[tuple[int, ...], Fraction]:
             sign = Fraction(-1) if value == "-" else Fraction(1)
             continue
         raise ParseError(f"expected '+', '-' or '*', got {value!r}", line, col)
-    dim = max((max(p) for p, _ in sparse_terms if p), default=1)
-    out: dict[tuple[int, ...], Fraction] = {}
-    for powers, coeff in sparse_terms:
-        exp = tuple(powers.get(i + 1, 0) for i in range(dim))
-        out[exp] = out.get(exp, Fraction(0)) + coeff
-    return out
+    return sparse_terms
 
 
 _REMAINDER_RE = re.compile(
@@ -192,17 +187,13 @@ def parse_text(text: str) -> TaylorModel:
             raise ParseError(f"unknown directive {stripped.split()[0]!r}", lineno, 1)
         else:
             poly_lines.append((stripped, lineno))
+    # every term is padded once, after n is known
+    terms = [t for chunk, lineno in poly_lines for t in _parse_expression(chunk, lineno)]
+    n = max([max(p) for p, _ in terms if p] + [len(r.exp) for r in remainders] + [1])
     coeffs: dict[tuple[int, ...], Fraction] = {}
-    for chunk, lineno in poly_lines:
-        for exp, c in _parse_expression(chunk, lineno).items():
-            n = max(len(exp), max((len(e) for e in coeffs), default=1))
-            coeffs = {_pad(e, n): v for e, v in coeffs.items()}
-            exp = _pad(exp, n)
-            coeffs[exp] = coeffs.get(exp, Fraction(0)) + c
-    n = max(
-        [len(e) for e in coeffs] + [len(r.exp) for r in remainders] + [1]
-    )
-    coeffs = {_pad(e, n): v for e, v in coeffs.items()}
+    for powers, c in terms:
+        exp = tuple(powers.get(i + 1, 0) for i in range(n))
+        coeffs[exp] = coeffs.get(exp, Fraction(0)) + c
     remainders = [
         RemainderDescriptor(_pad(r.exp, n), r.flat_vars, r.is_unit) for r in remainders
     ]

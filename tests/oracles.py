@@ -33,79 +33,64 @@ from lojex.polyhedron import NewtonPolyhedron, contains, dd_dual_rays
 
 
 # ---------------------------------------------------------------------------
-# exact phase-1 simplex (Bland's rule, Fractions)
+# exact phase-1 simplex (Bland's rule, integer pivoting)
 
-def _phase1_feasible(M: list[list[Fraction]], d: list[Fraction]) -> bool:
-    """Is {u >= 0 : M u >= d} nonempty?  Exact dense simplex."""
+def _phase1_feasible(M: list[list[int]], d: list[int]) -> bool:
+    """Is {u >= 0 : M u >= d} nonempty?  Exact dense simplex on integers.
+
+    The tableau is held as `det` times the true one, `det` the determinant
+    of the current basis (1 at the start, then the last pivot), so each pivot
+    divides exactly (Edmonds' integer pivoting, Bareiss' elimination in
+    simplex form) and no fraction is ever formed.
+    """
     m = len(M)
     n = len(M[0]) if m else 0
-    # columns: u (n), slack (m), artificial (per positive-rhs row)
-    art_cols: dict[int, int] = {}
-    ncols = n + m
-    for i in range(m):
-        if d[i] > 0:
-            art_cols[i] = ncols
-            ncols += 1
-    if not art_cols:
+    art_rows = [i for i in range(m) if d[i] > 0]
+    if not art_rows:
         return True  # u = 0 works
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    # columns: u (n), slack (m), artificial (per positive-rhs row), rhs
+    ncols = n + m + len(art_rows)
+    rows: list[list[int]] = []
     basis: list[int] = []
     for i in range(m):
-        row = [Fraction(0)] * ncols
+        row = [0] * (ncols + 1)
         if d[i] > 0:
-            for j in range(n):
-                row[j] = M[i][j]
-            row[n + i] = Fraction(-1)
-            row[art_cols[i]] = Fraction(1)
-            rows.append(row)
-            rhs.append(d[i])
-            basis.append(art_cols[i])
+            art = n + m + art_rows.index(i)
+            row[:n], row[n + i], row[art], row[-1] = M[i], -1, 1, d[i]
+            basis.append(art)
         else:
-            for j in range(n):
-                row[j] = -M[i][j]
-            row[n + i] = Fraction(1)
-            rows.append(row)
-            rhs.append(-d[i])
+            row[:n], row[n + i], row[-1] = [-x for x in M[i]], 1, -d[i]
             basis.append(n + i)
-    # objective: minimize sum of artificials; reduced costs priced out
-    cost = [Fraction(0)] * ncols
-    for c in art_cols.values():
-        cost[c] = Fraction(1)
-    z = [Fraction(0)] * ncols
-    zval = Fraction(0)
-    for i, b in enumerate(basis):
-        if cost[b] != 0:
-            for j in range(ncols):
-                z[j] += rows[i][j]
-            zval += rhs[i]
+        rows.append(row)
+    # last row: the objective, minimize the sum of artificials, priced out;
+    # its artificial columns are never read, as artificials never enter
+    rows.append([sum(col) for col in zip(*(rows[i] for i in art_rows))])
+    det = 1
     while True:
-        entering = next(
-            (j for j in range(ncols) if z[j] - cost[j] > 0 and cost[j] == 0), None
-        )
+        z = rows[m]
+        entering = next((j for j in range(n + m) if z[j] > 0), None)
         if entering is None:
-            return zval == 0
-        ratios = [
-            (rhs[i] / rows[i][entering], basis[i], i)
-            for i in range(m)
-            if rows[i][entering] > 0
-        ]
-        if not ratios:
-            return True  # unbounded improvement of a feasibility objective
-        _, _, pivot_row = min(ratios)
-        pv = rows[pivot_row][entering]
-        rows[pivot_row] = [x / pv for x in rows[pivot_row]]
-        rhs[pivot_row] /= pv
+            return z[-1] == 0
+        # Bland: least ratio rhs / entry, ties to the least basic column
+        pivot_row = None
         for i in range(m):
-            if i != pivot_row and rows[i][entering] != 0:
-                f = rows[i][entering]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pivot_row])]
-                rhs[i] -= f * rhs[pivot_row]
-        f = z[entering]
-        if f != 0:
-            z = [a - f * b for a, b in zip(z, rows[pivot_row])]
-            zval -= f * rhs[pivot_row]
+            a = rows[i][entering]
+            if a > 0 and (
+                pivot_row is None
+                or (rows[i][-1] * rows[pivot_row][entering], basis[i])
+                < (rows[pivot_row][-1] * a, basis[pivot_row])
+            ):
+                pivot_row = i
+        if pivot_row is None:
+            return True  # unbounded improvement of a feasibility objective
+        prow = rows[pivot_row]
+        pv = prow[entering]
+        for i, row in enumerate(rows):
+            if i != pivot_row:
+                f = row[entering]
+                rows[i] = [(pv * x - f * y) // det for x, y in zip(row, prow)]
         basis[pivot_row] = entering
+        det = pv
 
 
 def is_vertex_lp(point: tuple[int, ...], support: set[tuple[int, ...]]) -> bool:
@@ -116,8 +101,8 @@ def is_vertex_lp(point: tuple[int, ...], support: set[tuple[int, ...]]) -> bool:
     n = len(point)
     if not others:
         return True
-    M = [[Fraction(y[j] - point[j]) for j in range(n)] for y in others]
-    d = [Fraction(1) - sum(Fraction(y[j] - point[j]) for j in range(n)) for y in others]
+    M = [[y[j] - point[j] for j in range(n)] for y in others]
+    d = [1 - sum(row) for row in M]
     return _phase1_feasible(M, d)
 
 

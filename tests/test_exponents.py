@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from lojex.cli import AnalysisOptions, analyze_germ
 from lojex.exponents import (
+    CombinedResult,
     Hypotheses,
     alpha_exponent,
     check_kn,
@@ -14,6 +15,7 @@ from lojex.exponents import (
     theta,
     transversals,
 )
+from lojex.fan import fan_exponents, normal_fan, simplicialize, unimodularize
 from lojex.parser import parse_germ, parse_text
 from lojex.polyhedron import build_polyhedron, hat_polyhedron
 from lojex.taylor import RemainderDescriptor, TaylorModel, support
@@ -269,6 +271,72 @@ def test_combined_case_on_random_gated_germs():
         assert th.value == Fraction(1) - Fraction(1, nu)
         assert al.value == nu
         assert di.value == nu
+
+
+# the n/a reasons of the gates, in the order they are decided
+NOT_PC = "germ is not partially convenient"
+NOT_NN = "germ not declared non-negative"
+NOT_KN = "monomial-ideal condition fails"
+NOT_ND = "non-degeneracy not established"
+
+# (kn, nondegenerate, nonnegative) -> (reason for theta on a partially
+# convenient germ, reason for alpha and the distance exponent)
+GATE_TABLE = {
+    (True, True, True): (None, None),
+    (True, True, False): (None, NOT_NN),
+    (True, False, True): (NOT_ND, NOT_ND),
+    (True, False, False): (NOT_ND, NOT_NN),
+    (False, True, True): (NOT_KN, NOT_KN),
+    (False, True, False): (NOT_KN, NOT_NN),
+    (False, False, True): (NOT_KN, NOT_KN),
+    (False, False, False): (NOT_KN, NOT_NN),
+}
+
+
+def test_gate_table_pins_values_reasons_and_fallbacks():
+    # both germs have theta = 3/4 (when partially convenient), alpha = dist = 4
+    # and the fan bounds L = 4, N = 6
+    for text, pc in (("x^2 + y^4", True), ("x^4 + x^2*y^2", False)):
+        _, poly, hat, fam = _setup(text)
+        fx = fan_exponents(unimodularize(simplicialize(normal_fan(poly))), poly)
+        conv = convenience(poly)
+        assert conv.partially_convenient is pc and (fx.L, fx.N) == (4, 6)
+        for (kn, nd, nn), (theta_reason, reason) in GATE_TABLE.items():
+            hyp = Hypotheses(kn, nd, nn)
+            if not pc:
+                theta_reason = NOT_PC
+            th = theta(conv, hyp, fx.N)
+            al = alpha_exponent(poly, hat, hyp, fx.L)
+            di = dist_exponent(poly, fam, hyp, fx.N)
+            case = (text, hyp)
+            assert (th.value, th.reason, th.fallback) == (
+                None if theta_reason else Fraction(3, 4), theta_reason, Fraction(5, 6)
+            ), case
+            assert (al.value, al.reason, al.fallback) == (
+                None if reason else 4, reason, 4
+            ), case
+            assert (di.value, di.reason, di.fallback) == (
+                None if reason else 4, reason, 6
+            ), case
+            expected = (
+                CombinedResult(Fraction(3, 4), Fraction(4), Fraction(4))
+                if pc and reason is None
+                else None
+            )
+            assert combined_case(conv, fam, th, al, di, hyp) == expected, case
+
+
+def test_formula_is_the_ungated_value():
+    _, poly, hat, fam = _setup("x^4 + x^2*y^2")
+    for kn, nd, nn in GATE_TABLE:
+        hyp = Hypotheses(kn, nd, nn)
+        al = alpha_exponent(poly, hat, hyp)
+        di = dist_exponent(poly, fam, hyp)
+        assert (al.formula, di.formula) == (4, 4)
+        assert al.value in (None, al.formula) and di.value in (None, di.formula)
+    assert ALL.blocker() is None
+    assert Hypotheses(False, True, False).blocker() == NOT_NN
+    assert Hypotheses(False, True, False).blocker(needs_nonnegative=False) == NOT_KN
 
 
 def test_convex_shape_examples():

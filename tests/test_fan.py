@@ -382,11 +382,26 @@ def test_unimodularize_requires_simplicial_and_caps_dim():
         unimodularize(fan)
 
 
-def test_fan_exponents_rejects_non_unimodular():
-    poly = build_polyhedron({(3, 0), (0, 2)})
-    fan = simplicialize(normal_fan(poly))  # still has determinant 2 and 3 cones
-    with pytest.raises(InputError):
-        fan_exponents(fan, poly)
+def test_fan_exponents_input_checks():
+    poly = build_polyhedron(support(germ("quartic_xyz")))
+    with pytest.raises(InputError, match="simplicial fan"):
+        fan_exponents(normal_fan(poly), poly)  # its first cone has four rays
+
+    cusp = build_polyhedron({(3, 0), (0, 2)})
+    fan = simplicialize(normal_fan(cusp))  # still has determinant 2 and 3 cones
+    with pytest.raises(InputError, match="unimodular fan"):
+        fan_exponents(fan, cusp)
+
+    # the refinement less every maximal cone holding the diagonal
+    fan = _refined(poly)
+    diagonal = (1,) * fan.n
+    kept = tuple(
+        i for i in fan.maximal
+        if not simplicial_cone_contains(fan.generators(fan.cones[i]), diagonal)
+    )
+    assert len(kept) < len(fan.maximal)
+    with pytest.raises(InputError, match="does not cover"):
+        fan_exponents(Fan(fan.n, fan.rays, fan.cones, kept), poly)
 
 
 def _listed_facets(fan, cone):

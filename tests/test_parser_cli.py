@@ -1,6 +1,9 @@
+import itertools
 import json
+import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -40,6 +43,18 @@ def test_parse_collects_like_terms():
     m = parse_text("x^2 + x^2 + y^2 - y^2")
     coeffs = {t.exp: t.coeff for t in m.terms}
     assert coeffs == {(2, 0): 2}
+
+
+def test_parse_long_line_in_time():
+    # padding every exponent collected so far again for each new term made
+    # this line take 16-19 s on a 2-core VM; padding each term once, 0.7 s
+    rng = random.Random(10_000)
+    exps = rng.sample(list(itertools.product(range(1, 23), repeat=3)), 9997)
+    text = " + ".join(f"{rng.randint(1, 9)}*x^{a}*y^{b}*z^{c}" for a, b, c in exps)
+    start = time.perf_counter()
+    m = parse_text(text)
+    assert time.perf_counter() - start < 5
+    assert m.n == 3 and len(m.terms) == 9997
 
 
 def test_parse_errors_carry_position():
