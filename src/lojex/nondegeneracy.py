@@ -1,16 +1,21 @@
 """Kouchnirenko non-degeneracy: does some compact face polynomial have a
 critical point on the real torus (R \\ 0)^n?
 
-Verdicts come in four flavors.  Exact decisions cover vertex faces, faces
-that are sign-definite with even exponents (the weighted Euler identity
-keeps them nonzero on the torus), faces with a single-monomial partial
-derivative, and faces supported on at most two variables (reduction to a
-univariate gcd plus Sturm root counting after normalizing the second
-variable to +-1, legitimate because the critical set of a
-quasi-homogeneous polynomial is invariant under the positive weighted
-scaling).  Everything else is decided numerically by multistart
-minimization of ||grad f_gamma||^2 over the slice max|x_i| = 1 of every
-sign orthant, and labeled 'nondegenerate-numeric': not a certificate.
+Verdicts come in four flavors.  Exact decisions come in three routes,
+tried in this order.  Faces that are sign-definite with even exponents are
+nonzero on the torus, so the weighted Euler identity forces a nonzero
+partial.  The exponent-kernel route: x_i d_i f_gamma = sum alpha_i c_alpha
+x^alpha, so a torus critical point gives a kernel vector (c_alpha
+x^alpha)_alpha of the exponent matrix with no zero entry; when some term's
+entry is 0 on the whole kernel (vertex faces, affinely independent
+supports, a single-monomial partial) there is none, even over C.  Faces
+supported on two variables reduce to a univariate gcd plus Sturm root
+counting after normalizing the second variable to +-1, legitimate because
+the critical set of a quasi-homogeneous polynomial is invariant under the
+positive weighted scaling.  Everything else is decided numerically by
+multistart minimization of ||grad f_gamma||^2 over the slice max|x_i| = 1
+of every sign orthant, and labeled 'nondegenerate-numeric': not a
+certificate.
 
 The multistart compiles the face polynomial once into a monomial basis for
 its gradient and Hessian and runs projected Levenberg-Marquardt on every
@@ -29,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError
-from .linalg import dot
+from .linalg import dot, eliminate
 from .polyhedron import FaceData, NewtonPolyhedron, compact_faces
 from .taylor import (
     Exponent,
@@ -102,6 +107,20 @@ def _sign_definite_even(fp: FacePolynomial) -> bool:
         return False
     signs = {c > 0 for _, c in fp.terms}
     return len(signs) == 1
+
+
+def _kernel_pins_a_term(fp: FacePolynomial) -> bool:
+    """Is some term's entry 0 on every kernel vector of the exponent matrix?
+
+    x_i d_i f_gamma = sum_alpha alpha_i c_alpha x^alpha, so at a critical
+    point on the complex torus u = (c_alpha x^alpha)_alpha is a kernel vector
+    of the n x m matrix A whose columns are the exponents, with no zero
+    entry.  In the reduced form of A, a pivot row that is 0 on every free
+    column pins its term's entry of u to 0; with ker A = 0 every row does.
+    """
+    rows, pivots = eliminate([[exp[i] for exp, _ in fp.terms] for i in range(fp.n)])
+    free = [j for j in range(len(fp.terms)) if j not in pivots]
+    return any(not any(row[j] for j in free) for row in rows[: len(pivots)])
 
 
 def _univariate_in(poly: PolyDict, var: int, values: dict[int, int]) -> UPoly:
@@ -347,12 +366,6 @@ def check_face(
             "inconclusive", None, math.inf,
             detail="face carries no polynomial terms (unit-remainder support only)",
         )
-    if len(fp.terms) == 1:
-        # single monomial c x^alpha, alpha != 0: some partial is a nonzero
-        # monomial, which cannot vanish on the torus
-        return DegeneracyVerdict(
-            "nondegenerate-exact", None, math.inf, detail="monomial face",
-        )
     if _sign_definite_even(fp):
         # f_gamma is nonzero on the torus, so the weighted Euler identity
         # sum a_i x_i d_i f_gamma = l * f_gamma forces a nonzero partial
@@ -360,15 +373,11 @@ def check_face(
             "nondegenerate-exact", None, math.inf,
             detail="sign-definite even face: no torus zero by the Euler identity",
         )
-    fpoly = fp.poly()
-    for i in range(fp.n):
-        partial = poly_diff(fpoly, i)
-        if len(partial) == 1:
-            # a single-monomial partial cannot vanish on the torus
-            return DegeneracyVerdict(
-                "nondegenerate-exact", None, math.inf,
-                detail=f"partial in x{i + 1} is a nonzero monomial",
-            )
+    if _kernel_pins_a_term(fp):
+        return DegeneracyVerdict(
+            "nondegenerate-exact", None, math.inf,
+            detail="exponent kernel: a term's entry is 0 on every kernel vector",
+        )
     active = fp.active_vars()
     if len(active) == 2:
         return _check_two_variable(fp, active[0], active[1])

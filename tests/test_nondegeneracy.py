@@ -1,4 +1,5 @@
 import math
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -7,22 +8,26 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lojex.cli import main
 from lojex.errors import InputError
 from lojex.linalg import dot
 from lojex.nondegeneracy import (
     DEFAULT_TOL,
     TORUS_FLOOR,
     _CompiledFace,
+    _check_two_variable,
+    _kernel_pins_a_term,
     _normalized_float_poly,
+    _sign_definite_even,
     check_face,
     check_model,
     face_polynomial,
 )
 from lojex.parser import parse_text
 from lojex.polyhedron import build_polyhedron, compact_faces, face_of_normal
-from lojex.taylor import poly_diff, poly_eval_float, support
+from lojex.taylor import TaylorModel, poly_diff, poly_eval_float, support
 
-from .conftest import germ, subprocess_env
+from .conftest import germ, random_support, subprocess_env
 
 
 def _face_poly(text, normal):
@@ -112,14 +117,19 @@ def test_sign_definite_even_faces_are_exact():
         assert all(v.status == "nondegenerate-exact" for v in verdicts.values())
 
 
-def test_monomial_partial_rule():
+def test_exponent_kernel_rule():
     # faces of x^4+y^4+z^4+xyz all have a single-monomial partial (e.g.
-    # d/dz of x^4+y^4+xyz is xy), so the whole sweep is exact
-    model = parse_text("x^4 + y^4 + z^4 + x*y*z")
-    poly = build_polyhedron(support(model))
-    verdicts, ok = check_model(model, poly)
-    assert ok
-    assert all(v.status == "nondegenerate-exact" for v in verdicts.values())
+    # d/dz of x^4+y^4+xyz is xy), a row of the exponent matrix with one
+    # nonzero entry.  On x*y^5*z - x^2*y*z^4 + z^8 (and with y^8 or x^8) the
+    # exponents are affinely independent, so the kernel is 0 although no
+    # partial is a monomial; a multistart called two of these faces
+    # degenerate and one inconclusive.
+    for text in ("x^4 + y^4 + z^4 + x*y*z", "x*y^5*z - x^2*y*z^4 + x^8 + y^8 + z^8"):
+        model = parse_text(text)
+        verdicts, ok = check_model(model, build_polyhedron(support(model)))
+        assert ok, text
+        assert all(v.status == "nondegenerate-exact" for v in verdicts.values()), text
+        assert main(["exponents", text]) == 0, text
 
 
 def test_numeric_route_on_three_variable_face():
@@ -219,44 +229,115 @@ def test_degenerate_witness_reproducible():
     assert residual <= 1e-10
 
 
-# Face verdicts of germs whose faces the multistart decides, at seed 0 and
-# the default starts.  Every face not listed is nondegenerate-exact, and the
+@pytest.fixture(scope="module")
+def signed_faces():
+    """Compact face polynomials of 120 seeded germs: n = 3 and 4, up to 8
+    support points with entries <= 5, coefficients +-1..3."""
+    rng = random.Random(11)
+    faces = []
+    for k in range(120):
+        n = 3 + k % 2
+        supp = random_support(rng, n, max_points=8, max_entry=5)
+        coeffs = {e: rng.choice((-3, -2, -1, 1, 2, 3)) for e in sorted(supp)}
+        model = TaylorModel.from_dict(n, coeffs, origin_critical=False)
+        poly = build_polyhedron(supp)
+        faces += [face_polynomial(model, face) for face in compact_faces(poly, supp)]
+    return faces
+
+
+def _monomial_face_or_partial(fp) -> bool:
+    return len(fp.terms) == 1 or any(len(poly_diff(fp.poly(), i)) == 1 for i in range(fp.n))
+
+
+def _elementary_status(fp) -> str | None:
+    """The status of the elementary exact arguments, or None if none applies:
+    a single term or a single-monomial partial, a sign-definite even face, or
+    two active variables."""
+    if _monomial_face_or_partial(fp) or _sign_definite_even(fp):
+        return "nondegenerate-exact"
+    active = fp.active_vars()
+    if len(active) == 2:
+        return _check_two_variable(fp, *active).status
+    return None
+
+
+def _torus_critical_basis(sympy, fp) -> list:
+    """Reduced Groebner basis of the partials and 1 - t * (product of the
+    active variables): [1] iff no critical point on the complex torus."""
+    xs = sympy.symbols(f"x1:{fp.n + 1}")
+    f = sum(
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(x**e for x, e in zip(xs, exp)))
+        for exp, c in fp.terms
+    )
+    active = [xs[i] for i in fp.active_vars()]
+    t = sympy.Symbol("t")
+    eqs = [sympy.diff(f, x) for x in active] + [1 - t * sympy.Mul(*active)]
+    return list(sympy.groebner(eqs, *active, t, order="grevlex"))
+
+
+def test_kernel_rule_covers_monomial_faces_and_partials(signed_faces):
+    covered = [fp for fp in signed_faces if _monomial_face_or_partial(fp)]
+    assert len(covered) > 500
+    assert all(_kernel_pins_a_term(fp) for fp in covered)
+
+
+def test_exact_routes_agree_on_signed_corpus(signed_faces):
+    decided = 0
+    for fp in signed_faces:
+        status = _elementary_status(fp)
+        if status is not None:
+            assert check_face(fp).status == status, fp.terms
+            decided += 1
+    assert decided > 500
+
+
+def test_kernel_rule_faces_have_no_complex_torus_critical_point(signed_faces):
+    sympy = pytest.importorskip("sympy")
+    # every third face that only the kernel rule decides exactly (about 1.5 s)
+    moved = [fp for fp in signed_faces if _kernel_pins_a_term(fp) and _elementary_status(fp) is None]
+    assert len(moved) > 100
+    for fp in moved[::3]:
+        assert _torus_critical_basis(sympy, fp) == [1], fp.terms
+    # the oracle finds the critical points of (x - y)^2 and (x*y - z^2)^2
+    for text, normal in (("x^2 - 2*x*y + y^2", (1, 1)),
+                         ("x^2*y^2 - 2*x*y*z^2 + z^4 + x^6 + y^6 + z^6", (1, 1, 1))):
+        _, fp = _face_poly(text, normal)
+        assert not _kernel_pins_a_term(fp)
+        assert _torus_critical_basis(sympy, fp) != [1], text
+
+
+# Face verdicts of germs with faces of three or more active variables, at
+# seed 0 and the default starts.  Every face not listed is nondegenerate-exact, and the
 # counts of their exact routes are pinned too.  Residuals are ||grad||^2 of
 # the face polynomial scaled to largest coefficient 1.
+KERNEL = "exponent kernel: a term's entry is 0 on every kernel vector"
+EULER = "sign-definite even face: no torus zero by the Euler identity"
 NUMERIC_PINS = {
     "x^4 + y^4 + z^4 + x^2*y*z": (
-        {"monomial face": 3,
-         "sign-definite even face: no torus zero by the Euler identity": 3},
+        {EULER: 6},
         {((0, 0, 4), (0, 4, 0), (2, 1, 1), (4, 0, 0)):
             ("nondegenerate-numeric", 9.972872589016921)},
     ),
+    # its three-variable face x^3*y + y^3*z + z^3*x has affinely independent
+    # exponents, so the exponent kernel decides it
     "x^3*y + y^3*z + z^3*x + x^6 + y^6 + z^6": (
-        {"monomial face": 6, "partial in x1 is a nonzero monomial": 6,
-         "partial in x2 is a nonzero monomial": 4, "partial in x3 is a nonzero monomial": 2},
-        {((0, 3, 1), (1, 0, 3), (3, 1, 0)): ("nondegenerate-numeric", 1.0)},
+        {KERNEL: 16, EULER: 3},
+        {},
     ),
     "x1^4 + x2^4 + x3^4 + x4^4 + x1*x2*x3*x4 - x1^2*x2^2": (
-        {"sign-definite even face: no torus zero by the Euler identity": 7,
-         "monomial face": 4, "partial in x3 is a nonzero monomial": 1,
-         "partial in x4 is a nonzero monomial": 1,
+        {EULER: 11, KERNEL: 2,
          "univariate reduction: partials share no nonzero real root": 1},
         {((0, 0, 0, 4), (0, 0, 4, 0), (0, 4, 0, 0), (1, 1, 1, 1), (2, 2, 0, 0), (4, 0, 0, 0)):
             ("nondegenerate-numeric", 4.876734010779484)},
     ),
     # planted degenerate face (x*y - z^2)^2; the two faces that add y^6 or
-    # x^6 are labelled degenerate too, see the xfail test below
+    # x^6 are the two decided by the exponent kernel
     "x^2*y^2 - 2*x*y*z^2 + z^4 + x^6 + y^6 + z^6": (
-        {"monomial face": 4,
-         "sign-definite even face: no torus zero by the Euler identity": 4},
-        {((0, 0, 4), (1, 1, 2), (2, 2, 0)): ("degenerate", None),
-         ((0, 0, 4), (0, 6, 0), (1, 1, 2), (2, 2, 0)): ("degenerate", None),
-         ((0, 0, 4), (1, 1, 2), (2, 2, 0), (6, 0, 0)): ("degenerate", None)},
+        {EULER: 8, KERNEL: 2},
+        {((0, 0, 4), (1, 1, 2), (2, 2, 0)): ("degenerate", None)},
     ),
     "x1^4 + x2^4 + x3^4 + x4^4 + x5^4 + x1^2*x2*x3 - x3^2*x4*x5": (
-        {"sign-definite even face: no torus zero by the Euler identity": 19,
-         "monomial face": 5, "partial in x1 is a nonzero monomial": 1,
-         "partial in x2 is a nonzero monomial": 1, "partial in x4 is a nonzero monomial": 1,
-         "partial in x5 is a nonzero monomial": 1},
+        {EULER: 24, KERNEL: 4},
         {((0, 0, 0, 0, 4), (0, 0, 0, 4, 0), (0, 0, 2, 1, 1), (0, 0, 4, 0, 0)):
             ("nondegenerate-numeric", 9.972872589016921),
          ((0, 0, 0, 0, 4), (0, 0, 0, 4, 0), (0, 0, 2, 1, 1), (0, 0, 4, 0, 0),
@@ -296,12 +377,6 @@ def test_numeric_route_verdicts_pinned(text):
             assert min(abs(x) for x in v.witness) >= TORUS_FLOOR
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the multistart accepts an absolute residual <= tol at any point off "
-    "the coordinate planes, and on these faces ||grad||^2 = 36 y^10 (or 36 x^10) "
-    "falls below it near y = 0 (x = 0) although there is no torus critical point",
-)
 def test_planted_germ_spurious_faces_not_degenerate():
     # (x*y - z^2)^2 + y^6: d/dx forces x*y = z^2, and then d/dy = 6 y^5 != 0
     verdicts = _verdicts("x^2*y^2 - 2*x*y*z^2 + z^4 + x^6 + y^6 + z^6")

@@ -21,7 +21,7 @@ from lojex.cli import main
 from .conftest import CATALOG
 from .test_nondegeneracy import NUMERIC_PINS
 
-REPORT_DIGEST = "ffa384a17cd0df6068689b4f59bf885e8f7195b21034267df21ef7a5a53c5d09"
+REPORT_DIGEST = "eb4c14fa8b4b8969708ac82dce3f56cbb8783fe36a13cf39845eda675cefcfb0"
 
 
 def _exact(node):
