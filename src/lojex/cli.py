@@ -47,7 +47,7 @@ from .fan import (
     simplicialize,
     unimodularize,
 )
-from .nondegeneracy import check_model
+from .nondegeneracy import DEFAULT_STARTS, DEFAULT_TOL, check_model
 from .parser import model_to_text, parse_germ
 from .polyhedron import build_polyhedron, hat_polyhedron
 from .taylor import TaylorModel, poly_eval_many, support
@@ -58,8 +58,8 @@ class AnalysisOptions:
     declare_nonnegative: bool = False
     declare_convex: bool = False
     seed: int = 0
-    tol: float = 1e-10
-    starts: int = 64
+    tol: float = DEFAULT_TOL
+    starts: int = DEFAULT_STARTS
     samples: int = 256
     radius: float = 0.1
     force: bool = False
@@ -356,19 +356,21 @@ def _build_argparser() -> argparse.ArgumentParser:
     p = _Parser(prog="lojex", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
+    defaults = AnalysisOptions()
+
     def common(sp):
         sp.add_argument("input", help="germ text, JSON, a file path, or '-' for stdin")
         sp.add_argument("--json", dest="json_path", help="write the JSON report here")
         sp.add_argument("--csv", dest="csv_path", help="write audit envelope tables here")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--samples", type=int, default=256, help="directions per radius level")
-        sp.add_argument("--radius", type=float, default=0.1, help="outer sampling radius")
-        sp.add_argument("--tol", type=float, default=1e-10, help="non-degeneracy residual tolerance")
+        sp.add_argument("--seed", type=int, default=defaults.seed)
+        sp.add_argument("--samples", type=int, default=defaults.samples, help="directions per radius level")
+        sp.add_argument("--radius", type=float, default=defaults.radius, help="outer sampling radius")
+        sp.add_argument("--tol", type=float, default=defaults.tol, help="non-degeneracy residual tolerance")
         sp.add_argument(
-            "--starts", type=int, default=64,
+            "--starts", type=int, default=defaults.starts,
             help="Levenberg-Marquardt starts per sign orthant on numeric faces",
         )
-        sp.add_argument("--max-dim", type=int, default=None)
+        sp.add_argument("--max-dim", type=int, default=defaults.max_dim)
         sp.add_argument("--force", action="store_true", help="run audits despite failed gates (marked)")
         sp.add_argument(
             "--declare", action="append", choices=["nonnegative", "convex"], default=[],

@@ -122,7 +122,7 @@ def test_exponent_kernel_rule():
     # d/dz of x^4+y^4+xyz is xy), a row of the exponent matrix with one
     # nonzero entry.  On x*y^5*z - x^2*y*z^4 + z^8 (and with y^8 or x^8) the
     # exponents are affinely independent, so the kernel is 0 although no
-    # partial is a monomial; a multistart called two of these faces
+    # partial is a monomial; the multistart alone calls two of these faces
     # degenerate and one inconclusive.
     for text in ("x^4 + y^4 + z^4 + x*y*z", "x*y^5*z - x^2*y*z^4 + x^8 + y^8 + z^8"):
         model = parse_text(text)
@@ -276,7 +276,15 @@ def _torus_critical_basis(sympy, fp) -> list:
 
 
 def test_kernel_rule_covers_monomial_faces_and_partials(signed_faces):
-    covered = [fp for fp in signed_faces if _monomial_face_or_partial(fp)]
+    # the seeded faces almost all have ker A = 0; the pinned germs add
+    # single-monomial partials on faces with a nonzero kernel
+    faces = list(signed_faces)
+    for text in NUMERIC_PINS:
+        model = parse_text(text)
+        supp = support(model)
+        poly = build_polyhedron(supp)
+        faces += [face_polynomial(model, face) for face in compact_faces(poly, supp)]
+    covered = [fp for fp in faces if _monomial_face_or_partial(fp)]
     assert len(covered) > 500
     assert all(_kernel_pins_a_term(fp) for fp in covered)
 
@@ -293,7 +301,8 @@ def test_exact_routes_agree_on_signed_corpus(signed_faces):
 
 def test_kernel_rule_faces_have_no_complex_torus_critical_point(signed_faces):
     sympy = pytest.importorskip("sympy")
-    # every third face that only the kernel rule decides exactly (about 1.5 s)
+    # every third face that only the kernel rule decides exactly, which keeps
+    # the Groebner bases to about 2 s
     moved = [fp for fp in signed_faces if _kernel_pins_a_term(fp) and _elementary_status(fp) is None]
     assert len(moved) > 100
     for fp in moved[::3]:
@@ -307,9 +316,10 @@ def test_kernel_rule_faces_have_no_complex_torus_critical_point(signed_faces):
 
 
 # Face verdicts of germs with faces of three or more active variables, at
-# seed 0 and the default starts.  Every face not listed is nondegenerate-exact, and the
-# counts of their exact routes are pinned too.  Residuals are ||grad||^2 of
-# the face polynomial scaled to largest coefficient 1.
+# seed 0 and the default starts.  Every face not listed is
+# nondegenerate-exact, and the counts of their exact routes are pinned too.
+# Residuals are ||grad||^2 of the face polynomial scaled to largest
+# coefficient 1.
 KERNEL = "exponent kernel: a term's entry is 0 on every kernel vector"
 EULER = "sign-definite even face: no torus zero by the Euler identity"
 NUMERIC_PINS = {

@@ -10,7 +10,7 @@ import pytest
 
 import lojex.cli
 import lojex.report
-from lojex.cli import main
+from lojex.cli import AnalysisOptions, main
 from lojex.errors import InputError, ParseError
 from lojex.parser import model_to_text, parse_germ, parse_json, parse_text
 
@@ -206,6 +206,12 @@ def test_declare_does_not_leak_between_calls(tmp_path):
     assert any("declared-nonnegative-violated" in f for f in declared_flags)
     assert not any(f.startswith("declared-") for f in plain_flags)
     assert lojex.cli._PARSER.parse_args(["analyze", "x"]).declare == []
+
+
+def test_parsed_defaults_are_the_analysis_defaults():
+    for command in ("analyze", "exponents", "fan", "nondegen", "verify"):
+        args = lojex.cli._PARSER.parse_args([command, "x^2 + y^2"])
+        assert lojex.cli._opts_from_args(args) == AnalysisOptions(), command
 
 
 # the names a span tracer wraps to time each layer; the pipeline has to look
