@@ -13,7 +13,14 @@ Both representations are computed exactly:
          is exactly "all facet inequalities hold".
 
 The H-rep comes from a double-description run on the homogenization
-cone( {(p,1)} + {(e_i,0)} ) in dimension n+1, in integer arithmetic.
+cone( {(e_i,0)} + {(p,1)} ) in dimension n+1, in integer arithmetic
+(Fukuda & Prodon, Double Description Method Revisited, 1996).  The axis
+directions go in first, then the distinct support points by degree and
+then lexicographically.  There is no dominance pre-pass: a point that
+another point dominates comes after it, already lies in the cone, and only
+marks active sets.  Each ray's active set is a bitmask over the
+generators; a pair of rays is adjacent iff their common set has at least
+n - 1 generators and no third ray's set contains it.
 Vertices are then certified against the H-rep: a support point is a vertex
 iff n linearly independent facets are active there.
 
@@ -59,39 +66,31 @@ class FaceData:
     """A face of the polyhedron, carried as its defining normal and lattice support.
 
     The face is compact exactly when the defining normal is strictly positive.
-    `dim` is the affine dimension of the lattice points on the face.
     """
 
     defining_normal: tuple[int, ...]
     lattice_points: frozenset[Exponent]
-    dim: int
 
     @property
     def compact(self) -> bool:
         return all(a > 0 for a in self.defining_normal)
 
+    @property
+    def dim(self) -> int:
+        """Affine dimension of the lattice points on the face."""
+        return affine_rank(list(self.lattice_points))
+
 
 # ---------------------------------------------------------------------------
 # double description
-
-def _dominance_filter(points: list[Exponent]) -> list[Exponent]:
-    """Drop points that lie in another point's translated orthant."""
-    out = []
-    for p in points:
-        if not any(
-            q != p and all(qc <= pc for qc, pc in zip(q, p)) for q in points
-        ):
-            out.append(p)
-    # identical points were deduped by the caller; keep deterministic order
-    return sorted(set(out))
-
 
 def dd_dual_rays(generators: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Extreme rays of the dual cone {z : <z, g> >= 0 for all g}.
 
     Requires the generators to span the ambient space (so the dual is
     pointed), which holds for all callers here.  Returns primitive integer
-    vectors in a deterministic order.
+    vectors in sorted order.  Each ray carries its active set, the bitmask
+    of the generators it vanishes on so far.
     """
     d = len(generators[0])
     # starting basis: the first independent generators, in order
@@ -105,46 +104,32 @@ def dd_dual_rays(generators: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]
     rays: list[tuple[int, ...]] = [
         primitive(x if det > 0 else -x for x in col) for col in cols
     ]
-    active: list[frozenset[int]] = [
-        frozenset(basis_idx[i] for i in range(d) if i != j) for j in range(d)
-    ]
+    active = [sum(1 << basis_idx[i] for i in range(d) if i != j) for j in range(d)]
 
     for k, g in enumerate(generators):
         if k in basis_idx:
             continue
         vals = [dot(r, g) for r in rays]
-        if all(v >= 0 for v in vals):
-            active = [
-                a | {k} if v == 0 else a for a, v in zip(active, vals)
-            ]
-            continue
+        new_rays = [r for r, v in zip(rays, vals) if v >= 0]
+        new_active = [
+            a | (1 << k if v == 0 else 0) for a, v in zip(active, vals) if v >= 0
+        ]
         plus = [i for i, v in enumerate(vals) if v > 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
         minus = [i for i, v in enumerate(vals) if v < 0]
-        new_rays: list[tuple[int, ...]] = []
-        new_active: list[frozenset[int]] = []
         for p, m in itertools.product(plus, minus):
             common = active[p] & active[m]
-            # combinatorial adjacency: no third ray's active set contains the common set
-            adjacent = not any(
-                i != p and i != m and common <= active[i] for i in range(len(rays))
-            )
-            if not adjacent:
+            # combinatorial adjacency: the common set holds at least d - 2
+            # generators and no third ray's active set contains it
+            if common.bit_count() < d - 2 or any(
+                i != p and i != m and a & common == common for i, a in enumerate(active)
+            ):
                 continue
-            combo = tuple(
-                vals[p] * rays[m][t] - vals[m] * rays[p][t] for t in range(d)
+            new_rays.append(
+                primitive(vals[p] * y - vals[m] * x for x, y in zip(rays[p], rays[m]))
             )
-            new_rays.append(primitive(combo))
-            new_active.append(common | {k})
-        rays = [rays[i] for i in plus] + [rays[i] for i in zero] + new_rays
-        active = (
-            [active[i] for i in plus]
-            + [active[i] | {k} for i in zero]
-            + new_active
-        )
-
-    order = sorted(range(len(rays)), key=lambda i: rays[i])
-    return [rays[o] for o in order]
+            new_active.append(common | 1 << k)
+        rays, active = new_rays, new_active
+    return sorted(rays)
 
 
 # ---------------------------------------------------------------------------
@@ -163,21 +148,19 @@ def build_polyhedron(points: Iterable[Sequence[int]]) -> NewtonPolyhedron:
     if len(pts) > MAX_SUPPORT:
         raise CapExceededError(f"support size {len(pts)} exceeds cap {MAX_SUPPORT}")
 
-    minimal = _dominance_filter(pts)
-    gens = [p + (1,) for p in minimal]
-    gens += [tuple(1 if j == i else 0 for j in range(n)) + (0,) for i in range(n)]
-    facets: list[Facet] = []
-    for ray in dd_dual_rays(gens):
-        a, c = ray[:n], ray[n]
-        if all(x == 0 for x in a):
-            continue  # the homogenizing inequality x_{n+1} >= 0
-        facets.append(Facet(a, -c))
-    facets.sort(key=lambda f: (f.normal, f.offset))
+    # the axes first, then the points by degree: a dominated point comes after
+    # the point dominating it, lies in the cone already, and adds no ray
+    pts = sorted(set(pts), key=lambda p: (sum(p), p))
+    gens = [tuple(int(j == i) for j in range(n)) + (0,) for i in range(n)]
+    gens += [p + (1,) for p in pts]
+    # the rays come sorted and no two facets share a normal, so the facets
+    # come sorted by (normal, offset); a zero normal is the inequality x_{n+1} >= 0
+    facets = [Facet(ray[:n], -ray[n]) for ray in dd_dual_rays(gens) if any(ray[:n])]
 
     vertices = []
-    for p in minimal:
-        act = [f.normal for f in facets if dot(f.normal, p) == f.offset]
-        if mat_rank(act) == n:
+    for p in pts:
+        tight = [f.normal for f in facets if dot(f.normal, p) == f.offset]
+        if len(tight) >= n and mat_rank(tight) == n:
             vertices.append(p)
     return NewtonPolyhedron(n, frozenset(vertices), tuple(facets))
 
@@ -206,10 +189,10 @@ def contains(poly: NewtonPolyhedron, point: Sequence) -> bool:
 def face_of_normal(
     poly: NewtonPolyhedron, support: Iterable[Exponent], a: Sequence[int]
 ) -> FaceData:
-    """Lattice support points attaining l(a), with their affine dimension."""
+    """Lattice support points attaining l(a)."""
     level = support_value(poly, a)
     pts = frozenset(p for p in support if dot(a, p) == level)
-    return FaceData(tuple(int(x) for x in a), pts, affine_rank(list(pts)))
+    return FaceData(tuple(int(x) for x in a), pts)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +244,12 @@ def compact_faces(
 ) -> list[FaceData]:
     """Every face with a strictly positive defining normal, once each.
 
-    Includes all vertices; deduplicated by lattice-point set.  The defining
-    normal returned is the sum of the normals of the facets through the
-    face, which is strictly positive exactly for compact faces.
+    Includes all vertices.  The defining normal returned is the sum of the
+    normals of the facets through the face, which is strictly positive
+    exactly for compact faces.
     """
     support = list(support)
-    out: dict[frozenset[Exponent], FaceData] = {}
+    out = []
     for verts, rays, tight in _enumerate_proper_faces(poly):
         if rays:
             continue  # recession directions: the face is unbounded
@@ -274,9 +257,8 @@ def compact_faces(
         assert all(x > 0 for x in normal)
         level = dot(normal, next(iter(verts)))
         pts = frozenset(p for p in support if dot(normal, p) == level)
-        if pts not in out:
-            out[pts] = FaceData(normal, pts, affine_rank(list(pts)))
-    return sorted(out.values(), key=lambda fd: sorted(fd.lattice_points))
+        out.append(FaceData(normal, pts))
+    return sorted(out, key=lambda fd: sorted(fd.lattice_points))
 
 
 # ---------------------------------------------------------------------------

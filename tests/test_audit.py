@@ -281,6 +281,19 @@ def test_tau_is_nan_on_envelopes_flat_up_to_rounding():
     assert audit._tau([1 + 1e-11 * k for k in range(8)]) == pytest.approx(1.0)
 
 
+def test_two_sided_verdict_reads_the_upper_envelope():
+    flat = [1.0] * 6
+    # maxima rising with tau 1 by more than 1 / DECAY_FACTOR = 1.25 fail
+    verdict, tau_lo, tau_hi = audit._two_sided_verdict(flat, [1.0, 1.1, 1.2, 1.3, 1.4, 1.5])
+    assert (verdict, tau_hi) == ("fail", pytest.approx(1.0)) and math.isnan(tau_lo)
+    # the same trend rising by less than that factor passes
+    verdict, _, tau_hi = audit._two_sided_verdict(flat, [1.0, 1.04, 1.08, 1.12, 1.16, 1.2])
+    assert (verdict, tau_hi) == ("pass", pytest.approx(1.0))
+    # a falling lower envelope keeps its own fail under flat maxima
+    verdict, tau_lo, tau_hi = audit._two_sided_verdict([1.0, 0.8, 0.6, 0.4, 0.2, 0.1], flat)
+    assert (verdict, tau_lo) == ("fail", pytest.approx(-1.0)) and math.isnan(tau_hi)
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "_one_sided_verdict reads level minima that fall towards a positive limit "
     "(Kendall tau -1, last/first below 0.8) as decay"

@@ -218,6 +218,26 @@ def test_seeded_n4_support_refines_in_time():
     ]
 
 
+def test_large_supports_build_polyhedron_in_time(tmp_path):
+    # the double description took over 400 s on the seeded n = 8 germ, and
+    # a quadratic dominance pre-pass 100 s on the 9870 terms of degree 139
+    rng = random.Random(5)
+    points = sorted({tuple(rng.randint(0, 6) for _ in range(8)) for _ in range(60)})
+    proc = run_lojex("fan", " + ".join(
+        "*".join(f"x{i + 1}^{e}" for i, e in enumerate(p) if e) for p in points
+    ))
+    assert proc.returncode == 4, proc.stderr
+    assert "unimodularization is capped" in proc.stderr
+    # the germ's text is over the 128 KB limit of one command-line argument
+    path = tmp_path / "antichain.txt"
+    path.write_text(" + ".join(
+        f"x^{a}*y^{b}*z^{139 - a - b}" for a in range(140) for b in range(140 - a)
+    ))
+    proc = run_lojex("fan", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert "L = 139, N = 139" in proc.stdout
+
+
 def test_unimodularize_cusp_rays_and_exponents():
     poly = build_polyhedron({(3, 0), (0, 2)})
     fan = _refined(poly)

@@ -395,6 +395,24 @@ def test_planted_germ_spurious_faces_not_degenerate():
         assert verdicts[key].status != "degenerate", key
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "circuit faces (dim ker A = 1) go to the multistart until the circuit test "
+    "of ROADMAP item 1 decides them"
+))
+@pytest.mark.parametrize("text", [
+    # face {(0,2,4), (3,3,1), (5,1,3), (5,3,0)}: degenerate at a near-axis point
+    "-2*x1^5*x2^3 - 2*x1^5*x2*x3^3 - 3*x1^3*x2^3*x3 - x2^2*x3^4",
+    # face {(1,1,2), (2,0,3), (4,1,0), (5,0,1)}: inconclusive on a coordinate plane
+    "3*x1^5*x3 + 3*x1^4*x2 - 2*x1^3*x2*x3^3 - 3*x1^2*x2^2*x3^2 + x1^2*x3^3"
+    " - x1*x2^2*x3^5 - x1*x2*x3^2",
+])
+def test_circuit_faces_certified_nondegenerate(text):
+    # a sympy Groebner basis of the face's partials and 1 - t*x1*x2*x3 is [1]
+    model = parse_text(text)
+    _, ok = check_model(model, build_polyhedron(support(model)))
+    assert ok
+
+
 def test_numeric_route_needs_no_scipy_optimize():
     # a fresh interpreter, so that imports made by other tests cannot hide one
     code = (

@@ -121,8 +121,16 @@ def test_membership_needs_nonnegative_point():
         contains(build_polyhedron({(2, 2)}), (-1, 3))
 
 
+def _seeded_n8_support():
+    # 17 vertices and 821 facets; the double description took 147 s on it
+    # before active sets were bitmasks and the points went in by degree
+    rng = random.Random(4)
+    return {tuple(rng.randint(0, 6) for _ in range(8)) for _ in range(25)}
+
+
 def test_vertices_match_lp_oracle_random():
     rng = random.Random(11)
+    supports = []
     for _ in range(60):
         n = rng.randint(2, 5)
         supp = set()
@@ -130,8 +138,9 @@ def test_vertices_match_lp_oracle_random():
             p = tuple(rng.randint(0, 12) for _ in range(n))
             if any(p):
                 supp.add(p)
-        if not supp:
-            continue
+        if supp:
+            supports.append(supp)
+    for supp in supports + [_seeded_n8_support()]:
         poly = build_polyhedron(supp)
         expected = {p for p in supp if is_vertex_lp(p, supp)}
         assert poly.vertices == expected
@@ -206,13 +215,16 @@ def test_diagonal_exponent_matches_bisection():
 
 def test_facets_are_supporting_with_enough_incidence():
     rng = random.Random(47)
+    supports = []
     for _ in range(25):
         n = rng.randint(2, 4)
         supp = {tuple(rng.randint(0, 8) for _ in range(n)) for _ in range(10)}
         supp = {p for p in supp if any(p)}
-        if not supp:
-            continue
+        if supp:
+            supports.append(supp)
+    for supp in supports + [_seeded_n8_support()]:
         poly = build_polyhedron(supp)
+        n = poly.n
         for f in poly.facets:
             verts_on = [v for v in poly.vertices if dot(f.normal, v) == f.offset]
             assert verts_on, "facet must touch a vertex"
