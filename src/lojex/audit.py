@@ -17,14 +17,19 @@ Every audit is one engine, `_ratio_audit`, fed log|LHS| and log|RHS| at
 every (radius level, direction).  Values are computed in log space: a
 monomial c·x^e at x = r·d is log|c| + e·log|d| + |e|·log r, and the terms of
 a sum are combined with a signed log-sum-exp, so high-degree germs (x^90 at
-r = 1e-4) neither underflow nor raise floating-point warnings.  Samples
-where RHS = 0 are left out of their level and counted (`excluded`).
+r = 1e-4) neither underflow nor raise floating-point warnings.  The terms of
+a polynomial are laid out term-major, as a (terms, levels, rows) array, and
+the log-sum-exp reduces over that leading axis; a polynomial has few terms
+and a pool has hundreds of rows, so each step of the reduction is one whole
+(levels, rows) slice.  Samples where RHS = 0 are left out of their level and
+counted (`excluded`).
 
 Verdicts are heuristic evidence, not certificates.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -128,15 +133,22 @@ def ranking_probes(family: TransversalFamily, n: int) -> list[tuple[float, ...]]
     return probes
 
 
+@functools.lru_cache(maxsize=64)
+def _random_directions(seed: int, count: int, n: int) -> np.ndarray:
+    """The plan's random max-norm unit rows, drawn once per (seed, count, n)."""
+    dirs = _normalize_rows(np.random.default_rng(seed).uniform(-1.0, 1.0, size=(count, n)))
+    dirs.flags.writeable = False
+    return dirs
+
+
 def direction_pool(
     plan: SamplePlan, n: int, extra: Iterable[Sequence[float]] = ()
 ) -> np.ndarray:
-    rng = np.random.default_rng(plan.seed)
-    dirs = _normalize_rows(rng.uniform(-1.0, 1.0, size=(plan.directions_per_radius, n)))
+    dirs = _random_directions(plan.seed, plan.directions_per_radius, n)
     probe_rows = [list(p) for p in axis_probes(n)] + [list(p) for p in extra]
-    if probe_rows:
-        dirs = np.vstack([dirs, _normalize_rows(np.array(probe_rows, dtype=float))])
-    return dirs
+    if not probe_rows:
+        return dirs.copy()
+    return np.vstack([dirs, _normalize_rows(np.array(probe_rows, dtype=float))])
 
 
 # ---------------------------------------------------------------------------
@@ -207,25 +219,22 @@ def lower_envelope_slope(predictor: np.ndarray, response: np.ndarray) -> float |
     if x.size < 2 or x.max() == x.min():
         return None
     edges = np.linspace(x.min(), x.max(), SLOPE_BINS + 1)
-    centers, mins = [], []
     which = np.clip(np.digitize(x, edges) - 1, 0, SLOPE_BINS - 1)
-    for b in range(SLOPE_BINS):
-        sel = which == b
-        if sel.any():
-            centers.append(0.5 * (edges[b] + edges[b + 1]))
-            mins.append(y[sel].min())
-    if len(centers) < 2:
+    mins = np.full(SLOPE_BINS, np.inf)
+    np.minimum.at(mins, which, y)
+    filled = np.bincount(which, minlength=SLOPE_BINS) > 0
+    if np.count_nonzero(filled) < 2:
         return None
+    centers = (0.5 * (edges[:-1] + edges[1:]))[filled]
     # the envelope is nondecreasing in the predictor near the origin, so a
     # bin is bounded by every sample to its right; the suffix minimum removes
     # spikes in sparsely sampled bins
-    for i in range(len(mins) - 2, -1, -1):
-        mins[i] = min(mins[i], mins[i + 1])
+    mins = np.minimum.accumulate(mins[filled][::-1])[::-1]
     cutoff = x.min() + SLOPE_LOWER_FRACTION * (x.max() - x.min())
-    lower = [(c, m) for c, m in zip(centers, mins) if c <= cutoff]
-    if len(lower) >= 2:
-        centers, mins = zip(*lower)
-    coeffs = np.polyfit(np.array(centers), np.array(mins), 1)
+    lower = centers <= cutoff
+    if np.count_nonzero(lower) >= 2:
+        centers, mins = centers[lower], mins[lower]
+    coeffs = np.polyfit(centers, mins, 1)
     return float(coeffs[0])
 
 
@@ -238,14 +247,14 @@ def _log_abs(a: np.ndarray) -> np.ndarray:
     return np.log(np.abs(a), out=np.full(np.shape(a), -np.inf), where=a != 0)
 
 
-def _logsumexp(a: np.ndarray, axis: int, sign: np.ndarray | None = None) -> np.ndarray:
-    """log|sum(sign * exp(a))| along axis; -inf where the sum is zero."""
-    top = np.max(a, axis=axis, keepdims=True)
+def _logsumexp(a: np.ndarray, sign: np.ndarray | None = None) -> np.ndarray:
+    """log|sum(sign * exp(a))| over the leading axis; -inf where the sum is zero."""
+    top = np.max(a, axis=0)
     top[np.isneginf(top)] = 0.0  # every term is zero: exp(a - top) stays 0
     s = np.exp(a - top)
     if sign is not None:
         s *= sign
-    return np.squeeze(top, axis) + _log_abs(np.sum(s, axis=axis))
+    return top + _log_abs(np.sum(s, axis=0))
 
 
 def _log_poly(
@@ -256,19 +265,22 @@ def _log_poly(
     A term c·x^e is log|c| + e·log|d| + |e|·log r, so no power underflows; the
     direction part is computed once per pool.  Its sign is that of c times the
     parity of e on the negative coordinates.  A zero coordinate with a positive
-    exponent makes the term -inf (never 0·(-inf)).
+    exponent makes the term -inf (never 0·(-inf)).  The terms are laid out as
+    (terms, levels, rows), so the log-sum-exp reduces over the short leading
+    axis in whole contiguous slices.
     """
     if not poly:
         return np.full((len(log_r), len(dirs)), -np.inf)
-    exps = np.array(list(poly), dtype=float).T  # (n, terms)
+    exps = np.array(list(poly))  # (terms, n), integers
     coeffs = np.array([float(c) for c in poly.values()])
     log_d = _log_abs(dirs)
     zero = np.isneginf(log_d)
-    base = np.where(zero, 0.0, log_d) @ exps + _log_abs(coeffs)
-    base[zero @ (exps > 0)] = -np.inf
-    terms = base + log_r[:, None, None] * exps.sum(axis=0)
-    sign = np.sign(coeffs) * (1.0 - 2.0 * (((dirs < 0) @ exps) % 2))
-    return _logsumexp(terms, axis=2, sign=sign)
+    base = exps @ np.where(zero, 0.0, log_d).T + _log_abs(coeffs)[:, None]  # (terms, rows)
+    base[(exps > 0) @ zero.T] = -np.inf
+    terms = base[:, None, :] + (exps.sum(axis=1)[:, None] * log_r)[:, :, None]
+    odd = (exps % 2) @ (dirs.T < 0) % 2
+    sign = np.sign(coeffs)[:, None] * (1.0 - 2.0 * odd)
+    return _logsumexp(terms, sign[:, None, :])
 
 
 def _ratio_audit(
@@ -336,7 +348,7 @@ def audit_L1(
     dirs = direction_pool(plan, model.n, extra_probes)
     log_r = np.log(plan.radii)
     log_grad = np.stack([_log_poly(poly_diff(poly, i), dirs, log_r) for i in range(model.n)])
-    log_norm = 0.5 * _logsumexp(2.0 * log_grad, axis=0)
+    log_norm = 0.5 * _logsumexp(2.0 * log_grad)
     return _ratio_audit("L1", th, plan, log_norm, _log_poly(poly, dirs, log_r), th, False, forced)
 
 
@@ -403,7 +415,7 @@ def audit_euler_comparison(
     # g_Gamma = sum over vertices of |x^v|: the vertex polynomial at |x|
     log_g = _log_poly(dict.fromkeys(poly_hull.vertices, 1), np.abs(dirs), log_r)
     return _ratio_audit(
-        "euler-comparison", None, plan, _logsumexp(log_parts, axis=0), log_g, 1.0, True, forced
+        "euler-comparison", None, plan, _logsumexp(log_parts), log_g, 1.0, True, forced
     )
 
 

@@ -9,8 +9,10 @@ cone membership come from a fresh double-description run on the cone's
 generators (lojex reads cone facets off the face lattice instead), the
 fan validator checks the fan condition pairwise with exact cone algebra,
 the parallelepiped oracle walks the bounding box of the cone with a
-Fraction inverse, and the stellar-step oracle solves for the new ray in
-every maximal cone instead of splitting only the cones around its face.
+Fraction inverse, the stellar-step oracle solves for the new ray in
+every maximal cone instead of splitting only the cones around its face,
+and the envelope-slope oracle takes each bin's minimum with its own
+boolean mask and the suffix minimum in a Python loop.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
+from lojex.audit import SLOPE_BINS, SLOPE_LOWER_FRACTION
 from lojex.fan import (
     Fan,
     RayVec,
@@ -426,3 +431,32 @@ def unimodularize_every_cone(fan: Fan, trace: list | None = None) -> Fan:
                     updated.append((repl, attached, x))
         cones = updated
     return _assemble_simplicial(n, rays, [(idx, attached) for idx, attached, _ in cones])
+
+
+# ---------------------------------------------------------------------------
+# envelope slope, one bin at a time
+
+def lower_envelope_slope_per_bin(predictor: np.ndarray, response: np.ndarray) -> float | None:
+    """`audit.lower_envelope_slope` with one mask per bin and a Python suffix loop."""
+    mask = np.isfinite(predictor) & np.isfinite(response)
+    x, y = predictor[mask], response[mask]
+    if x.size < 2 or x.max() == x.min():
+        return None
+    edges = np.linspace(x.min(), x.max(), SLOPE_BINS + 1)
+    centers, mins = [], []
+    which = np.clip(np.digitize(x, edges) - 1, 0, SLOPE_BINS - 1)
+    for b in range(SLOPE_BINS):
+        sel = which == b
+        if sel.any():
+            centers.append(0.5 * (edges[b] + edges[b + 1]))
+            mins.append(y[sel].min())
+    if len(centers) < 2:
+        return None
+    for i in range(len(mins) - 2, -1, -1):
+        mins[i] = min(mins[i], mins[i + 1])
+    cutoff = x.min() + SLOPE_LOWER_FRACTION * (x.max() - x.min())
+    lower = [(c, m) for c, m in zip(centers, mins) if c <= cutoff]
+    if len(lower) >= 2:
+        centers, mins = zip(*lower)
+    coeffs = np.polyfit(np.array(centers), np.array(mins), 1)
+    return float(coeffs[0])

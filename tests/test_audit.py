@@ -20,9 +20,10 @@ from lojex.audit import (
     audit_f_vs_g,
     dist_to_zero_set,
     envelope_rows,
+    lower_envelope_slope,
     ranking_probes,
 )
-from lojex.cli import AnalysisOptions, analyze_germ
+from lojex.cli import AnalysisOptions, _run_audits, analyze_germ
 from lojex.errors import InputError
 from lojex.exponents import transversals
 from lojex.parser import parse_germ, parse_text
@@ -30,7 +31,7 @@ from lojex.polyhedron import build_polyhedron, g_gamma_eval, hat_polyhedron
 from lojex.taylor import euler_field_value, evaluate, gradient, support
 
 from .conftest import CATALOG, GATED_NONNEG, germ, subprocess_env
-from .oracles import ranking_i_rho
+from .oracles import lower_envelope_slope_per_bin, ranking_i_rho
 
 PLAN = SamplePlan(seed=5)
 DEEP_PLAN = SamplePlan(radii=_default_radii(1e-1, 1e-5, 16), seed=5)
@@ -250,6 +251,52 @@ def test_log_space_envelopes_match_pointwise_loop(name, monkeypatch):
             for got, want in ((result.level_minima[k], min(ratios)),
                               (result.level_maxima[k], max(ratios))):
                 assert abs(got - want) <= 1e-12 * abs(want), (result.inequality, r)
+
+
+def _slope_clouds():
+    """Seeded log-log clouds: dense, with empty bins, and degenerate."""
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        size = int(rng.integers(2, 600))
+        x = rng.uniform(-40.0, 0.0, size)
+        y = 0.7 * x + rng.exponential(3.0, size)
+        if rng.random() < 0.5:
+            # cut gaps into the predictor range, so whole bins stay empty
+            for lo in rng.uniform(-40.0, 0.0, int(rng.integers(1, 6))):
+                x[(x > lo) & (x < lo + rng.uniform(1.0, 12.0))] = np.nan
+        for arr in (x, y):
+            for value in (np.inf, -np.inf, np.nan):
+                arr[rng.integers(0, size, int(rng.integers(0, 4)))] = value
+        yield x, y
+    yield np.array([-3.0, -1.0]), np.array([2.0, 5.0])  # one sample per end bin
+    yield np.array([-2.0, -2.0, -2.0, np.nan]), np.array([1.0, 0.5, 3.0, 1.0])  # one value
+    yield np.array([-2.0, np.inf, -np.inf]), np.array([1.0, 2.0, 3.0])  # one finite sample
+    yield np.full(5, np.nan), np.zeros(5)
+    # every sample at the two ends of the range, the bins between empty
+    yield np.r_[np.zeros(50), np.ones(50)], np.random.default_rng(3).normal(size=100)
+
+
+def test_lower_envelope_slope_matches_per_bin_loop():
+    for x, y in _slope_clouds():
+        got, want = lower_envelope_slope(x, y), lower_envelope_slope_per_bin(x, y)
+        assert (got is None) == (want is None), (x, y)
+        if got is not None:
+            assert got == want, (got, want)  # bit-identical, not just close
+
+
+# the high-degree germs have terms that underflow in plain floats; the
+# degenerate and mixed-sign germs reach the -inf and zero-sum paths
+@pytest.mark.parametrize("text", [
+    *CATALOG.values(), "x^90 + y^90", "x^40*y^40 + x^100 + y^100",
+])
+def test_audits_raise_no_floating_point_error(text):
+    model = parse_germ(text)
+    opts = AnalysisOptions(force=True)
+    outcome = analyze_germ(model, opts, with_audits=False)
+    hull = build_polyhedron(support(model))
+    with np.errstate(all="raise", under="ignore"):
+        audits = _run_audits(model, hull, outcome.report, opts, gates_ok=False)
+    assert {a.inequality for a in audits} >= {"euler-comparison", "f-vs-g"}
 
 
 def test_ranking_probes_distinct_and_complete():
