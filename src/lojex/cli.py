@@ -15,6 +15,7 @@ the report is still written); 3 input error; 4 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -411,7 +412,11 @@ def _emit(doc: dict, args, audits) -> None:
     if args.json_path:
         target = sys.stdout if args.json_path == "-" else open(args.json_path, "w", encoding="utf-8")
         try:
-            json.dump(doc, target, indent=2)
+            # a few large writes: json.dump writes every token on its own,
+            # and json.dumps would hold all tokens of a large report at once
+            chunks = json.JSONEncoder(indent=2).iterencode(doc)
+            while batch := "".join(itertools.islice(chunks, 1024)):
+                target.write(batch)
             target.write("\n")
         finally:
             if target is not sys.stdout:
@@ -434,6 +439,8 @@ def run(args) -> int:
 
     if args.command == "fan":
         _check_max_dim(model, opts)
+        # the fan cap needs only n, not the polyhedron
+        check_unimodularize_dim(model.n)
         poly = build_polyhedron(support(model))
         section, fanexp = _fan_section(poly)
         for label, key in (("normal fan", "normal"), ("refinement", "unimodular")):

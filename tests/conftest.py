@@ -45,16 +45,21 @@ def subprocess_env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
-def run_lojex(*args: str) -> subprocess.CompletedProcess:
-    """`python -m lojex *args` in a child process; a run that takes over 60 s
-    fails the test, so a hang regression cannot hang the suite."""
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """`python *args` in a child process that imports this lojex; a run that
+    takes over 60 s fails the test, so a hang regression cannot hang the suite."""
     try:
         return subprocess.run(
-            [sys.executable, "-m", "lojex", *args],
+            [sys.executable, *args],
             capture_output=True, text=True, env=subprocess_env(), timeout=60,
         )
     except subprocess.TimeoutExpired:
-        pytest.fail(f"lojex {' '.join(args)} did not finish within 60 s")
+        pytest.fail(f"python {' '.join(args)[:200]} did not finish within 60 s")
+
+
+def run_lojex(*args: str) -> subprocess.CompletedProcess:
+    """`python -m lojex *args` under the 60 s guard of `run_python`."""
+    return run_python("-m", "lojex", *args)
 
 
 @pytest.fixture

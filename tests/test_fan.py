@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import lojex.cli
+from lojex.cli import main
 from lojex.errors import CapExceededError, InputError
 from lojex.fan import (
     Cone,
@@ -22,7 +24,7 @@ from lojex.parser import parse_text
 from lojex.polyhedron import build_polyhedron, support_value
 from lojex.taylor import support
 
-from .conftest import germ, random_support, run_lojex
+from .conftest import germ, random_support, run_lojex, run_python
 from .oracles import (
     cone_facet_sets,
     fulldim_cone_contains,
@@ -218,16 +220,28 @@ def test_seeded_n4_support_refines_in_time():
     ]
 
 
-def test_large_supports_build_polyhedron_in_time(tmp_path):
+def test_large_supports_build_polyhedron_in_time(tmp_path, monkeypatch, capsys):
     # the double description took over 400 s on the seeded n = 8 germ, and
     # a quadratic dominance pre-pass 100 s on the 9870 terms of degree 139
     rng = random.Random(5)
     points = sorted({tuple(rng.randint(0, 6) for _ in range(8)) for _ in range(60)})
-    proc = run_lojex("fan", " + ".join(
-        "*".join(f"x{i + 1}^{e}" for i, e in enumerate(p) if e) for p in points
-    ))
-    assert proc.returncode == 4, proc.stderr
-    assert "unimodularization is capped" in proc.stderr
+    text = " + ".join("*".join(f"x{i + 1}^{e}" for i, e in enumerate(p) if e) for p in points)
+    proc = run_python("-c", (
+        "import sys\n"
+        "from lojex.parser import parse_germ\n"
+        "from lojex.polyhedron import build_polyhedron\n"
+        "from lojex.taylor import support\n"
+        "print(len(build_polyhedron(support(parse_germ(sys.argv[1]))).vertices))\n"
+    ), text)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
+    # `fan` checks the unimodularization cap, which needs only n, first
+    def no_polyhedron(_):
+        raise AssertionError("fan built the polyhedron before checking the cap")
+
+    monkeypatch.setattr(lojex.cli, "build_polyhedron", no_polyhedron)
+    assert main(["fan", text]) == 4
+    assert "unimodularization is capped" in capsys.readouterr().err
     # the germ's text is over the 128 KB limit of one command-line argument
     path = tmp_path / "antichain.txt"
     path.write_text(" + ".join(

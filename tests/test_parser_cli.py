@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import random
@@ -10,7 +11,7 @@ import pytest
 
 import lojex.cli
 import lojex.report
-from lojex.cli import AnalysisOptions, main
+from lojex.cli import AnalysisOptions, analyze_germ, main
 from lojex.errors import InputError, ParseError
 from lojex.parser import model_to_text, parse_germ, parse_json, parse_text
 
@@ -187,6 +188,25 @@ def test_fan_command_is_the_analyze_fan_section(tmp_path):
         analyzed = json.loads(analyze_out.read_text())
         expected = {"polyhedron": analyzed["polyhedron"], **analyzed["fan"]}
         assert fan_out.read_text() == json.dumps(expected, indent=2) + "\n", text
+
+
+def test_report_bytes_are_those_of_a_streamed_dump(tmp_path, capsys):
+    # the report is written in batches of encoder chunks, most reports here
+    # in more than one; its bytes must be those json.dump streams
+    from .conftest import CATALOG
+
+    out = tmp_path / "report.json"
+    for text in CATALOG.values():
+        for flags in ([], ["--force"]):
+            doc = analyze_germ(parse_germ(text), AnalysisOptions(force=bool(flags))).document
+            streamed = io.StringIO()
+            json.dump(doc, streamed, indent=2)
+            streamed.write("\n")
+            main(["analyze", text, *flags, "--json", str(out)])
+            assert out.read_bytes() == streamed.getvalue().encode(), text
+            capsys.readouterr()
+            main(["analyze", text, *flags, "--json", "-"])
+            assert capsys.readouterr().out.endswith("\n" + streamed.getvalue()), text
 
 
 def test_main_reuses_one_parser(monkeypatch):
