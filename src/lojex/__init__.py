@@ -8,12 +8,14 @@ floating-point audits of the resulting inequalities near the origin.
 
 from .audit import (
     AuditResult,
+    Sample,
     SamplePlan,
     audit_L0,
     audit_L1,
     audit_L2,
     audit_euler_comparison,
     audit_f_vs_g,
+    diagonal_probe,
     dist_to_zero_set,
 )
 from .cli import AnalysisOptions, analyze_germ

@@ -1,10 +1,13 @@
 """Floating-point audits of the inequalities near the origin.
 
 Sampling happens on a fixed pool of max-norm unit directions (random pool
-plus deterministic probes: coordinate axes, hat-vertex diagonals, and for
-the distance audit the tight section of every ranking, one per distinct
-upper set, found among the subsets of the zero-set variables), rescaled
-through a geometric grid of radius levels.  Reusing one pool across levels
+plus deterministic probes: coordinate axes and caller-chosen diagonals),
+rescaled through a geometric grid of radius levels.  A `Sample` is that
+pool through every radius of a `SamplePlan`, with log r and log|f| computed
+once when it is built; the audits of one run read the same sample, and only
+the distance audit L2 draws a pool of its own, whose probes are the tight
+section of every ranking (one per distinct upper set, found among the
+subsets of the zero-set variables).  Reusing one pool across levels
 makes the per-level envelope minima directly comparable, so the pass/fail
 call is a trend test, not an absolute-constant test: the inequalities only
 claim "there exist c, eps", so the audit checks that the per-level minima of
@@ -29,7 +32,6 @@ Verdicts are heuristic evidence, not certificates.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -133,22 +135,14 @@ def ranking_probes(family: TransversalFamily, n: int) -> list[tuple[float, ...]]
     return probes
 
 
-@functools.lru_cache(maxsize=64)
-def _random_directions(seed: int, count: int, n: int) -> np.ndarray:
-    """The plan's random max-norm unit rows, drawn once per (seed, count, n)."""
-    dirs = _normalize_rows(np.random.default_rng(seed).uniform(-1.0, 1.0, size=(count, n)))
-    dirs.flags.writeable = False
-    return dirs
-
-
 def direction_pool(
     plan: SamplePlan, n: int, extra: Iterable[Sequence[float]] = ()
 ) -> np.ndarray:
-    dirs = _random_directions(plan.seed, plan.directions_per_radius, n)
-    probe_rows = [list(p) for p in axis_probes(n)] + [list(p) for p in extra]
-    if not probe_rows:
-        return dirs.copy()
-    return np.vstack([dirs, _normalize_rows(np.array(probe_rows, dtype=float))])
+    """The plan's random max-norm unit rows, then the axis probes and `extra`."""
+    rng = np.random.default_rng(plan.seed)
+    dirs = rng.uniform(-1.0, 1.0, size=(plan.directions_per_radius, n))
+    probes = np.array([*axis_probes(n), *extra], dtype=float)
+    return np.vstack([_normalize_rows(dirs), _normalize_rows(probes)])
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +320,27 @@ def _ratio_audit(
 # ---------------------------------------------------------------------------
 # the audits
 
+class Sample:
+    """The pool of directions through every radius of a plan, with log|f| on it.
+
+    The pool is the plan's random rows, the axis probes and `probes`; `log_f`
+    is log|f(r·d)| as (levels, rows).  The audits of one run read one sample,
+    so its pool is drawn and log|f| evaluated once.
+    """
+
+    def __init__(
+        self, model: TaylorModel, plan: SamplePlan, probes: Iterable[Sequence[float]] = ()
+    ):
+        self.model = model
+        self.plan = plan
+        self.dirs = direction_pool(plan, model.n, probes)
+        self.log_r = np.log(plan.radii)
+        self.log_f = self.log_poly(model.poly())
+
+    def log_poly(self, poly: dict[Exponent, Fraction | int]) -> np.ndarray:
+        return _log_poly(poly, self.dirs, self.log_r)
+
+
 def dist_to_zero_set(point: Sequence[float], family: TransversalFamily) -> float:
     """Max-norm distance to the union of coordinate subspaces of the family."""
     if not family.lambda_hitting:
@@ -333,106 +348,73 @@ def dist_to_zero_set(point: Sequence[float], family: TransversalFamily) -> float
     return min(max(abs(point[i]) for i in j) for j in family.lambda_hitting)
 
 
-def audit_L1(
-    model: TaylorModel,
-    theta: Fraction | float,
-    plan: SamplePlan,
-    extra_probes: Iterable[Sequence[float]] = (),
-    forced: bool = False,
-) -> AuditResult:
+def audit_L1(sample: Sample, theta: Fraction | float, forced: bool = False) -> AuditResult:
     """Gradient inequality: ||grad f|| against |f|^theta."""
     th = float(theta)
     if not 0.0 < th < 1.0:
         raise InputError(f"gradient exponent must be in (0, 1), got {th}")
-    poly = model.poly()
-    dirs = direction_pool(plan, model.n, extra_probes)
-    log_r = np.log(plan.radii)
-    log_grad = np.stack([_log_poly(poly_diff(poly, i), dirs, log_r) for i in range(model.n)])
+    poly = sample.model.poly()
+    log_grad = np.stack([sample.log_poly(poly_diff(poly, i)) for i in range(sample.model.n)])
     log_norm = 0.5 * _logsumexp(2.0 * log_grad)
-    return _ratio_audit("L1", th, plan, log_norm, _log_poly(poly, dirs, log_r), th, False, forced)
+    return _ratio_audit("L1", th, sample.plan, log_norm, sample.log_f, th, False, forced)
 
 
 def audit_L0(
-    model: TaylorModel,
-    g_exp: Exponent,
-    alpha: Fraction | float,
-    plan: SamplePlan,
-    extra_probes: Iterable[Sequence[float]] = (),
-    forced: bool = False,
+    sample: Sample, g_exp: Exponent, alpha: Fraction | float, forced: bool = False
 ) -> AuditResult:
     """Domination inequality: |f| against |x^{g_exp}|^alpha.
 
-    The diagonal probe of the chosen hat vertex is mandatory: it carries
-    the tightness witness.
+    The sample must hold the diagonal probe of the hat vertex g_exp: it
+    carries the tightness witness.
     """
     al = float(alpha)
-    probes = list(extra_probes) + diagonal_probe(g_exp)
-    dirs = direction_pool(plan, model.n, probes)
-    log_r = np.log(plan.radii)
-    log_g = _log_poly({tuple(g_exp): 1}, dirs, log_r)
-    return _ratio_audit("L0", al, plan, _log_poly(model.poly(), dirs, log_r), log_g, al, False, forced)
+    for row in diagonal_probe(g_exp):
+        if not (sample.dirs == row).all(axis=1).any():
+            raise InputError(f"the L0 sample lacks the diagonal probe {row} of its hat vertex")
+    log_g = sample.log_poly({tuple(g_exp): 1})
+    return _ratio_audit("L0", al, sample.plan, sample.log_f, log_g, al, False, forced)
 
 
 def audit_L2(
-    model: TaylorModel,
-    loj_dist: Fraction | float,
-    family: TransversalFamily,
-    plan: SamplePlan,
-    forced: bool = False,
+    sample: Sample, loj_dist: Fraction | float, family: TransversalFamily, forced: bool = False
 ) -> AuditResult:
     """Distance inequality: f against dist(x, zero set)^L.
 
-    Samples every ranking region through its tight section probe.
+    Samples every ranking region through its tight section probe, on a pool
+    of its own drawn with the model and plan of `sample`.
     """
     ld = float(loj_dist)
-    dirs = direction_pool(plan, model.n, ranking_probes(family, model.n))
-    log_r = np.log(plan.radii)
-    log_d = _log_abs(dirs)
-    members = family.lambda_hitting or (range(model.n),)
+    n = sample.model.n
+    own = Sample(sample.model, sample.plan, ranking_probes(family, n))
+    log_d = _log_abs(own.dirs)
+    members = family.lambda_hitting or (range(n),)
     log_dist = np.min([log_d[:, sorted(j)].max(axis=1) for j in members], axis=0)
     return _ratio_audit(
-        "L2", ld, plan, _log_poly(model.poly(), dirs, log_r), log_dist + log_r[:, None],
-        ld, False, forced,
+        "L2", ld, own.plan, own.log_f, log_dist + own.log_r[:, None], ld, False, forced
     )
 
 
 def audit_euler_comparison(
-    model: TaylorModel,
-    poly_hull: NewtonPolyhedron,
-    plan: SamplePlan,
-    extra_probes: Iterable[Sequence[float]] = (),
-    forced: bool = False,
+    sample: Sample, poly_hull: NewtonPolyhedron, forced: bool = False
 ) -> AuditResult:
     """Two-sided comparison of sum_i |x_i df/dx_i| with the vertex-monomial sum."""
-    poly = model.poly()
-    dirs = direction_pool(plan, model.n, extra_probes)
-    log_r = np.log(plan.radii)
+    poly = sample.model.poly()
     # x_i df/dx_i has the terms of f, each weighted by its exponent of x_i
     log_parts = np.stack([
-        _log_poly({e: c * e[i] for e, c in poly.items() if e[i]}, dirs, log_r)
-        for i in range(model.n)
+        sample.log_poly({e: c * e[i] for e, c in poly.items() if e[i]})
+        for i in range(sample.model.n)
     ])
     # g_Gamma = sum over vertices of |x^v|: the vertex polynomial at |x|
-    log_g = _log_poly(dict.fromkeys(poly_hull.vertices, 1), np.abs(dirs), log_r)
+    log_g = _log_poly(dict.fromkeys(poly_hull.vertices, 1), np.abs(sample.dirs), sample.log_r)
     return _ratio_audit(
-        "euler-comparison", None, plan, _logsumexp(log_parts), log_g, 1.0, True, forced
+        "euler-comparison", None, sample.plan, _logsumexp(log_parts), log_g, 1.0, True, forced
     )
 
 
-def audit_f_vs_g(
-    model: TaylorModel,
-    poly_hull: NewtonPolyhedron,
-    plan: SamplePlan,
-    extra_probes: Iterable[Sequence[float]] = (),
-    forced: bool = False,
-) -> AuditResult:
+def audit_f_vs_g(sample: Sample, poly_hull: NewtonPolyhedron, forced: bool = False) -> AuditResult:
     """Two-sided comparison of |f| with the vertex-monomial sum."""
-    dirs = direction_pool(plan, model.n, extra_probes)
-    log_r = np.log(plan.radii)
-    log_g = _log_poly(dict.fromkeys(poly_hull.vertices, 1), np.abs(dirs), log_r)
-    return _ratio_audit(
-        "f-vs-g", None, plan, _log_poly(model.poly(), dirs, log_r), log_g, 1.0, True, forced
-    )
+    log_g = _log_poly(dict.fromkeys(poly_hull.vertices, 1), np.abs(sample.dirs), sample.log_r)
+    return _ratio_audit("f-vs-g", None, sample.plan, sample.log_f, log_g, 1.0, True, forced)
 
 
 def envelope_rows(result: AuditResult) -> list[tuple[float, float, float]]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -212,20 +213,19 @@ def analyze_germ(
     return AnalysisOutcome(doc, exit_code, report, audits)
 
 
-def default_plan(opts: AnalysisOptions) -> SamplePlan:
-    return SamplePlan(
+def _sample(
+    model: TaylorModel, report: ExponentReport, opts: AnalysisOptions, points=()
+) -> audit_mod.Sample:
+    """The audits' shared sample, probed on the diagonals through every hat
+    vertex and then through `points`."""
+    plan = SamplePlan(
         radii=_default_radii(opts.radius, opts.radius * 1e-3, 16),
         directions_per_radius=opts.samples,
         seed=opts.seed,
     )
-
-
-def _hat_probes(report: ExponentReport) -> list[tuple[float, ...]]:
-    """The diagonal probes through every hat vertex."""
-    probes = []
-    for v, _ in report.alpha.per_hat_vertex:
-        probes.extend(audit_mod.diagonal_probe(v))
-    return probes
+    vertices = [v for v, _ in report.alpha.per_hat_vertex]
+    probes = [p for v in [*vertices, *points] for p in audit_mod.diagonal_probe(v)]
+    return audit_mod.Sample(model, plan, probes)
 
 
 def _run_audits(
@@ -235,21 +235,18 @@ def _run_audits(
     opts: AnalysisOptions,
     gates_ok: bool,
 ) -> list:
-    plan = default_plan(opts)
     forced = not gates_ok
-    hat_probes = _hat_probes(report)
     # degenerate-face witnesses are the directions where the comparison
     # lemmas break down: probe them explicitly under --force
-    for verdict in report.face_verdicts.values():
-        if verdict.status == "degenerate" and verdict.witness is not None:
-            hat_probes.extend(audit_mod.diagonal_probe(verdict.witness))
+    sample = _sample(model, report, opts, [
+        v.witness for v in report.face_verdicts.values()
+        if v.status == "degenerate" and v.witness is not None
+    ])
     audits = []
 
     theta_exp = report.theta.value if report.theta.value is not None else report.theta.fallback
     if theta_exp is not None:
-        audits.append(
-            audit_mod.audit_L1(model, theta_exp, plan, hat_probes, forced=forced)
-        )
+        audits.append(audit_mod.audit_L1(sample, theta_exp, forced=forced))
 
     # under --force, an exponent that a gate blocks is audited at its formula
     alpha, dist = report.alpha, report.dist
@@ -257,8 +254,7 @@ def _run_audits(
     if alpha_exp is not None and alpha.witness is not None:
         audits.append(
             audit_mod.audit_L0(
-                model, alpha.witness, alpha_exp, plan, hat_probes,
-                forced=forced or alpha.value is None,
+                sample, alpha.witness, alpha_exp, forced=forced or alpha.value is None
             )
         )
 
@@ -266,19 +262,15 @@ def _run_audits(
     if dist_exp is not None:
         audits.append(
             audit_mod.audit_L2(
-                model, dist_exp, report.transversal, plan,
-                forced=forced or dist.value is None,
+                sample, dist_exp, report.transversal, forced=forced or dist.value is None
             )
         )
 
-    audits.append(
-        audit_mod.audit_euler_comparison(model, poly, plan, hat_probes, forced=forced)
-    )
+    audits.append(audit_mod.audit_euler_comparison(sample, poly, forced=forced))
     if report.hypotheses.nonnegative or opts.force:
         audits.append(
             audit_mod.audit_f_vs_g(
-                model, poly, plan, hat_probes,
-                forced=forced or not report.hypotheses.nonnegative,
+                sample, poly, forced=forced or not report.hypotheses.nonnegative
             )
         )
     return audits
@@ -395,6 +387,8 @@ _PARSER = _build_argparser()
 def _opts_from_args(args) -> AnalysisOptions:
     if args.seed < 0 or args.samples < 0:
         raise InputError("--seed and --samples must be >= 0")
+    if not 0 < args.radius < math.inf:
+        raise InputError(f"--radius must be positive and finite, got {args.radius}")
     return AnalysisOptions(
         declare_nonnegative="nonnegative" in args.declare,
         declare_convex="convex" in args.declare,
@@ -469,17 +463,14 @@ def run(args) -> int:
         outcome = analyze_germ(model, opts, with_audits=False)
         rep = outcome.report
         assert rep is not None
-        plan = default_plan(opts)
-        hat_probes = _hat_probes(rep)
+        sample = _sample(model, rep, opts)
         audits = []
         if args.theta is not None:
-            audits.append(audit_mod.audit_L1(model, args.theta, plan, hat_probes))
+            audits.append(audit_mod.audit_L1(sample, args.theta))
         if args.alpha is not None and rep.alpha.witness is not None:
-            audits.append(
-                audit_mod.audit_L0(model, rep.alpha.witness, args.alpha, plan, hat_probes)
-            )
+            audits.append(audit_mod.audit_L0(sample, rep.alpha.witness, args.alpha))
         if args.dist is not None:
-            audits.append(audit_mod.audit_L2(model, args.dist, rep.transversal, plan))
+            audits.append(audit_mod.audit_L2(sample, args.dist, rep.transversal))
         if not audits:
             raise InputError("verify needs at least one of --theta/--alpha/--dist")
         for a in audits:

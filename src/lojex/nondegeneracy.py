@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError
-from .linalg import dot, eliminate
+from .linalg import eliminate
 from .polyhedron import FaceData, NewtonPolyhedron, compact_faces
 from .taylor import (
     Exponent,
@@ -86,11 +86,10 @@ def face_polynomial(model: TaylorModel, face: FaceData) -> FacePolynomial:
             "face polynomial of a non-compact face is not determined by the "
             "polynomial part"
         )
-    level = dot(face.defining_normal, next(iter(face.lattice_points)))
     terms = tuple(
         (t.exp, t.coeff)
         for t in sorted(model.terms, key=lambda t: t.exp)
-        if dot(face.defining_normal, t.exp) == level
+        if t.exp in face.lattice_points
     )
     unknown = any(
         r.is_unit and r.exp in face.lattice_points for r in model.remainders

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 
 from lojex.audit import (
+    Sample,
     SamplePlan,
     _default_radii,
     audit_L0,
@@ -20,6 +21,7 @@ from lojex.audit import (
     audit_L2,
     audit_euler_comparison,
     audit_f_vs_g,
+    diagonal_probe,
 )
 from lojex.exponents import (
     Hypotheses,
@@ -229,19 +231,20 @@ def test_criterion_7_numeric_tightness():
         model = germ(name)
         fam = transversals(hat_polyhedron(build_polyhedron(support(model))))
 
-        r = audit_L1(model, th, plan)
+        sample = Sample(model, plan, diagonal_probe(g_exp))
+        r = audit_L1(sample, th)
         assert r.verdict == "pass", (name, "L1", r.kendall_tau)
-        r = audit_L1(model, th - Fraction(1, 10), plan)
+        r = audit_L1(sample, th - Fraction(1, 10))
         assert r.verdict == "fail" and r.kendall_tau < -0.8, (name, "L1 tight")
 
-        r = audit_L0(model, g_exp, al, plan)
+        r = audit_L0(sample, g_exp, al)
         assert r.verdict == "pass", (name, "L0")
-        r = audit_L0(model, g_exp, al - Fraction(1, 4), plan)
+        r = audit_L0(sample, g_exp, al - Fraction(1, 4))
         assert r.verdict == "fail" and r.kendall_tau < -0.8, (name, "L0 tight")
 
-        r = audit_L2(model, ld, fam, plan)
+        r = audit_L2(sample, ld, fam)
         assert r.verdict == "pass", (name, "L2")
-        r = audit_L2(model, ld - Fraction(1, 4), fam, plan)
+        r = audit_L2(sample, ld - Fraction(1, 4), fam)
         assert r.verdict == "fail" and r.kendall_tau < -0.8, (name, "L2 tight")
         assert time.monotonic() - t0 < 30.0, name
     _report(7, started, 90.0, "pass at predicted, fail below, tau < -0.8")
@@ -255,14 +258,13 @@ def test_criterion_8_lemma_audits():
     for name in GATED_NONNEG:
         model = germ(name)
         poly = build_polyhedron(support(model))
-        assert audit_euler_comparison(model, poly, plan).verdict == "pass", name
-        assert audit_f_vs_g(model, poly, plan).verdict == "pass", name
+        sample = Sample(model, plan)
+        assert audit_euler_comparison(sample, poly).verdict == "pass", name
+        assert audit_f_vs_g(sample, poly).verdict == "pass", name
 
     model = germ("square_diff")
     poly = build_polyhedron(support(model))
-    forced = audit_euler_comparison(
-        model, poly, plan, extra_probes=[(1.0, 1.0)], forced=True
-    )
+    forced = audit_euler_comparison(Sample(model, plan, [(1.0, 1.0)]), poly, forced=True)
     assert forced.verdict == "fail"
     diag_ratios = []
     for r in plan.radii:

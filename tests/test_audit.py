@@ -11,6 +11,7 @@ import pytest
 
 from lojex import audit
 from lojex.audit import (
+    Sample,
     SamplePlan,
     _default_radii,
     audit_L0,
@@ -18,6 +19,7 @@ from lojex.audit import (
     audit_L2,
     audit_euler_comparison,
     audit_f_vs_g,
+    diagonal_probe,
     dist_to_zero_set,
     envelope_rows,
     lower_envelope_slope,
@@ -86,13 +88,13 @@ def test_dist_matches_grid_bruteforce():
 
 
 def test_audit_L1_pass_fail_direction():
-    circle = parse_text("x^2 + y^2")
-    assert audit_L1(circle, Fraction(1, 2), PLAN).verdict == "pass"
-    assert audit_L1(circle, Fraction(3, 5), PLAN).verdict == "pass"
-    assert audit_L1(circle, Fraction(2, 5), PLAN).verdict == "fail"
-    quartic = parse_text("x^4 + y^4")
-    assert audit_L1(quartic, Fraction(3, 5), PLAN).verdict == "fail"
-    assert audit_L1(quartic, Fraction(3, 4), PLAN).verdict == "pass"
+    circle = Sample(parse_text("x^2 + y^2"), PLAN)
+    assert audit_L1(circle, Fraction(1, 2)).verdict == "pass"
+    assert audit_L1(circle, Fraction(3, 5)).verdict == "pass"
+    assert audit_L1(circle, Fraction(2, 5)).verdict == "fail"
+    quartic = Sample(parse_text("x^4 + y^4"), PLAN)
+    assert audit_L1(quartic, Fraction(3, 5)).verdict == "fail"
+    assert audit_L1(quartic, Fraction(3, 4)).verdict == "pass"
 
 
 def test_audit_L1_slope_partially_convenient_catalog():
@@ -103,62 +105,69 @@ def test_audit_L1_slope_partially_convenient_catalog():
         "x^3 + y^2": Fraction(2, 3),
     }
     for text, th in cases.items():
-        r = audit_L1(parse_text(text), th, PLAN)
+        r = audit_L1(Sample(parse_text(text), PLAN), th)
         assert r.empirical_slope == pytest.approx(float(th), abs=0.05), text
 
 
 def test_audit_L1_pass_at_cusp_theta():
     # constant envelope with float jitter must not be read as decay
-    r = audit_L1(parse_text("x^3 + y^2"), Fraction(2, 3), PLAN)
+    r = audit_L1(Sample(parse_text("x^3 + y^2"), PLAN), Fraction(2, 3))
     assert r.verdict == "pass"
 
 
 def test_audit_L0_examples():
-    m = parse_text("x^2*y^2")
-    assert audit_L0(m, (1, 1), Fraction(2), PLAN).verdict == "pass"
-    r = audit_L0(m, (1, 1), Fraction(2), PLAN)
+    s = Sample(parse_text("x^2*y^2"), PLAN, diagonal_probe((1, 1)))
+    r = audit_L0(s, (1, 1), Fraction(2))
+    assert r.verdict == "pass"
     assert r.min_ratio == pytest.approx(1.0, rel=1e-6)
-    m = parse_text("x^4 + x^2*y^2")
-    assert audit_L0(m, (1, 0), Fraction(4), PLAN).verdict == "pass"
-    assert audit_L0(m, (1, 0), Fraction(7, 2), PLAN).verdict == "fail"
-    m = parse_text("x^2 + y^2")
-    assert audit_L0(m, (1, 0), Fraction(2), PLAN).verdict == "pass"
+    # the diagonal of (1, 0) is an axis probe, which every sample holds
+    s = Sample(parse_text("x^4 + x^2*y^2"), PLAN)
+    assert audit_L0(s, (1, 0), Fraction(4)).verdict == "pass"
+    assert audit_L0(s, (1, 0), Fraction(7, 2)).verdict == "fail"
+    s = Sample(parse_text("x^2 + y^2"), PLAN)
+    assert audit_L0(s, (1, 0), Fraction(2)).verdict == "pass"
+
+
+def test_audit_L0_needs_the_diagonal_of_its_hat_vertex():
+    # without the (1, 1) row the envelope never reaches its tight direction
+    m = parse_text("x^2*y^2")
+    with pytest.raises(InputError, match="diagonal probe"):
+        audit_L0(Sample(m, PLAN), (1, 1), Fraction(2))
+    with pytest.raises(InputError, match="diagonal probe"):
+        audit_L0(Sample(m, PLAN, [(1.0, 1.0)]), (1, 1), Fraction(2))
+    assert audit_L0(Sample(m, PLAN, [(-1.0, -1.0), (1.0, 1.0)]), (1, 1), 2).verdict == "pass"
 
 
 def test_audit_L2_examples():
-    m = parse_text("x^2*y^2")
+    s = Sample(parse_text("x^2*y^2"), PLAN)
     fam = _family("x^2*y^2")
-    assert audit_L2(m, Fraction(4), fam, PLAN).verdict == "pass"
-    assert audit_L2(m, Fraction(7, 2), fam, PLAN).verdict == "fail"
-    m = parse_text("x^2 + y^2")
-    fam = _family("x^2 + y^2")
-    r = audit_L2(m, Fraction(2), fam, PLAN)
+    assert audit_L2(s, Fraction(4), fam).verdict == "pass"
+    assert audit_L2(s, Fraction(7, 2), fam).verdict == "fail"
+    r = audit_L2(Sample(parse_text("x^2 + y^2"), PLAN), Fraction(2), _family("x^2 + y^2"))
     assert r.verdict == "pass"
     assert 1.0 - 1e-9 <= r.min_ratio and r.max_ratio <= 2.0 + 1e-9
-    m = parse_text("x^4 + x^2*y^2")
+    s = Sample(parse_text("x^4 + x^2*y^2"), PLAN)
     fam = _family("x^4 + x^2*y^2")
-    assert audit_L2(m, Fraction(4), fam, PLAN).verdict == "pass"
-    assert audit_L2(m, Fraction(7, 2), fam, PLAN).verdict == "fail"
+    assert audit_L2(s, Fraction(4), fam).verdict == "pass"
+    assert audit_L2(s, Fraction(7, 2), fam).verdict == "fail"
 
 
 def test_audit_euler_comparison_catalog():
     for name in GATED_NONNEG:
         model = germ(name)
         poly = build_polyhedron(support(model))
-        r = audit_euler_comparison(model, poly, PLAN)
+        r = audit_euler_comparison(Sample(model, PLAN), poly)
         assert r.verdict == "pass", (name, r.level_minima)
     circle = germ("circle")
     poly = build_polyhedron(support(circle))
-    r = audit_euler_comparison(circle, poly, PLAN)
+    r = audit_euler_comparison(Sample(circle, PLAN), poly)
     assert r.min_ratio == pytest.approx(2.0) and r.max_ratio == pytest.approx(2.0)
 
 
 def test_audit_euler_degenerate_diagonal():
     model = germ("square_diff")
     poly = build_polyhedron(support(model))
-    r = audit_euler_comparison(
-        model, poly, PLAN, extra_probes=[(1.0, 1.0)], forced=True
-    )
+    r = audit_euler_comparison(Sample(model, PLAN, [(1.0, 1.0)]), poly, forced=True)
     assert r.verdict == "fail"
     assert min(r.level_minima) == 0.0
 
@@ -167,26 +176,26 @@ def test_audit_f_vs_g_catalog():
     for name in GATED_NONNEG:
         model = germ(name)
         poly = build_polyhedron(support(model))
-        r = audit_f_vs_g(model, poly, PLAN)
+        r = audit_f_vs_g(Sample(model, PLAN), poly)
         assert r.verdict == "pass", name
     quartic = germ("quartic_mix")
     poly = build_polyhedron(support(quartic))
-    r = audit_f_vs_g(quartic, poly, PLAN)
+    r = audit_f_vs_g(Sample(quartic, PLAN), poly)
     assert 1.0 - 1e-9 <= r.min_ratio and r.max_ratio <= 1.5 + 1e-9
 
 
 def test_audits_deterministic():
     m = parse_text("x^4 + x^2*y^2")
-    r1 = audit_L0(m, (1, 0), Fraction(4), SamplePlan(seed=42))
-    r2 = audit_L0(m, (1, 0), Fraction(4), SamplePlan(seed=42))
+    r1 = audit_L0(Sample(m, SamplePlan(seed=42)), (1, 0), Fraction(4))
+    r2 = audit_L0(Sample(m, SamplePlan(seed=42)), (1, 0), Fraction(4))
     assert r1 == r2
-    r3 = audit_L0(m, (1, 0), Fraction(4), SamplePlan(seed=43))
+    r3 = audit_L0(Sample(m, SamplePlan(seed=43)), (1, 0), Fraction(4))
     assert r3.verdict == r1.verdict
 
 
 def test_envelope_rows_shape():
     m = parse_text("x^2 + y^2")
-    r = audit_L1(m, Fraction(1, 2), PLAN)
+    r = audit_L1(Sample(m, PLAN), Fraction(1, 2))
     rows = envelope_rows(r)
     assert len(rows) == len(PLAN.radii)
     assert all(len(row) == 3 for row in rows)
@@ -225,10 +234,8 @@ def _pointwise_sides(result, model, report, hull):
     return lambda p: (f(p), g_gamma_eval(hull, p))
 
 
-# the gated germs run all five audits; the others have odd exponents and mixed
-# signs, which the sign parity of the log-space terms must get right
-@pytest.mark.parametrize("name", GATED_NONNEG + ["cusp", "inert_axis", "quartic_xyz"])
-def test_log_space_envelopes_match_pointwise_loop(name, monkeypatch):
+def _recorded_pools(monkeypatch) -> list:
+    """Every pool that direction_pool returns from now on, in order."""
     pools = []
     original = audit.direction_pool
 
@@ -237,11 +244,23 @@ def test_log_space_envelopes_match_pointwise_loop(name, monkeypatch):
         return pools[-1]
 
     monkeypatch.setattr(audit, "direction_pool", recording_pool)
+    return pools
+
+
+# the gated germs run all five audits; the others have odd exponents and mixed
+# signs, which the sign parity of the log-space terms must get right
+@pytest.mark.parametrize("name", GATED_NONNEG + ["cusp", "inert_axis", "quartic_xyz"])
+def test_log_space_envelopes_match_pointwise_loop(name, monkeypatch):
+    pools = _recorded_pools(monkeypatch)
     model = germ(name)
     outcome = analyze_germ(model, AnalysisOptions(samples=64))
     hull = build_polyhedron(support(model))
-    assert len(pools) == len(outcome.audits) == (5 if name in GATED_NONNEG else 2)
-    for result, dirs in zip(outcome.audits, pools):
+    assert len(outcome.audits) == (5 if name in GATED_NONNEG else 2)
+    # the audits read the run's sample, drawn first; L2 draws its own pool
+    shared, *own = pools
+    assert len(own) == sum(a.inequality == "L2" for a in outcome.audits)
+    for result in outcome.audits:
+        dirs = own[0] if result.inequality == "L2" else shared
         sides = _pointwise_sides(result, model, outcome.report, hull)
         scale = 1.0 if result.exponent is None else result.exponent
         for k, r in enumerate(result.radii):
@@ -251,6 +270,25 @@ def test_log_space_envelopes_match_pointwise_loop(name, monkeypatch):
             for got, want in ((result.level_minima[k], min(ratios)),
                               (result.level_maxima[k], max(ratios))):
                 assert abs(got - want) <= 1e-12 * abs(want), (result.inequality, r)
+
+
+def test_audits_of_a_run_share_one_sample(monkeypatch):
+    pools = _recorded_pools(monkeypatch)
+    log_f_pools = []
+    original = audit._log_poly
+    model = germ("quartic_mix")
+
+    def recording_log_poly(poly, dirs, log_r):
+        if poly == model.poly():
+            log_f_pools.append(dirs)
+        return original(poly, dirs, log_r)
+
+    monkeypatch.setattr(audit, "_log_poly", recording_log_poly)
+    outcome = analyze_germ(model, AnalysisOptions(samples=64))
+    assert len(outcome.audits) == 5
+    # the shared pool of L1, L0, euler-comparison and f-vs-g, then L2's
+    assert len(pools) == 2
+    assert len(log_f_pools) == 2 and all(d is p for d, p in zip(log_f_pools, pools))
 
 
 def _slope_clouds():

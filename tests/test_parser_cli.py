@@ -143,6 +143,14 @@ def test_cli_exit_codes(tmp_path):
     for flags in (["--theta", "abc"], ["--dist", "1/0"], ["--theta", "1/2", "--samples", "-1"],
                   ["--theta", "1/2", "--seed", "-1"], ["--theta", "1/2", "--radius", "inf"]):
         assert main(["verify", "x^2 + y^2", *flags]) == 3, flags
+    # every command rejects a bad radius, also those that only sample the sign
+    # of a declared-nonnegative germ with it: radius 0 sampled only the origin
+    # and certified x^4 - y^4
+    for radius in ("nan", "-1", "0"):
+        for command in ("analyze", "exponents", "fan", "nondegen", "verify"):
+            theta = ["--theta", "1/2"] if command == "verify" else []
+            argv = [command, "x^4 - y^4", "--declare", "nonnegative", "--radius", radius, *theta]
+            assert main(argv) == 3, argv
     # a NaN tolerance used to certify the planted degenerate face
     assert main(["nondegen", "x^2*y^2 - 2*x*y*z^2 + z^4 + x^6 + y^6 + z^6", "--tol", "nan"]) == 3
     for command in ("analyze", "fan", "nondegen"):
