@@ -3,9 +3,10 @@
 Sampling happens on a fixed pool of max-norm unit directions (random pool
 plus deterministic probes: coordinate axes and caller-chosen diagonals),
 rescaled through a geometric grid of radius levels.  A `Sample` is that
-pool through every radius of a `SamplePlan`, with log r and log|f| computed
-once when it is built; the audits of one run read the same sample, and only
-the distance audit L2 draws a pool of its own, whose probes are the tight
+pool through every radius of a `SamplePlan`, with log|f| and the vertex sum
+log g_Gamma computed at most once, when an audit first reads them; the
+audits of one run read the same sample, and only the distance audit L2
+draws a pool of its own, whose probes are the tight
 section of every ranking (one per distinct upper set, found among the
 subsets of the zero-set variables).  Reusing one pool across levels
 makes the per-level envelope minima directly comparable, so the pass/fail
@@ -35,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -324,8 +326,11 @@ class Sample:
     """The pool of directions through every radius of a plan, with log|f| on it.
 
     The pool is the plan's random rows, the axis probes and `probes`; `log_f`
-    is log|f(r·d)| as (levels, rows).  The audits of one run read one sample,
-    so its pool is drawn and log|f| evaluated once.
+    is log|f(r·d)| as (levels, rows), and `log_g` the vertex sum g_Gamma on
+    the same rows.  The audits of one run read one sample, so its pool is
+    drawn, log|f| evaluated and log g_Gamma evaluated per vertex set at most
+    once, each when an audit first reads it: a run whose only audit is L2,
+    which draws a pool of its own, draws no other.
     """
 
     def __init__(
@@ -333,12 +338,29 @@ class Sample:
     ):
         self.model = model
         self.plan = plan
-        self.dirs = direction_pool(plan, model.n, probes)
+        self.probes = list(probes)
         self.log_r = np.log(plan.radii)
-        self.log_f = self.log_poly(model.poly())
+        self._log_g: dict[frozenset[Exponent], np.ndarray] = {}
+
+    @cached_property
+    def dirs(self) -> np.ndarray:
+        return direction_pool(self.plan, self.model.n, self.probes)
+
+    @cached_property
+    def log_f(self) -> np.ndarray:
+        return self.log_poly(self.model.poly())
 
     def log_poly(self, poly: dict[Exponent, Fraction | int]) -> np.ndarray:
         return _log_poly(poly, self.dirs, self.log_r)
+
+    def log_g(self, vertices: frozenset[Exponent]) -> np.ndarray:
+        """log g_Gamma(r·d) for g_Gamma = sum over the vertices of |x^v|: the
+        vertex polynomial at |d|."""
+        if vertices not in self._log_g:
+            self._log_g[vertices] = _log_poly(
+                dict.fromkeys(vertices, 1), np.abs(self.dirs), self.log_r
+            )
+        return self._log_g[vertices]
 
 
 def dist_to_zero_set(point: Sequence[float], family: TransversalFamily) -> float:
@@ -404,17 +426,18 @@ def audit_euler_comparison(
         sample.log_poly({e: c * e[i] for e, c in poly.items() if e[i]})
         for i in range(sample.model.n)
     ])
-    # g_Gamma = sum over vertices of |x^v|: the vertex polynomial at |x|
-    log_g = _log_poly(dict.fromkeys(poly_hull.vertices, 1), np.abs(sample.dirs), sample.log_r)
     return _ratio_audit(
-        "euler-comparison", None, sample.plan, _logsumexp(log_parts), log_g, 1.0, True, forced
+        "euler-comparison", None, sample.plan, _logsumexp(log_parts),
+        sample.log_g(poly_hull.vertices), 1.0, True, forced,
     )
 
 
 def audit_f_vs_g(sample: Sample, poly_hull: NewtonPolyhedron, forced: bool = False) -> AuditResult:
     """Two-sided comparison of |f| with the vertex-monomial sum."""
-    log_g = _log_poly(dict.fromkeys(poly_hull.vertices, 1), np.abs(sample.dirs), sample.log_r)
-    return _ratio_audit("f-vs-g", None, sample.plan, sample.log_f, log_g, 1.0, True, forced)
+    return _ratio_audit(
+        "f-vs-g", None, sample.plan, sample.log_f, sample.log_g(poly_hull.vertices), 1.0, True,
+        forced,
+    )
 
 
 def envelope_rows(result: AuditResult) -> list[tuple[float, float, float]]:

@@ -1,18 +1,26 @@
 """Kouchnirenko non-degeneracy: does some compact face polynomial have a
 critical point on the real torus (R \\ 0)^n?
 
-Verdicts come in four flavors.  Exact decisions come in three routes,
+Verdicts come in four flavors.  Exact decisions come in four routes,
 tried in this order.  Faces that are sign-definite with even exponents are
 nonzero on the torus, so the weighted Euler identity forces a nonzero
 partial.  The exponent-kernel route: x_i d_i f_gamma = sum alpha_i c_alpha
 x^alpha, so a torus critical point gives a kernel vector (c_alpha
-x^alpha)_alpha of the exponent matrix with no zero entry; when some term's
+x^alpha)_alpha of the exponent matrix A with no zero entry; when some term's
 entry is 0 on the whole kernel (vertex faces, affinely independent
 supports, a single-monomial partial) there is none, even over C.  Faces
 supported on two variables reduce to a univariate gcd plus Sturm root
 counting after normalizing the second variable to +-1, legitimate because
 the critical set of a quasi-homogeneous polynomial is invariant under the
-positive weighted scaling.  Everything else is decided numerically by
+positive weighted scaling.  The circuit route takes the faces with three or
+more active variables whose kernel is one line, spanned by a primitive b
+with no zero entry (the support is a circuit; Gelfand, Kapranov and
+Zelevinsky 1994, ch. 9): a torus critical point exists iff the Fraction
+identity prod |b_alpha / c_alpha|^{b_alpha} = 1 holds and a GF(2) system
+for the signs is solvable, and then one is written down from the
+least-norm solution of A^T log|x| = log|b / c|.  The route reuses the one
+elimination of the kernel route.  Only faces with dim ker A >= 2 and three
+or more active variables are left; they are decided numerically by
 multistart minimization of ||grad f_gamma||^2 over the slice max|x_i| = 1
 of every sign orthant, and labeled 'nondegenerate-numeric': not a
 certificate.
@@ -34,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError
-from .linalg import eliminate
+from .linalg import eliminate, primitive
 from .polyhedron import FaceData, NewtonPolyhedron, compact_faces
 from .taylor import (
     Exponent,
@@ -108,18 +116,38 @@ def _sign_definite_even(fp: FacePolynomial) -> bool:
     return len(signs) == 1
 
 
-def _kernel_pins_a_term(fp: FacePolynomial) -> bool:
-    """Is some term's entry 0 on every kernel vector of the exponent matrix?
+def _exponent_kernel(fp: FacePolynomial) -> list[tuple[int, ...]]:
+    """A primitive integer basis of ker A, one vector per free column.
+
+    A is the n x m matrix whose columns are the face's exponents.  Its one
+    elimination leaves every pivot row with the same pivot p, so the free
+    column f gives the kernel vector with p at f and minus the pivot rows'
+    entries of column f at their pivot columns, signed so its entry at f is
+    positive.
+    """
+    rows, pivots = eliminate([[exp[i] for exp, _ in fp.terms] for i in range(fp.n)])
+    p = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+    basis = []
+    for f in range(len(fp.terms)):
+        if f in pivots:
+            continue
+        v = [0] * len(fp.terms)
+        v[f] = p
+        for row, col in zip(rows, pivots):
+            v[col] = -row[f]
+        basis.append(primitive(x if p > 0 else -x for x in v))
+    return basis
+
+
+def _kernel_pins_a_term(kernel: list[tuple[int, ...]]) -> bool:
+    """Is some term's entry 0 on every vector of the exponent kernel?
 
     x_i d_i f_gamma = sum_alpha alpha_i c_alpha x^alpha, so at a critical
     point on the complex torus u = (c_alpha x^alpha)_alpha is a kernel vector
-    of the n x m matrix A whose columns are the exponents, with no zero
-    entry.  In the reduced form of A, a pivot row that is 0 on every free
-    column pins its term's entry of u to 0; with ker A = 0 every row does.
+    of the exponent matrix A with no zero entry.  A term whose entry is 0 on
+    the whole basis is pinned to 0; with ker A = 0 every term is.
     """
-    rows, pivots = eliminate([[exp[i] for exp, _ in fp.terms] for i in range(fp.n)])
-    free = [j for j in range(len(fp.terms)) if j not in pivots]
-    return any(not any(row[j] for j in free) for row in rows[: len(pivots)])
+    return not kernel or not all(any(entries) for entries in zip(*kernel))
 
 
 def _univariate_in(poly: PolyDict, var: int, values: dict[int, int]) -> UPoly:
@@ -174,6 +202,77 @@ def _check_two_variable(fp: FacePolynomial, vi: int, vj: int) -> DegeneracyVerdi
     return DegeneracyVerdict(
         "nondegenerate-exact", None, math.inf,
         detail="univariate reduction: partials share no nonzero real root",
+    )
+
+
+def _gf2_solve(equations: list[tuple[int, int]]) -> int | None:
+    """A solution bitmask of a GF(2) system, or None if it has none.
+
+    Each equation is (mask, bit): the XOR of the unknowns in the mask is
+    bit.  Gauss-Jordan on bitmasks: every kept row owns its highest unknown
+    and no other row contains it; free unknowns are set to 0.
+    """
+    pivots: list[tuple[int, int, int]] = []  # (unknown, mask, bit)
+    for mask, bit in equations:
+        for col, pmask, pbit in pivots:
+            if mask >> col & 1:
+                mask, bit = mask ^ pmask, bit ^ pbit
+        if not mask:
+            if bit:
+                return None
+            continue
+        col = mask.bit_length() - 1
+        pivots = [
+            (c, m ^ mask, b ^ bit) if m >> col & 1 else (c, m, b) for c, m, b in pivots
+        ]
+        pivots.append((col, mask, bit))
+    return sum(bit << col for col, _, bit in pivots)
+
+
+def _check_circuit(fp: FacePolynomial, b: tuple[int, ...]) -> DegeneracyVerdict:
+    """Exact decision for a face whose exponent kernel is spanned by one b.
+
+    The support is a circuit (Gelfand, Kapranov and Zelevinsky 1994, ch. 9).
+    A torus point is critical iff c_alpha x^alpha = t b_alpha for all alpha
+    and some real t != 0, i.e. x^alpha = t r_alpha with r_alpha = b_alpha /
+    c_alpha.  In absolute value, A^T log|x| = log|t| + log|r| is solvable iff
+    log|r| lies in the row space of A (which holds the all-ones vector,
+    since the face's points lie on w.alpha = d > 0), i.e. iff <b, log|r|> =
+    0: the identity prod |r_alpha|^{b_alpha} = 1.  In sign, with x_j =
+    (-1)^{e_j} |x_j| and t = (-1)^s |t|, it is the GF(2) system
+    sum_j alpha_j e_j + s = [r_alpha < 0].  The two parts are independent.
+    """
+    ratios = [Fraction(bj) / c for bj, (_, c) in zip(b, fp.terms)]
+    if math.prod(abs(r) ** bj for r, bj in zip(ratios, b)) != 1:
+        return DegeneracyVerdict(
+            "nondegenerate-exact", None, math.inf,
+            detail="circuit: prod |b/c|^b over the terms is not 1",
+        )
+    active = fp.active_vars()
+    k = len(active)
+    # unknown a < k is the sign of x_active[a], unknown k that of t
+    signs = _gf2_solve([
+        (sum((exp[j] & 1) << a for a, j in enumerate(active)) | 1 << k, int(r < 0))
+        for (exp, _), r in zip(fp.terms, ratios)
+    ])
+    if signs is None:
+        return DegeneracyVerdict(
+            "nondegenerate-exact", None, math.inf,
+            detail="circuit: the sign system of the kernel vector has no solution",
+        )
+    # |t| = 1: y = log|x| is the least-norm solution of A^T y = log|r|,
+    # then moved along the face weight w to max |x_j| = 1
+    a_t = np.array([[exp[j] for j in active] for exp, _ in fp.terms], dtype=float)
+    log_r = np.array([math.log(abs(r.numerator)) - math.log(r.denominator) for r in ratios])
+    y = np.linalg.lstsq(a_t, log_r, rcond=None)[0]
+    w = np.array([fp.face.defining_normal[j] for j in active], dtype=float)
+    y += w * np.min(-y / w)
+    witness = [1.0] * fp.n
+    for a, j in enumerate(active):
+        witness[j] = (-1.0 if signs >> a & 1 else 1.0) * math.exp(y[a])
+    return DegeneracyVerdict(
+        "degenerate", tuple(witness), _residual(fp.poly(), fp.n, witness),
+        detail=f"circuit: torus critical point from the kernel vector {b}",
     )
 
 
@@ -372,7 +471,8 @@ def check_face(
             "nondegenerate-exact", None, math.inf,
             detail="sign-definite even face: no torus zero by the Euler identity",
         )
-    if _kernel_pins_a_term(fp):
+    kernel = _exponent_kernel(fp)
+    if _kernel_pins_a_term(kernel):
         return DegeneracyVerdict(
             "nondegenerate-exact", None, math.inf,
             detail="exponent kernel: a term's entry is 0 on every kernel vector",
@@ -380,6 +480,8 @@ def check_face(
     active = fp.active_vars()
     if len(active) == 2:
         return _check_two_variable(fp, active[0], active[1])
+    if len(kernel) == 1:
+        return _check_circuit(fp, kernel[0])
     return _multistart(fp, tol, starts, seed)
 
 

@@ -25,7 +25,7 @@ from lojex.audit import (
     lower_envelope_slope,
     ranking_probes,
 )
-from lojex.cli import AnalysisOptions, _run_audits, analyze_germ
+from lojex.cli import AnalysisOptions, _run_audits, analyze_germ, main
 from lojex.errors import InputError
 from lojex.exponents import transversals
 from lojex.parser import parse_germ, parse_text
@@ -274,13 +274,16 @@ def test_log_space_envelopes_match_pointwise_loop(name, monkeypatch):
 
 def test_audits_of_a_run_share_one_sample(monkeypatch):
     pools = _recorded_pools(monkeypatch)
-    log_f_pools = []
+    log_f_pools, log_g_calls = [], 0
     original = audit._log_poly
     model = germ("quartic_mix")
+    vertex_sum = dict.fromkeys(build_polyhedron(support(model)).vertices, 1)
 
     def recording_log_poly(poly, dirs, log_r):
+        nonlocal log_g_calls
         if poly == model.poly():
             log_f_pools.append(dirs)
+        log_g_calls += poly == vertex_sum
         return original(poly, dirs, log_r)
 
     monkeypatch.setattr(audit, "_log_poly", recording_log_poly)
@@ -289,6 +292,18 @@ def test_audits_of_a_run_share_one_sample(monkeypatch):
     # the shared pool of L1, L0, euler-comparison and f-vs-g, then L2's
     assert len(pools) == 2
     assert len(log_f_pools) == 2 and all(d is p for d, p in zip(log_f_pools, pools))
+    # euler-comparison and f-vs-g read one log g_Gamma
+    assert log_g_calls == 1
+
+
+def test_verify_draws_only_the_pools_its_audits_read(monkeypatch, capsys):
+    # L2 draws a pool of its own; the shared one is drawn only for L1 or L0
+    pools = _recorded_pools(monkeypatch)
+    for flags, count in ((["--dist", "2"], 1), (["--theta", "1/2", "--dist", "2"], 2)):
+        pools.clear()
+        assert main(["verify", "x^2 + y^2", "--samples", "64", *flags]) == 0
+        assert len(pools) == count, flags
+    capsys.readouterr()
 
 
 def _slope_clouds():

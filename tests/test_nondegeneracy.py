@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import subprocess
@@ -16,6 +17,8 @@ from lojex.nondegeneracy import (
     TORUS_FLOOR,
     _CompiledFace,
     _check_two_variable,
+    _exponent_kernel,
+    _gf2_solve,
     _kernel_pins_a_term,
     _normalized_float_poly,
     _sign_definite_even,
@@ -133,15 +136,15 @@ def test_exponent_kernel_rule():
 
 
 def test_numeric_route_on_three_variable_face():
-    # x^3+y^3+z^3+xyz has no torus critical point (multiplying the critical
-    # equations by x, y, z forces x = y = z and then 4t^2 = 0), but the face
-    # is neither two-variable nor sign-definite: the multistart path decides
-    model = parse_text("x^3 + y^3 + z^3 + x*y*z")
+    # five points in three variables, so dim ker A = 2: neither two-variable,
+    # sign-definite nor a circuit, and the multistart path decides.  A sympy
+    # Groebner basis shows no critical point on the complex torus.
+    model = parse_text("x^4 + y^4 + z^4 + x^2*y*z + x*y^2*z")
     poly = build_polyhedron(support(model))
     supp = support(model)
     face = face_of_normal(poly, supp, (1, 1, 1))
     fp = face_polynomial(model, face)
-    assert len(fp.terms) == 4
+    assert len(fp.terms) == 5 and len(_exponent_kernel(fp)) == 2
     v = check_face(fp, starts=8, seed=1)
     assert v.status == "nondegenerate-numeric"
     assert v.residual > 1e-6
@@ -160,6 +163,7 @@ def test_numeric_route_on_three_variable_face():
     assert abs(x - y + z) < 1e-5
 
     # the Hesse cubic at the degenerate parameter: critical on the diagonal
+    # (a circuit, so the circuit route decides it exactly)
     hesse = parse_text("x^3 + y^3 + z^3 - 3*x*y*z")
     polyh = build_polyhedron(support(hesse))
     faceh = face_of_normal(polyh, support(hesse), (1, 1, 1))
@@ -286,7 +290,7 @@ def test_kernel_rule_covers_monomial_faces_and_partials(signed_faces):
         faces += [face_polynomial(model, face) for face in compact_faces(poly, supp)]
     covered = [fp for fp in faces if _monomial_face_or_partial(fp)]
     assert len(covered) > 500
-    assert all(_kernel_pins_a_term(fp) for fp in covered)
+    assert all(_kernel_pins_a_term(_exponent_kernel(fp)) for fp in covered)
 
 
 def test_exact_routes_agree_on_signed_corpus(signed_faces):
@@ -303,7 +307,10 @@ def test_kernel_rule_faces_have_no_complex_torus_critical_point(signed_faces):
     sympy = pytest.importorskip("sympy")
     # every third face that only the kernel rule decides exactly, which keeps
     # the Groebner bases to about 2 s
-    moved = [fp for fp in signed_faces if _kernel_pins_a_term(fp) and _elementary_status(fp) is None]
+    moved = [
+        fp for fp in signed_faces
+        if _kernel_pins_a_term(_exponent_kernel(fp)) and _elementary_status(fp) is None
+    ]
     assert len(moved) > 100
     for fp in moved[::3]:
         assert _torus_critical_basis(sympy, fp) == [1], fp.terms
@@ -311,22 +318,27 @@ def test_kernel_rule_faces_have_no_complex_torus_critical_point(signed_faces):
     for text, normal in (("x^2 - 2*x*y + y^2", (1, 1)),
                          ("x^2*y^2 - 2*x*y*z^2 + z^4 + x^6 + y^6 + z^6", (1, 1, 1))):
         _, fp = _face_poly(text, normal)
-        assert not _kernel_pins_a_term(fp)
+        assert not _kernel_pins_a_term(_exponent_kernel(fp))
         assert _torus_critical_basis(sympy, fp) != [1], text
 
 
 # Face verdicts of germs with faces of three or more active variables, at
 # seed 0 and the default starts.  Every face not listed is
 # nondegenerate-exact, and the counts of their exact routes are pinned too.
-# Residuals are ||grad||^2 of the face polynomial scaled to largest
+# A listed face has its status, the start of its detail and its residual:
+# ||grad||^2 of the face polynomial, for the multistart scaled to largest
 # coefficient 1.
 KERNEL = "exponent kernel: a term's entry is 0 on every kernel vector"
 EULER = "sign-definite even face: no torus zero by the Euler identity"
+CIRCUIT_PRODUCT = "circuit: prod |b/c|^b over the terms is not 1"
+CIRCUIT_SIGNS = "circuit: the sign system of the kernel vector has no solution"
+CIRCUIT_POINT = "circuit: torus critical point from the kernel vector "
+MULTISTART = "multistart minimum of ||grad||^2 on the slice: "
 NUMERIC_PINS = {
+    # its three-variable face is a circuit, b = (2, 1, 1, -4)
     "x^4 + y^4 + z^4 + x^2*y*z": (
-        {EULER: 6},
-        {((0, 0, 4), (0, 4, 0), (2, 1, 1), (4, 0, 0)):
-            ("nondegenerate-numeric", 9.972872589016921)},
+        {EULER: 6, CIRCUIT_PRODUCT: 1},
+        {},
     ),
     # its three-variable face x^3*y + y^3*z + z^3*x has affinely independent
     # exponents, so the exponent kernel decides it
@@ -334,32 +346,28 @@ NUMERIC_PINS = {
         {KERNEL: 16, EULER: 3},
         {},
     ),
+    # six points in four variables: dim ker A = 2
     "x1^4 + x2^4 + x3^4 + x4^4 + x1*x2*x3*x4 - x1^2*x2^2": (
         {EULER: 11, KERNEL: 2,
          "univariate reduction: partials share no nonzero real root": 1},
         {((0, 0, 0, 4), (0, 0, 4, 0), (0, 4, 0, 0), (1, 1, 1, 1), (2, 2, 0, 0), (4, 0, 0, 0)):
-            ("nondegenerate-numeric", 4.876734010779484)},
+            ("nondegenerate-numeric", MULTISTART, 4.876734010779484)},
     ),
-    # planted degenerate face (x*y - z^2)^2; the two faces that add y^6 or
-    # x^6 are the two decided by the exponent kernel
+    # planted degenerate face (x*y - z^2)^2, a circuit with b = (1, -2, 1);
+    # the two faces that add y^6 or x^6 are the two decided by the exponent
+    # kernel
     "x^2*y^2 - 2*x*y*z^2 + z^4 + x^6 + y^6 + z^6": (
         {EULER: 8, KERNEL: 2},
-        {((0, 0, 4), (1, 1, 2), (2, 2, 0)): ("degenerate", None)},
+        {((0, 0, 4), (1, 1, 2), (2, 2, 0)): ("degenerate", CIRCUIT_POINT + "(1, -2, 1)", 0.0)},
     ),
+    # the two four-point faces are circuits; the seven-point face has
+    # dim ker A = 2
     "x1^4 + x2^4 + x3^4 + x4^4 + x5^4 + x1^2*x2*x3 - x3^2*x4*x5": (
-        {EULER: 24, KERNEL: 4},
-        {((0, 0, 0, 0, 4), (0, 0, 0, 4, 0), (0, 0, 2, 1, 1), (0, 0, 4, 0, 0)):
-            ("nondegenerate-numeric", 9.972872589016921),
-         ((0, 0, 0, 0, 4), (0, 0, 0, 4, 0), (0, 0, 2, 1, 1), (0, 0, 4, 0, 0),
+        {EULER: 24, KERNEL: 4, CIRCUIT_PRODUCT: 2},
+        {((0, 0, 0, 0, 4), (0, 0, 0, 4, 0), (0, 0, 2, 1, 1), (0, 0, 4, 0, 0),
           (0, 4, 0, 0, 0), (2, 1, 1, 0, 0), (4, 0, 0, 0, 0)):
-            ("nondegenerate-numeric", 8.717885443651067),
-         ((0, 0, 4, 0, 0), (0, 4, 0, 0, 0), (2, 1, 1, 0, 0), (4, 0, 0, 0, 0)):
-            ("nondegenerate-numeric", 9.972872589016921)},
+            ("nondegenerate-numeric", MULTISTART, 8.717885443651067)},
     ),
-}
-MULTISTART_DETAIL = {
-    "degenerate": "multistart minimizer with residual ",
-    "nondegenerate-numeric": "multistart minimum of ||grad||^2 on the slice: ",
 }
 
 
@@ -376,12 +384,11 @@ def test_numeric_route_verdicts_pinned(text):
     exact = [v for key, v in verdicts.items() if key not in pinned]
     assert all(v.status == "nondegenerate-exact" for v in exact)
     assert Counter(v.detail for v in exact) == Counter(exact_routes)
-    for key, (status, residual) in pinned.items():
+    for key, (status, detail, residual) in pinned.items():
         v = verdicts[key]
         assert v.status == status, key
-        assert v.detail.startswith(MULTISTART_DETAIL[status]), v.detail
-        if residual is not None:
-            assert math.isclose(v.residual, residual, rel_tol=1e-6), (key, v.residual)
+        assert v.detail.startswith(detail), v.detail
+        assert math.isclose(v.residual, residual, rel_tol=1e-6), (key, v.residual)
         if status == "degenerate":
             assert v.residual <= DEFAULT_TOL
             assert min(abs(x) for x in v.witness) >= TORUS_FLOOR
@@ -395,22 +402,160 @@ def test_planted_germ_spurious_faces_not_degenerate():
         assert verdicts[key].status != "degenerate", key
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "circuit faces (dim ker A = 1) go to the multistart until the circuit test "
-    "of ROADMAP item 1 decides them"
-))
-@pytest.mark.parametrize("text", [
-    # face {(0,2,4), (3,3,1), (5,1,3), (5,3,0)}: degenerate at a near-axis point
-    "-2*x1^5*x2^3 - 2*x1^5*x2*x3^3 - 3*x1^3*x2^3*x3 - x2^2*x3^4",
-    # face {(1,1,2), (2,0,3), (4,1,0), (5,0,1)}: inconclusive on a coordinate plane
+# two circuit faces the multistart mislabelled, each with the reason the
+# circuit route gives
+FOUND_CIRCUITS = {
+    # face {(0,2,4), (3,3,1), (5,1,3), (5,3,0)}: called degenerate at a
+    # near-axis point
+    "-2*x1^5*x2^3 - 2*x1^5*x2*x3^3 - 3*x1^3*x2^3*x3 - x2^2*x3^4": CIRCUIT_PRODUCT,
+    # face {(1,1,2), (2,0,3), (4,1,0), (5,0,1)}: called inconclusive on a
+    # coordinate plane
     "3*x1^5*x3 + 3*x1^4*x2 - 2*x1^3*x2*x3^3 - 3*x1^2*x2^2*x3^2 + x1^2*x3^3"
-    " - x1*x2^2*x3^5 - x1*x2*x3^2",
-])
+    " - x1*x2^2*x3^5 - x1*x2*x3^2": CIRCUIT_SIGNS,
+}
+
+
+@pytest.mark.parametrize("text", list(FOUND_CIRCUITS))
 def test_circuit_faces_certified_nondegenerate(text):
     # a sympy Groebner basis of the face's partials and 1 - t*x1*x2*x3 is [1]
     model = parse_text(text)
-    _, ok = check_model(model, build_polyhedron(support(model)))
+    verdicts, ok = check_model(model, build_polyhedron(support(model)))
     assert ok
+    assert [v.detail for v in verdicts.values()].count(FOUND_CIRCUITS[text]) == 1
+    assert main(["nondegen", text]) == 0
+
+
+def _is_circuit(fp) -> bool:
+    """At least three active variables and an exponent kernel of one vector
+    with no zero entry: a face the circuit route decides."""
+    kernel = _exponent_kernel(fp)
+    return len(fp.active_vars()) >= 3 and len(kernel) == 1 and all(kernel[0])
+
+
+def _planted_circuits(sympy, count):
+    """Seeded circuit faces in n = 3 and 4 whose coefficients satisfy the
+    product identity: c_alpha = sign_alpha * b_alpha / |x0^alpha| for a
+    torus point x0 with |x0_j| in {1, 2}.  The even-numbered faces take the
+    signs of t * b_alpha / x0^alpha with t = +-1, so x0 is critical; the
+    odd-numbered ones a sign pattern that no choice of signs of x and t
+    reaches, found by enumeration.  Yields (face polynomial, sign-blocked)
+    pairs."""
+    rng = random.Random(23)
+    planted = 0
+    while planted < count:
+        n = rng.choice((3, 4))
+        w = [rng.randint(1, 3) for _ in range(n)]
+        d = rng.randint(4, 9)
+        points = [p for p in itertools.product(range(d + 1), repeat=n) if dot(w, p) == d]
+        m = rng.randint(3, n + 1)
+        if len(points) < m:
+            continue
+        pts = sorted(rng.sample(points, m))
+        null = sympy.Matrix(pts).T.nullspace()
+        if len(null) != 1 or sum(1 for i in range(n) if any(p[i] for p in pts)) < 3:
+            continue
+        scale = sympy.ilcm(*(entry.q for entry in null[0]))
+        b = [int(entry * scale) for entry in null[0]]
+        if not all(b):
+            continue
+        blocked = planted % 2 == 1
+        if blocked:
+            free = [s for s in itertools.product((0, 1), repeat=m) if s not in _sign_patterns(pts)]
+            if not free:
+                continue
+            flips = rng.choice(free)
+        x0 = [Fraction(rng.choice((1, 2)) * rng.choice((1, -1))) for _ in range(n)]
+        t = rng.choice((1, -1))
+        coeffs = {}
+        for k, p in enumerate(pts):
+            value = math.prod(x**e for x, e in zip(x0, p))
+            coeffs[p] = (-1) ** flips[k] * b[k] / abs(value) if blocked else t * b[k] / value
+        model = TaylorModel.from_dict(n, coeffs, origin_critical=False)
+        planted += 1
+        yield face_polynomial(model, face_of_normal(build_polyhedron(set(pts)), pts, w)), blocked
+
+
+def _sign_patterns(pts):
+    """Every sign pattern of (x^alpha / t)_alpha over all choices of signs
+    of the coordinates and of t, as parities."""
+    n = len(pts[0])
+    return {
+        tuple((dot(p, eps) + tau) % 2 for p in pts)
+        for eps in itertools.product((0, 1), repeat=n)
+        for tau in (0, 1)
+    }
+
+
+def _relative_residual(fp, w) -> Fraction:
+    """max over i of |x_i d_i f(x)| / sum_alpha |c_alpha alpha_i x^alpha| at
+    the float point w, in Fraction arithmetic; invariant under the face's
+    torus action and 0 exactly at a critical point."""
+    x = [Fraction(v) for v in w]
+    worst = Fraction(0)
+    for i in fp.active_vars():
+        terms = [c * e[i] * math.prod(xj**ej for xj, ej in zip(x, e)) for e, c in fp.terms if e[i]]
+        worst = max(worst, abs(sum(terms)) / sum(abs(t) for t in terms))
+    return worst
+
+
+def test_circuit_route_against_oracles(signed_faces):
+    sympy = pytest.importorskip("sympy")
+    # blocked is None on the seeded and pinned faces, and on a planted face
+    # whether its signs were chosen out of reach
+    faces = [(fp, None) for fp in signed_faces if _is_circuit(fp)]
+    for text in NUMERIC_PINS:
+        model = parse_text(text)
+        supp = support(model)
+        for face in compact_faces(build_polyhedron(supp), supp):
+            fp = face_polynomial(model, face)
+            if _is_circuit(fp):
+                faces.append((fp, None))
+    faces += list(_planted_circuits(sympy, 16))
+    # -(x*y - z^2)^2: b_alpha / c_alpha has one sign on every term and
+    # x^(0,0,4) > 0, so the signs are reached only with t < 0
+    faces.append((_face_poly("-x^2*y^2 + 2*x*y*z^2 - z^4", (1, 1, 1))[1], False))
+    seen = Counter()
+    for fp, blocked in faces:
+        assert _is_circuit(fp), fp.terms
+        v = check_face(fp)
+        pts = [exp for exp, _ in fp.terms]
+        seen[v.status] += 1
+        if v.detail == CIRCUIT_PRODUCT:
+            seen["product"] += 1
+            assert v.status == "nondegenerate-exact"
+            assert blocked is None, fp.terms  # planted faces satisfy the identity
+            assert _torus_critical_basis(sympy, fp) == [1], fp.terms
+        elif v.detail == CIRCUIT_SIGNS:
+            seen["signs"] += 1
+            assert v.status == "nondegenerate-exact"
+            assert blocked is not False, fp.terms
+            # the parities [b_alpha / c_alpha < 0] that the signs must reach
+            b = sympy.Matrix(pts).T.nullspace()[0]
+            want = tuple(int(bool(bj < 0) != (c < 0)) for bj, (_, c) in zip(b, fp.terms))
+            assert want not in _sign_patterns(pts), fp.terms
+        else:
+            assert v.status == "degenerate" and v.detail.startswith(CIRCUIT_POINT), v
+            assert blocked is not True, fp.terms
+            assert min(abs(x) for x in v.witness) >= TORUS_FLOOR, v.witness
+            assert max(abs(v.witness[i]) for i in fp.active_vars()) == pytest.approx(1.0)
+            assert _relative_residual(fp, v.witness) <= 1e-6, v.witness
+    assert seen["product"] >= 4 and seen["signs"] >= 8 and seen["degenerate"] >= 8
+
+
+def test_gf2_solve_matches_enumeration():
+    rng = random.Random(5)
+    for _ in range(300):
+        width = rng.randint(1, 5)
+        eqs = [(rng.getrandbits(width), rng.getrandbits(1)) for _ in range(rng.randint(1, 6))]
+        got = _gf2_solve(eqs)
+        solutions = [
+            x for x in range(2**width)
+            if all(bin(x & mask).count("1") % 2 == bit for mask, bit in eqs)
+        ]
+        if got is None:
+            assert not solutions, eqs
+        else:
+            assert got in solutions, eqs
 
 
 def test_numeric_route_needs_no_scipy_optimize():
@@ -418,7 +563,7 @@ def test_numeric_route_needs_no_scipy_optimize():
     code = (
         "import sys\n"
         "from lojex import build_polyhedron, check_model, parse_text, support\n"
-        "m = parse_text('x^4 + y^4 + z^4 + x^2*y*z')\n"
+        "m = parse_text('x1^4 + x2^4 + x3^4 + x4^4 + x1*x2*x3*x4 - x1^2*x2^2')\n"
         "verdicts, _ = check_model(m, build_polyhedron(support(m)), starts=4)\n"
         "assert any(v.status == 'nondegenerate-numeric' for v in verdicts.values())\n"
         "print('scipy.optimize' in sys.modules)\n"

@@ -28,7 +28,7 @@ from lojex.cli import main
 from .conftest import CATALOG
 from .test_nondegeneracy import NUMERIC_PINS
 
-REPORT_DIGEST = "eb4c14fa8b4b8969708ac82dce3f56cbb8783fe36a13cf39845eda675cefcfb0"
+REPORT_DIGEST = "a3b1eb85a9a3ae3f30fe9ff497dceb88de6718a5bd1b0d11a554d8bef9326d6e"
 AUDIT_DIGEST = "a37097e96754e340d64f5b8695d019f9f4e0300e4988325e8124948500f35622"
 
 
