@@ -1,7 +1,7 @@
 """Kouchnirenko non-degeneracy: does some compact face polynomial have a
 critical point on the real torus (R \\ 0)^n?
 
-Verdicts come in four flavors.  Exact decisions come in four routes,
+Verdicts come in four flavors.  Exact decisions come in five routes,
 tried in this order.  Faces that are sign-definite with even exponents are
 nonzero on the torus, so the weighted Euler identity forces a nonzero
 partial.  The exponent-kernel route: x_i d_i f_gamma = sum alpha_i c_alpha
@@ -18,12 +18,17 @@ with no zero entry (the support is a circuit; Gelfand, Kapranov and
 Zelevinsky 1994, ch. 9): a torus critical point exists iff the Fraction
 identity prod |b_alpha / c_alpha|^{b_alpha} = 1 holds and a GF(2) system
 for the signs is solvable, and then one is written down from the
-least-norm solution of A^T log|x| = log|b / c|.  The route reuses the one
-elimination of the kernel route.  Only faces with dim ker A >= 2 and three
-or more active variables are left; they are decided numerically by
-multistart minimization of ||grad f_gamma||^2 over the slice max|x_i| = 1
-of every sign orthant, and labeled 'nondegenerate-numeric': not a
-certificate.
+least-norm solution of A^T log|x| = log|b / c|.  The pencil route takes
+dim ker A = 2 the same way along the kernel vectors u(s) = b1 + s b2 (the
+Horn-Kapranov parametrisation, Kapranov 1991): on each interval of the
+s-line where the signs of u are constant, the sign system and a common
+root of the two product identities, found by a gcd and Sturm root
+isolation.  Both routes reuse the one elimination of the kernel route.
+The order is: sign-definite even -> exponent kernel -> two variables ->
+circuit (dim ker A = 1) -> pencil (dim ker A = 2) -> dim ker A >= 3 ->
+multistart.  That last route minimizes ||grad f_gamma||^2 over the slice
+max|x_i| = 1 of every sign orthant and labels the face
+'nondegenerate-numeric': not a certificate.
 
 The multistart compiles the face polynomial once into a monomial basis for
 its gradient and Hessian and runs projected Levenberg-Marquardt on every
@@ -52,7 +57,16 @@ from .taylor import (
     poly_eval_float,
     support,
 )
-from .univariate import UPoly, count_real_roots, isolate_real_root, strip_root_at_zero, ugcd, utrim
+from .univariate import (
+    UPoly,
+    isolate_root_between,
+    strip_root_at_zero,
+    ueval,
+    ugcd,
+    umul,
+    upow,
+    utrim,
+)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_STARTS = 64
@@ -185,11 +199,8 @@ def _check_two_variable(fp: FacePolynomial, vi: int, vj: int) -> DegeneracyVerdi
             g = strip_root_at_zero(gi or gj)
         else:
             g = strip_root_at_zero(ugcd(gi, gj))
-        if len(g) == 0:
-            continue
-        if len(g) > 1 and count_real_roots(g) > 0:
-            root = isolate_real_root(g)
-            assert root is not None
+        root = isolate_root_between(g)
+        if root is not None:
             witness = [1.0] * fp.n
             witness[vi] = float(root)
             witness[vj] = float(sign)
@@ -229,6 +240,34 @@ def _gf2_solve(equations: list[tuple[int, int]]) -> int | None:
     return sum(bit << col for col, _, bit in pivots)
 
 
+def _sign_system(fp: FacePolynomial, negative: list[bool]) -> int | None:
+    """Signs of a torus point with x^alpha = t r_alpha, given which r_alpha
+    are negative: with x_j = (-1)^{e_j} |x_j| and t = (-1)^s |t|, the GF(2)
+    system sum_j alpha_j e_j + s = [r_alpha < 0].  Unknown a < k is the sign
+    of the a-th active variable, unknown k that of t; None if unsolvable."""
+    active = fp.active_vars()
+    return _gf2_solve([
+        (sum((exp[j] & 1) << a for a, j in enumerate(active)) | 1 << len(active), int(neg))
+        for (exp, _), neg in zip(fp.terms, negative)
+    ])
+
+
+def _torus_point(fp: FacePolynomial, ratios: list[Fraction], signs: int, detail: str) -> DegeneracyVerdict:
+    """The degenerate verdict at the torus point x^alpha = t r_alpha: |t| = 1,
+    y = log|x| the least-norm solution of A^T y = log|r|, moved along the face
+    weight w to max |x_j| = 1, with the signs of `_sign_system`."""
+    active = fp.active_vars()
+    a_t = np.array([[exp[j] for j in active] for exp, _ in fp.terms], dtype=float)
+    log_r = np.array([math.log(abs(r.numerator)) - math.log(r.denominator) for r in ratios])
+    y = np.linalg.lstsq(a_t, log_r, rcond=None)[0]
+    w = np.array([fp.face.defining_normal[j] for j in active], dtype=float)
+    y += w * np.min(-y / w)
+    witness = [1.0] * fp.n
+    for a, j in enumerate(active):
+        witness[j] = (-1.0 if signs >> a & 1 else 1.0) * math.exp(y[a])
+    return DegeneracyVerdict("degenerate", tuple(witness), _residual(fp.poly(), fp.n, witness), detail)
+
+
 def _check_circuit(fp: FacePolynomial, b: tuple[int, ...]) -> DegeneracyVerdict:
     """Exact decision for a face whose exponent kernel is spanned by one b.
 
@@ -238,9 +277,8 @@ def _check_circuit(fp: FacePolynomial, b: tuple[int, ...]) -> DegeneracyVerdict:
     c_alpha.  In absolute value, A^T log|x| = log|t| + log|r| is solvable iff
     log|r| lies in the row space of A (which holds the all-ones vector,
     since the face's points lie on w.alpha = d > 0), i.e. iff <b, log|r|> =
-    0: the identity prod |r_alpha|^{b_alpha} = 1.  In sign, with x_j =
-    (-1)^{e_j} |x_j| and t = (-1)^s |t|, it is the GF(2) system
-    sum_j alpha_j e_j + s = [r_alpha < 0].  The two parts are independent.
+    0: the identity prod |r_alpha|^{b_alpha} = 1.  In sign it is the GF(2)
+    system of `_sign_system`.  The two parts are independent.
     """
     ratios = [Fraction(bj) / c for bj, (_, c) in zip(b, fp.terms)]
     if math.prod(abs(r) ** bj for r, bj in zip(ratios, b)) != 1:
@@ -248,31 +286,72 @@ def _check_circuit(fp: FacePolynomial, b: tuple[int, ...]) -> DegeneracyVerdict:
             "nondegenerate-exact", None, math.inf,
             detail="circuit: prod |b/c|^b over the terms is not 1",
         )
-    active = fp.active_vars()
-    k = len(active)
-    # unknown a < k is the sign of x_active[a], unknown k that of t
-    signs = _gf2_solve([
-        (sum((exp[j] & 1) << a for a, j in enumerate(active)) | 1 << k, int(r < 0))
-        for (exp, _), r in zip(fp.terms, ratios)
-    ])
+    signs = _sign_system(fp, [r < 0 for r in ratios])
     if signs is None:
         return DegeneracyVerdict(
             "nondegenerate-exact", None, math.inf,
             detail="circuit: the sign system of the kernel vector has no solution",
         )
-    # |t| = 1: y = log|x| is the least-norm solution of A^T y = log|r|,
-    # then moved along the face weight w to max |x_j| = 1
-    a_t = np.array([[exp[j] for j in active] for exp, _ in fp.terms], dtype=float)
-    log_r = np.array([math.log(abs(r.numerator)) - math.log(r.denominator) for r in ratios])
-    y = np.linalg.lstsq(a_t, log_r, rcond=None)[0]
-    w = np.array([fp.face.defining_normal[j] for j in active], dtype=float)
-    y += w * np.min(-y / w)
-    witness = [1.0] * fp.n
-    for a, j in enumerate(active):
-        witness[j] = (-1.0 if signs >> a & 1 else 1.0) * math.exp(y[a])
+    return _torus_point(
+        fp, ratios, signs, f"circuit: torus critical point from the kernel vector {b}"
+    )
+
+
+def _check_pencil(fp: FacePolynomial, b1: tuple[int, ...], b2: tuple[int, ...]) -> DegeneracyVerdict:
+    """Exact decision for a face whose exponent kernel is spanned by b1, b2.
+
+    The kernel vectors up to scale are u(s) = b1 + s b2 and b2 (s =
+    infinity), the Horn-Kapranov parametrisation (Kapranov 1991; Gelfand,
+    Kapranov and Zelevinsky 1994, ch. 9).  b2 is 0 at the free column of b1
+    (`_exponent_kernel`), so only the s-line can hold a torus point.  As for
+    a circuit, a u with no zero entry comes from a torus critical point iff
+    r = u / c passes the sign system and prod |r_alpha|^{b_alpha} = 1 holds
+    for b = b1 and b = b2.
+    The roots of the entries u_alpha(s) cut the s-line into open intervals
+    of constant signs sigma.  On each, |u_alpha| = sigma_alpha u_alpha turns
+    the identity for b into the polynomial C_- L(s) - eps C_+ R(s), where L
+    and R are the products of u_alpha^{|b_alpha|} over b_alpha > 0 and
+    b_alpha < 0, C_+ and C_- those of |c_alpha|^{|b_alpha|}, and eps the
+    product of sigma_alpha over the odd b_alpha.  An interval holds a
+    critical point iff its signs are solvable and the gcd of its two
+    identities has a root strictly inside it (every point does, if both
+    identities vanish).
+    """
+    lines = [utrim([Fraction(x), Fraction(y)]) for x, y in zip(b1, b2)]
+    sides = []  # per basis vector: C_- L and C_+ R
+    for b in (b1, b2):
+        pair = [[Fraction(1)], [Fraction(1)]]
+        for line, (_, c), e in zip(lines, fp.terms, b):
+            pair[e < 0] = umul(pair[e < 0], upow(line, abs(e)))
+            pair[e > 0] = [v * abs(c) ** abs(e) for v in pair[e > 0]]
+        sides.append(pair)
+    gcds: dict[tuple[bool, ...], UPoly] = {}
+    cuts = sorted({Fraction(-x, y) for x, y in zip(b1, b2) if y})
+    ends = [None, *cuts, None]
+    for lo, hi in zip(ends, ends[1:]):
+        inner = hi - 1 if lo is None else lo + 1 if hi is None else (lo + hi) / 2
+        negative = [ueval(line, inner) < 0 for line in lines]
+        signs = _sign_system(fp, [n != (c < 0) for n, (_, c) in zip(negative, fp.terms)])
+        if signs is None:
+            continue
+        # eps = -1 for b iff an odd number of its odd entries sit on negative u_alpha
+        key = tuple(sum(n for n, e in zip(negative, b) if e % 2) % 2 == 1 for b in (b1, b2))
+        if key not in gcds:
+            gcds[key] = ugcd(*(
+                utrim([x + y if flip else x - y for x, y in itertools.zip_longest(
+                    left, right, fillvalue=Fraction(0))])
+                for (left, right), flip in zip(sides, key)
+            ))
+        s = isolate_root_between(gcds[key], lo, hi) if gcds[key] else inner
+        if s is not None:
+            return _torus_point(
+                fp, [ueval(line, s) / c for line, (_, c) in zip(lines, fp.terms)], signs,
+                f"kernel pencil: torus critical point from the kernel vector {b1} + s*{b2}, "
+                f"s ~ {float(s):.6g}",
+            )
     return DegeneracyVerdict(
-        "degenerate", tuple(witness), _residual(fp.poly(), fp.n, witness),
-        detail=f"circuit: torus critical point from the kernel vector {b}",
+        "nondegenerate-exact", None, math.inf,
+        detail="kernel pencil: no kernel vector passes both product identities and its sign system",
     )
 
 
@@ -482,6 +561,8 @@ def check_face(
         return _check_two_variable(fp, active[0], active[1])
     if len(kernel) == 1:
         return _check_circuit(fp, kernel[0])
+    if len(kernel) == 2:
+        return _check_pencil(fp, *kernel)
     return _multistart(fp, tol, starts, seed)
 
 

@@ -24,11 +24,15 @@ n - 1 generators and no third ray's set contains it.
 Vertices are then certified against the H-rep: a support point is a vertex
 iff n linearly independent facets are active there.
 
-The face lattice is read from these two representations once: each facet
-is a bitmask over the vertices and coordinate directions it contains, the
-faces are the AND-closure of those masks, and every face carries the
-indices of the facets through it (`_enumerate_proper_faces`).  Compact
-faces and the normal fan take their facet incidences from there.
+Faces are read from these two representations as facet bitmasks.  The
+compact faces grow from the vertices: each support point and coordinate
+direction has the mask of the facets through it, the join of a face with
+a vertex has the facets through both, and a join that some coordinate
+direction's mask covers is unbounded and dropped (`compact_faces`).  The
+normal fan needs every face: each facet is a bitmask over the vertices and
+coordinate directions it contains, the faces are the AND-closure of those
+masks, and every face carries the indices of the facets through it
+(`_enumerate_proper_faces`).
 """
 
 from __future__ import annotations
@@ -244,20 +248,46 @@ def compact_faces(
 ) -> list[FaceData]:
     """Every face with a strictly positive defining normal, once each.
 
-    Includes all vertices.  The defining normal returned is the sum of the
-    normals of the facets through the face, which is strictly positive
-    exactly for compact faces.
+    Includes all vertices.  Each support point and each coordinate direction
+    carries a bitmask over the facets through it, and a face is carried as
+    its facet set fs, the mask of the facets through it.  The join of a face
+    with a vertex v, the least face holding both, has facet set fs & inc[v];
+    it is unbounded iff some coordinate direction lies in every facet of
+    fs.  A compact face is the join of its vertices, so growing joins from
+    each vertex and dropping the unbounded ones reaches every compact face
+    through compact faces only.  A face's lattice points are the support
+    points whose mask covers fs, and its defining normal is the sum of the
+    normals of the facets in fs, strictly positive exactly for compact
+    faces.
     """
-    support = list(support)
+    support = set(support)
+    masks = {
+        p: sum(1 << k for k, f in enumerate(poly.facets) if dot(f.normal, p) == f.offset)
+        for p in support | poly.vertices
+    }
+    inc = [masks[v] for v in sorted(poly.vertices)]
+    rays = [
+        sum(1 << k for k, f in enumerate(poly.facets) if f.normal[i] == 0)
+        for i in range(poly.n)
+    ]
+    seen = set(inc)
+    faces = list(inc)  # grows while it is walked
+    for fs in faces:
+        for m in inc:
+            join = fs & m
+            if join not in seen:
+                seen.add(join)
+                if not any(r & join == join for r in rays):
+                    faces.append(join)
     out = []
-    for verts, rays, tight in _enumerate_proper_faces(poly):
-        if rays:
-            continue  # recession directions: the face is unbounded
-        normal = tuple(sum(poly.facets[k].normal[i] for k in tight) for i in range(poly.n))
+    for fs in faces:
+        tight, rest = [], fs
+        while rest:
+            tight.append(poly.facets[(rest & -rest).bit_length() - 1].normal)
+            rest &= rest - 1
+        normal = tuple(map(sum, zip(*tight)))
         assert all(x > 0 for x in normal)
-        level = dot(normal, next(iter(verts)))
-        pts = frozenset(p for p in support if dot(normal, p) == level)
-        out.append(FaceData(normal, pts))
+        out.append(FaceData(normal, frozenset(p for p in support if masks[p] & fs == fs)))
     return sorted(out, key=lambda fd: sorted(fd.lattice_points))
 
 

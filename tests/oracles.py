@@ -8,7 +8,9 @@ oracle walks all s! rankings of the zero-set variables, cone facets and
 cone membership come from a fresh double-description run on the cone's
 generators (lojex reads cone facets off the face lattice instead), the
 fan validator checks the fan condition pairwise with exact cone algebra,
-the parallelepiped oracle walks the bounding box of the cone with a
+the compact-face oracle filters the whole face lattice (the AND-closure of
+the facet masks that the normal fan uses) instead of growing faces from the
+vertices, the parallelepiped oracle walks the bounding box of the cone with a
 Fraction inverse, the stellar-step oracle solves for the new ray in
 every maximal cone instead of splitting only the cones around its face,
 and the envelope-slope oracle takes each bin's minimum with its own
@@ -34,7 +36,13 @@ from lojex.fan import (
     cone_det,
 )
 from lojex.linalg import dot, eliminate, mat_rank, solve_scaled
-from lojex.polyhedron import NewtonPolyhedron, contains, dd_dual_rays
+from lojex.polyhedron import (
+    FaceData,
+    NewtonPolyhedron,
+    _enumerate_proper_faces,
+    contains,
+    dd_dual_rays,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +121,20 @@ def is_vertex_lp(point: tuple[int, ...], support: set[tuple[int, ...]]) -> bool:
 
 # ---------------------------------------------------------------------------
 # 2D staircase hull
+
+def compact_faces_from_lattice(poly: NewtonPolyhedron, support) -> list[FaceData]:
+    """The faces of the whole face lattice with no recession direction, each
+    with the sum of the normals of the facets through it and the support
+    points that normal attains its least value on."""
+    out = []
+    for verts, rays, tight in _enumerate_proper_faces(poly):
+        if rays:
+            continue
+        normal = tuple(sum(poly.facets[k].normal[i] for k in tight) for i in range(poly.n))
+        level = dot(normal, next(iter(verts)))
+        out.append(FaceData(normal, frozenset(p for p in support if dot(normal, p) == level)))
+    return sorted(out, key=lambda fd: sorted(fd.lattice_points))
+
 
 def staircase_vertices_2d(points: set[tuple[int, int]]) -> set[tuple[int, int]]:
     """Vertices of conv(points) + R^2_+ via the Pareto staircase walk."""

@@ -136,18 +136,18 @@ def test_exponent_kernel_rule():
 
 
 def test_numeric_route_on_three_variable_face():
-    # five points in three variables, so dim ker A = 2: neither two-variable,
-    # sign-definite nor a circuit, and the multistart path decides.  A sympy
-    # Groebner basis shows no critical point on the complex torus.
-    model = parse_text("x^4 + y^4 + z^4 + x^2*y*z + x*y^2*z")
+    # six points in three variables, so dim ker A = 3: no exact route applies
+    # and the multistart decides.  A sympy Groebner basis shows no critical
+    # point on the complex torus.
+    model = parse_text("x^4 + y^4 + z^4 + x^2*y*z + x*y^2*z + x*y*z^2")
     poly = build_polyhedron(support(model))
     supp = support(model)
     face = face_of_normal(poly, supp, (1, 1, 1))
     fp = face_polynomial(model, face)
-    assert len(fp.terms) == 5 and len(_exponent_kernel(fp)) == 2
+    assert len(fp.terms) == 6 and len(_exponent_kernel(fp)) == 3
     v = check_face(fp, starts=8, seed=1)
     assert v.status == "nondegenerate-numeric"
-    assert v.residual > 1e-6
+    assert v.residual == pytest.approx(9.365231707587823, rel=1e-6)
 
     # a genuinely degenerate 3-variable face: (x - y + z)^2
     deg = parse_text(
@@ -333,7 +333,8 @@ EULER = "sign-definite even face: no torus zero by the Euler identity"
 CIRCUIT_PRODUCT = "circuit: prod |b/c|^b over the terms is not 1"
 CIRCUIT_SIGNS = "circuit: the sign system of the kernel vector has no solution"
 CIRCUIT_POINT = "circuit: torus critical point from the kernel vector "
-MULTISTART = "multistart minimum of ||grad||^2 on the slice: "
+PENCIL = "kernel pencil: no kernel vector passes both product identities and its sign system"
+PENCIL_POINT = "kernel pencil: torus critical point from the kernel vector "
 NUMERIC_PINS = {
     # its three-variable face is a circuit, b = (2, 1, 1, -4)
     "x^4 + y^4 + z^4 + x^2*y*z": (
@@ -346,12 +347,11 @@ NUMERIC_PINS = {
         {KERNEL: 16, EULER: 3},
         {},
     ),
-    # six points in four variables: dim ker A = 2
+    # six points in four variables: dim ker A = 2, a pencil of kernel vectors
     "x1^4 + x2^4 + x3^4 + x4^4 + x1*x2*x3*x4 - x1^2*x2^2": (
-        {EULER: 11, KERNEL: 2,
+        {EULER: 11, KERNEL: 2, PENCIL: 1,
          "univariate reduction: partials share no nonzero real root": 1},
-        {((0, 0, 0, 4), (0, 0, 4, 0), (0, 4, 0, 0), (1, 1, 1, 1), (2, 2, 0, 0), (4, 0, 0, 0)):
-            ("nondegenerate-numeric", MULTISTART, 4.876734010779484)},
+        {},
     ),
     # planted degenerate face (x*y - z^2)^2, a circuit with b = (1, -2, 1);
     # the two faces that add y^6 or x^6 are the two decided by the exponent
@@ -363,10 +363,8 @@ NUMERIC_PINS = {
     # the two four-point faces are circuits; the seven-point face has
     # dim ker A = 2
     "x1^4 + x2^4 + x3^4 + x4^4 + x5^4 + x1^2*x2*x3 - x3^2*x4*x5": (
-        {EULER: 24, KERNEL: 4, CIRCUIT_PRODUCT: 2},
-        {((0, 0, 0, 0, 4), (0, 0, 0, 4, 0), (0, 0, 2, 1, 1), (0, 0, 4, 0, 0),
-          (0, 4, 0, 0, 0), (2, 1, 1, 0, 0), (4, 0, 0, 0, 0)):
-            ("nondegenerate-numeric", MULTISTART, 8.717885443651067)},
+        {EULER: 24, KERNEL: 4, CIRCUIT_PRODUCT: 2, PENCIL: 1},
+        {},
     ),
 }
 
@@ -542,6 +540,90 @@ def test_circuit_route_against_oracles(signed_faces):
     assert seen["product"] >= 4 and seen["signs"] >= 8 and seen["degenerate"] >= 8
 
 
+def _pencil_faces(count, planted):
+    """Seeded faces of n + 2 points on w.alpha = d in n = 3 and 4 variables,
+    every variable active, with dim ker A = 2, no term pinned by the kernel
+    and kernel entries of at most 12 in absolute value (a face with entries
+    up to 14 took sympy's Groebner basis over 8 s).  Unplanted faces take coefficients +-1..3.  A planted face takes
+    c_alpha = u_alpha / x0^alpha for a torus point x0 with |x0_j| in
+    {1/2, 1, 3/2, 2, 3} and the kernel vector u = b1 + s0 b2 at a rational
+    s0 where it has no zero entry, so x0 is critical."""
+    rng = random.Random(31 if planted else 37)
+    made = 0
+    while made < count:
+        n = rng.choice((3, 4))
+        w = [rng.randint(1, 3) for _ in range(n)]
+        d = rng.randint(4, 8)
+        points = [p for p in itertools.product(range(d + 1), repeat=n) if dot(w, p) == d]
+        if len(points) < n + 2:
+            continue
+        pts = sorted(rng.sample(points, n + 2))
+        coeffs = {p: rng.choice((-3, -2, -1, 1, 2, 3)) for p in pts}
+        model = TaylorModel.from_dict(n, coeffs, origin_critical=False)
+        fp = face_polynomial(model, face_of_normal(build_polyhedron(set(pts)), pts, w))
+        kernel = _exponent_kernel(fp)
+        if len(fp.active_vars()) < n or len(kernel) != 2 or _kernel_pins_a_term(kernel):
+            continue
+        if max(abs(e) for b in kernel for e in b) > 12:
+            continue
+        if planted:
+            s0 = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            u = [x + s0 * y for x, y in zip(*kernel)]
+            if not all(u):
+                continue
+            x0 = [Fraction(rng.choice((1, 2, 3, 4, 6)), 2) * rng.choice((1, -1)) for _ in range(n)]
+            coeffs = {p: ui / math.prod(x**e for x, e in zip(x0, p)) for p, ui in zip(pts, u)}
+            model = TaylorModel.from_dict(n, coeffs, origin_critical=False)
+            fp = face_polynomial(model, face_of_normal(build_polyhedron(set(pts)), pts, w))
+        made += 1
+        yield fp
+
+
+def test_pencil_route_against_oracles():
+    sympy = pytest.importorskip("sympy")
+    seen = Counter()
+    for planted in (False, True):
+        for fp in _pencil_faces(16, planted):
+            v = check_face(fp)
+            seen[planted, v.status] += 1
+            if v.status == "nondegenerate-exact":
+                assert v.detail == PENCIL
+                assert not planted, fp.terms
+                # a complex torus critical point alone would be allowed here
+                seen["complex"] += _torus_critical_basis(sympy, fp) != [1]
+                continue
+            assert v.status == "degenerate" and v.detail.startswith(PENCIL_POINT), v
+            assert _torus_critical_basis(sympy, fp) != [1], fp.terms
+            assert min(abs(x) for x in v.witness) >= TORUS_FLOOR, v.witness
+            assert max(abs(v.witness[i]) for i in fp.active_vars()) == pytest.approx(1.0)
+            assert _relative_residual(fp, v.witness) <= 1e-6, v.witness
+    assert seen[True, "degenerate"] == 16
+    assert seen[False, "nondegenerate-exact"] >= 12
+
+
+def test_pencil_route_on_the_multistart_faces_it_replaced():
+    # the three faces with dim ker A = 2 that went to the multistart, which
+    # called them nondegenerate-numeric; sympy Groebner bases show no complex
+    # torus critical point on any of them
+    for text, normal in (
+        ("x1^4 + x2^4 + x3^4 + x4^4 + x1*x2*x3*x4 - x1^2*x2^2", (1, 1, 1, 1)),
+        ("x1^4 + x2^4 + x3^4 + x4^4 + x5^4 + x1^2*x2*x3 - x3^2*x4*x5", (1, 1, 1, 1, 1)),
+        ("x^4 + y^4 + z^4 + x^2*y*z + x*y^2*z", (1, 1, 1)),
+    ):
+        _, fp = _face_poly(text, normal)
+        assert len(_exponent_kernel(fp)) == 2 and len(fp.active_vars()) >= 3
+        v = check_face(fp)
+        assert (v.status, v.detail) == ("nondegenerate-exact", PENCIL), text
+    # the kernel of this face is spanned by b1 = (1, 3, -8, 4, 0) and b2 =
+    # (1, 2, -4, 0, 1); c = b1 + b2 makes (1, 1, 1) critical
+    _, fp = _face_poly("2*z^4 + 5*y^4 - 12*x*y^2*z + 4*x^2*y*z + x^4", (1, 1, 1))
+    assert _exponent_kernel(fp) == [(1, 3, -8, 4, 0), (1, 2, -4, 0, 1)]
+    v = check_face(fp)
+    assert v.status == "degenerate" and v.detail.startswith(PENCIL_POINT), v
+    assert v.witness == pytest.approx((1.0, 1.0, 1.0))
+    assert v.residual <= DEFAULT_TOL
+
+
 def test_gf2_solve_matches_enumeration():
     rng = random.Random(5)
     for _ in range(300):
@@ -563,7 +645,7 @@ def test_numeric_route_needs_no_scipy_optimize():
     code = (
         "import sys\n"
         "from lojex import build_polyhedron, check_model, parse_text, support\n"
-        "m = parse_text('x1^4 + x2^4 + x3^4 + x4^4 + x1*x2*x3*x4 - x1^2*x2^2')\n"
+        "m = parse_text('x^4 + y^4 + z^4 + x^2*y*z + x*y^2*z + x*y*z^2')\n"
         "verdicts, _ = check_model(m, build_polyhedron(support(m)), starts=4)\n"
         "assert any(v.status == 'nondegenerate-numeric' for v in verdicts.values())\n"
         "print('scipy.optimize' in sys.modules)\n"

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,13 @@ from lojex.polyhedron import (
     support_value,
 )
 
-from .oracles import entry_parameter_bisect, is_vertex_lp, staircase_vertices_2d
+from .conftest import random_support, run_lojex
+from .oracles import (
+    compact_faces_from_lattice,
+    entry_parameter_bisect,
+    is_vertex_lp,
+    staircase_vertices_2d,
+)
 
 
 def test_build_examples():
@@ -81,6 +88,30 @@ def test_compact_faces_examples():
     }
     for f in faces:
         assert f.compact and all(a > 0 for a in f.defining_normal)
+
+
+def test_compact_faces_match_the_face_lattice():
+    # faces grown from the vertices against the filtered face lattice, on
+    # seeded supports with n = 2..6
+    rng = random.Random(41)
+    for k in range(100):
+        n = 2 + k % 5
+        supp = random_support(rng, n, max_points=6 + 2 * n, max_entry=7)
+        poly = build_polyhedron(supp)
+        assert compact_faces(poly, supp) == compact_faces_from_lattice(poly, supp), supp
+
+
+def test_nondegen_on_large_support_in_time():
+    # 3353 compact faces among 1683 facets; closing the whole face lattice
+    # made `nondegen` take about 25 s
+    rng = random.Random(5)
+    points = sorted({tuple(rng.randint(0, 6) for _ in range(8)) for _ in range(60)})
+    text = " + ".join("*".join(f"x{i + 1}^{e}" for i, e in enumerate(p) if e) for p in points)
+    start = time.perf_counter()
+    proc = run_lojex("nondegen", text)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 10, elapsed
 
 
 def test_g_gamma_eval_examples():

@@ -3,12 +3,17 @@ from fractions import Fraction
 
 import numpy as np
 
+import pytest
+
 from lojex.univariate import (
     count_real_roots,
-    isolate_real_root,
+    isolate_root_between,
+    square_free,
     strip_root_at_zero,
     ueval,
     ugcd,
+    umul,
+    upow,
     utrim,
 )
 
@@ -63,7 +68,68 @@ def test_gcd_and_strip():
 
 def test_isolate_real_root():
     p = _poly(-2, 0, 1)  # x^2 - 2
-    r = isolate_real_root(p)
+    r = isolate_root_between(p)
     assert r is not None
     assert abs(abs(float(r)) - 2**0.5) < 1e-9
-    assert isolate_real_root(_poly(1, 0, 1)) is None
+    assert abs(r * r - 2) < Fraction(1, 2**60)
+    assert isolate_root_between(p, Fraction(0)) > 0
+    assert isolate_root_between(p, None, Fraction(-1)) < 0
+    assert isolate_root_between(p, Fraction(-1), Fraction(1)) is None
+    assert isolate_root_between(_poly(1, 0, 1)) is None
+    assert isolate_root_between(_poly(5)) is None
+
+
+def _from_roots(roots, extra=(1,)):
+    p = _poly(*extra)
+    for r in roots:
+        p = umul(p, _poly(-r, 1))
+    return p
+
+
+def test_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(17)
+    for _ in range(150):
+        common = _poly(*(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))))
+        a = umul(common, _poly(*(rng.randint(-5, 5) for _ in range(rng.randint(1, 6)))))
+        b = umul(common, _poly(*(rng.randint(-5, 5) for _ in range(rng.randint(1, 6)))))
+        want = sympy.Poly(sympy.gcd(
+            sympy.Poly(list(reversed(a)) or [0], x), sympy.Poly(list(reversed(b)) or [0], x)
+        ), x, domain="QQ")
+        got = ugcd(a, b)
+        if want.is_zero:
+            assert got == []
+        else:
+            assert got == [Fraction(int(c.p), int(c.q)) for c in reversed(want.monic().all_coeffs())]
+    assert ugcd([], []) == []
+    assert ugcd([], _poly(2, 4)) == _poly(Fraction(1, 2), 1)
+
+
+def test_square_free_and_powers():
+    p = umul(upow(_poly(-1, 1), 3), upow(_poly(2, 1), 2))  # (x - 1)^3 (x + 2)^2
+    assert square_free(p) == umul(_poly(-1, 1), _poly(2, 1))
+    assert upow(_poly(1, 1), 0) == _poly(1)
+
+
+def test_roots_between_match_the_planted_roots():
+    # roots on a grid of rationals, some repeated, times x^2 + 1; the ends
+    # of the interval come from the same grid, so they are often roots
+    # themselves, and an end may be infinite
+    grid = [Fraction(k, 3) for k in range(-9, 10)]
+    rng = random.Random(19)
+    for _ in range(300):
+        roots = [rng.choice(grid) for _ in range(rng.randint(0, 4))]
+        p = _from_roots(roots + roots[:rng.randint(0, 2)], extra=rng.choice(((3,), (1, 0, 1))))
+        lo, hi = sorted(rng.sample(grid, 2))
+        lo = None if rng.random() < 0.2 else lo
+        hi = None if rng.random() < 0.2 else hi
+        inside = [r for r in roots if (lo is None or lo < r) and (hi is None or r < hi)]
+        assert count_real_roots(p, lo, hi) == len(set(inside)), (p, lo, hi)
+        got = isolate_root_between(p, lo, hi)
+        if not inside:
+            assert got is None, (p, lo, hi)
+            continue
+        assert got is not None, (p, lo, hi)
+        assert (lo is None or lo < got) and (hi is None or got < hi)
+        assert min(abs(got - r) for r in inside) <= Fraction(1, 2**64) * max(1, *map(abs, inside))
