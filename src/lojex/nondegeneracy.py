@@ -64,7 +64,6 @@ from .univariate import (
     ueval,
     ugcd,
     umul,
-    upow,
     utrim,
 )
 
@@ -322,7 +321,8 @@ def _check_pencil(fp: FacePolynomial, b1: tuple[int, ...], b2: tuple[int, ...]) 
     for b in (b1, b2):
         pair = [[Fraction(1)], [Fraction(1)]]
         for line, (_, c), e in zip(lines, fp.terms, b):
-            pair[e < 0] = umul(pair[e < 0], upow(line, abs(e)))
+            for _ in range(abs(e)):
+                pair[e < 0] = umul(pair[e < 0], line)
             pair[e > 0] = [v * abs(c) ** abs(e) for v in pair[e > 0]]
         sides.append(pair)
     gcds: dict[tuple[bool, ...], UPoly] = {}

@@ -64,13 +64,6 @@ def umul(a: UPoly, b: UPoly) -> UPoly:
     return out
 
 
-def upow(p: UPoly, e: int) -> UPoly:
-    out = [Fraction(1)]
-    for _ in range(e):
-        out = umul(out, p)
-    return out
-
-
 def _primitive(p: Sequence) -> list[int]:
     """The integer multiple of a nonzero p with coprime coefficients and a
     positive leading coefficient."""
@@ -161,9 +154,9 @@ def count_real_roots(p: UPoly, lo: Fraction | None = None, hi: Fraction | None =
 
 
 def isolate_root_between(
-    p: UPoly, lo: Fraction | None = None, hi: Fraction | None = None, bits: int = 64
+    p: UPoly, lo: Fraction | None = None, hi: Fraction | None = None
 ) -> Fraction | None:
-    """A rational within 2^-bits * max(1, |root|) of some root of p in the
+    """A rational within 2^-64 * max(1, |root|) of some root of p in the
     open interval (lo, hi), or None if there is none (`count_real_roots`).
 
     Bisection on the Sturm chain of the square-free part; an infinite end
@@ -178,7 +171,7 @@ def isolate_root_between(
     b = bound if hi is None else hi
     va = _variations(chain, a)
     # invariant: the open interval (a, b) holds a root
-    while b - a > max(1, abs(a), abs(b)) / 2**bits:
+    while b - a > max(1, abs(a), abs(b)) / 2**64:
         mid = (a + b) / 2
         if ueval(q, mid) == 0:
             return mid

@@ -13,7 +13,6 @@ from lojex.univariate import (
     ueval,
     ugcd,
     umul,
-    upow,
     utrim,
 )
 
@@ -106,10 +105,9 @@ def test_gcd_matches_sympy():
     assert ugcd([], _poly(2, 4)) == _poly(Fraction(1, 2), 1)
 
 
-def test_square_free_and_powers():
-    p = umul(upow(_poly(-1, 1), 3), upow(_poly(2, 1), 2))  # (x - 1)^3 (x + 2)^2
+def test_square_free():
+    p = _from_roots([1, 1, 1, -2, -2])  # (x - 1)^3 (x + 2)^2
     assert square_free(p) == umul(_poly(-1, 1), _poly(2, 1))
-    assert upow(_poly(1, 1), 0) == _poly(1)
 
 
 def test_roots_between_match_the_planted_roots():
