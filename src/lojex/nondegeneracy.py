@@ -306,6 +306,7 @@ def _check_pencil(fp: FacePolynomial, b1: tuple[int, ...], b2: tuple[int, ...]) 
     a circuit, a u with no zero entry comes from a torus critical point iff
     r = u / c passes the sign system and prod |r_alpha|^{b_alpha} = 1 holds
     for b = b1 and b = b2.
+
     The roots of the entries u_alpha(s) cut the s-line into open intervals
     of constant signs sigma.  On each, |u_alpha| = sigma_alpha u_alpha turns
     the identity for b into the polynomial C_- L(s) - eps C_+ R(s), where L
