@@ -25,8 +25,8 @@ s-line where the signs of u are constant, the sign system and a common
 root of the two product identities, found by a gcd and Sturm root
 isolation.  Both routes reuse the one elimination of the kernel route.
 The order is: sign-definite even -> exponent kernel -> two variables ->
-circuit (dim ker A = 1) -> pencil (dim ker A = 2) -> dim ker A >= 3 ->
-multistart.  That last route minimizes ||grad f_gamma||^2 over the slice
+circuit (dim ker A = 1) -> pencil (dim ker A = 2, identities of degree at
+most PENCIL_MAX_DEGREE) -> dim ker A >= 3 -> multistart.  That last route minimizes ||grad f_gamma||^2 over the slice
 max|x_i| = 1 of every sign orthant and labels the face
 'nondegenerate-numeric': not a certificate.
 
@@ -71,6 +71,9 @@ DEFAULT_TOL = 1e-10
 DEFAULT_STARTS = 64
 TORUS_FLOOR = 1e-3  # numeric minimizers closer than this to a coordinate plane
                     # are not accepted as torus witnesses
+PENCIL_MAX_DEGREE = 32  # faces whose pencil identities have a larger degree in s
+                        # stay on the multistart: the exact gcd of degree 36-48
+                        # identities took up to 2 s, of degree 60-160 over 5 s
 
 
 @dataclass(frozen=True)
@@ -356,6 +359,14 @@ def _check_pencil(fp: FacePolynomial, b1: tuple[int, ...], b2: tuple[int, ...]) 
     )
 
 
+def _pencil_degree(b1: tuple[int, ...], b2: tuple[int, ...]) -> int:
+    """The largest degree in s of L(s) and R(s) in `_check_pencil`'s identities."""
+    return max(
+        sum(abs(e) for e, y in zip(b, b2) if y and (e > 0) == positive)
+        for b in (b1, b2) for positive in (True, False)
+    )
+
+
 def _residual(poly: PolyDict, n: int, point) -> float:
     return math.fsum(
         poly_eval_float(poly_diff(poly, i), point) ** 2 for i in range(n)
@@ -562,7 +573,7 @@ def check_face(
         return _check_two_variable(fp, active[0], active[1])
     if len(kernel) == 1:
         return _check_circuit(fp, kernel[0])
-    if len(kernel) == 2:
+    if len(kernel) == 2 and _pencil_degree(*kernel) <= PENCIL_MAX_DEGREE:
         return _check_pencil(fp, *kernel)
     return _multistart(fp, tol, starts, seed)
 

@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from lojex.errors import InputError
 from lojex.linalg import dot
 from lojex.nondegeneracy import (
     DEFAULT_TOL,
+    PENCIL_MAX_DEGREE,
     TORUS_FLOOR,
     _CompiledFace,
     _check_two_variable,
@@ -21,6 +23,7 @@ from lojex.nondegeneracy import (
     _gf2_solve,
     _kernel_pins_a_term,
     _normalized_float_poly,
+    _pencil_degree,
     _sign_definite_even,
     check_face,
     check_model,
@@ -333,6 +336,7 @@ EULER = "sign-definite even face: no torus zero by the Euler identity"
 CIRCUIT_PRODUCT = "circuit: prod |b/c|^b over the terms is not 1"
 CIRCUIT_SIGNS = "circuit: the sign system of the kernel vector has no solution"
 CIRCUIT_POINT = "circuit: torus critical point from the kernel vector "
+MULTISTART = "multistart minimum of ||grad||^2 on the slice: "
 PENCIL = "kernel pencil: no kernel vector passes both product identities and its sign system"
 PENCIL_POINT = "kernel pencil: torus critical point from the kernel vector "
 NUMERIC_PINS = {
@@ -624,6 +628,18 @@ def test_pencil_route_on_the_multistart_faces_it_replaced():
     assert v.status == "degenerate" and v.detail.startswith(PENCIL_POINT), v
     assert v.witness == pytest.approx((1.0, 1.0, 1.0))
     assert v.residual <= DEFAULT_TOL
+
+
+def test_high_degree_pencil_faces_stay_on_the_multistart():
+    # the identities of this face have degree 145 in s; their exact gcd
+    # took 13 s, the multistart takes a fraction of a second
+    _, fp = _face_poly("x^60 + y^60 + z^60 + x^7*y^11*z^42 - x^29*y^13*z^18", (1, 1, 1))
+    kernel = _exponent_kernel(fp)
+    assert len(kernel) == 2 and _pencil_degree(*kernel) == 145 > PENCIL_MAX_DEGREE
+    start = time.perf_counter()
+    v = check_face(fp)
+    assert time.perf_counter() - start < 5
+    assert v.status == "nondegenerate-numeric" and v.detail.startswith(MULTISTART), v
 
 
 def test_gf2_solve_matches_enumeration():
