@@ -120,7 +120,7 @@ def is_vertex_lp(point: tuple[int, ...], support: set[tuple[int, ...]]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# 2D staircase hull
+# compact faces from the whole face lattice
 
 def compact_faces_from_lattice(poly: NewtonPolyhedron, support) -> list[FaceData]:
     """The faces of the whole face lattice with no recession direction, each
@@ -135,6 +135,9 @@ def compact_faces_from_lattice(poly: NewtonPolyhedron, support) -> list[FaceData
         out.append(FaceData(normal, frozenset(p for p in support if dot(normal, p) == level)))
     return sorted(out, key=lambda fd: sorted(fd.lattice_points))
 
+
+# ---------------------------------------------------------------------------
+# 2D staircase hull
 
 def staircase_vertices_2d(points: set[tuple[int, int]]) -> set[tuple[int, int]]:
     """Vertices of conv(points) + R^2_+ via the Pareto staircase walk."""
