@@ -3,9 +3,10 @@
 The normal fan of a Newton polyhedron decomposes the dual nonnegative
 orthant by which face each covector minimizes on; maximal cones correspond
 to vertices and are generated by the normals of the facets through the
-vertex.  The cones and their rays are read from the polyhedron's face
-lattice (`polyhedron._enumerate_proper_faces`), which lists the facets
-through every face; no cone is handed to double description again.
+vertex.  The cones and their rays are read from the faces that the
+polyhedron's join walk grows from the vertices (`polyhedron._join_walk`),
+each carried as the mask of the facets through it; no cone is handed to
+double description again.
 Refinement happens in two deterministic stages:
 
   simplicialize: pulling triangulation (apex = lexicographically smallest
@@ -20,21 +21,25 @@ Refinement happens in two deterministic stages:
 Rays live in a deduplicated table; cones reference ray indices.  All
 arithmetic is exact and runs on integers: determinants, ranks, span
 coordinates and inverses come from the one elimination in `linalg`, scaled
-by the pivot rather than divided; only the coordinates of a rational point
-(`_coords_in_basis`) are handed back as Fractions.
+by the pivot rather than divided.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .errors import CapExceededError, InputError
 from .linalg import dot, eliminate, mat_rank, solve_scaled
-from .polyhedron import NewtonPolyhedron, _enumerate_proper_faces, support_value
+from .polyhedron import (
+    NewtonPolyhedron,
+    _bits,
+    _facets_along,
+    _facets_through,
+    _join_walk,
+    support_value,
+)
 from .taylor import Exponent
 
 UNIMODULARIZE_MAX_DIM = 4
@@ -85,52 +90,37 @@ def cone_det(vectors: Sequence[RayVec]) -> int:
     return work[-1][-1] if len(pivots) == len(work) else 0
 
 
-def _coords_in_basis(basis: list[RayVec], v: Sequence) -> list[Fraction] | None:
-    """Coefficients c with sum c_i basis_i = v, or None if v is outside the span
-    or the basis is linearly dependent.  v may be rational."""
-    frac = [Fraction(x) for x in v]
-    den = lcm(*(x.denominator for x in frac))
-    scaled = [x.numerator * (den // x.denominator) for x in frac]
-    sol = solve_scaled(list(zip(*basis)), [scaled])
-    if sol is None:
-        return None
-    p, (coeffs,) = sol
-    return [Fraction(c, p * den) for c in coeffs]
-
-
-def simplicial_cone_contains(vectors: Sequence[RayVec], v: Sequence) -> bool:
-    coeffs = _coords_in_basis(list(vectors), v)
-    return coeffs is not None and all(c >= 0 for c in coeffs)
-
-
 # ---------------------------------------------------------------------------
 # normal fan
 
 def normal_fan(poly: NewtonPolyhedron) -> Fan:
     """The decomposition of the dual nonnegative orthant by minimizing face.
 
-    Cones are the normal cones of the proper faces of the polyhedron: the
-    cone of a face is generated by the normals of the facets through it,
-    and maximal cones correspond to vertices.  attached_face holds the
-    vertex set of the polyhedron face each cone maps to.  The facets are
-    sorted by their normals, which are distinct, so facet k is ray k and a
-    face's tight facet indices are its cone's rays.
+    Cones are the normal cones of the nonempty proper faces, grown by joins
+    with vertices and coordinate directions (`polyhedron._join_walk`); the
+    empty facet set is the whole polyhedron and is dropped.  The cone of a
+    face is generated by the normals of the facets through it, and the
+    maximal cones are the vertices'.  attached_face holds the vertex set of
+    the polyhedron face each cone maps to.  The facets are sorted by their
+    normals, which are distinct, so facet k is ray k and a face's facet set
+    is its cone's rays.
     """
     n = poly.n
     ray_table = tuple(f.normal for f in poly.facets)
-    cones: list[Cone] = []
-    maximal: list[int] = []
-    for verts, rays, tight in _enumerate_proper_faces(poly):
-        cones.append(Cone(tight, verts))
-        if len(verts) == 1 and not rays:
-            # vertex of the polyhedron: full-dimensional normal cone
-            assert mat_rank([ray_table[i] for i in tight]) == n
-            maximal.append(len(cones) - 1)
-    order = sorted(range(len(cones)), key=lambda i: cones[i].rays)
-    remap = {old: new for new, old in enumerate(order)}
-    cones = [cones[i] for i in order]
-    maximal = sorted(remap[i] for i in maximal)
-    return Fan(n, ray_table, tuple(cones), tuple(maximal))
+    verts = sorted(poly.vertices)
+    inc = [_facets_through(poly, v) for v in verts]
+    faces = sorted(
+        (tuple(_bits(fs)), fs)
+        for fs in _join_walk(inc, inc + _facets_along(poly), lambda fs: not fs)
+    )
+    cones = tuple(
+        Cone(rays, frozenset(v for v, m in zip(verts, inc) if m & fs == fs))
+        for rays, fs in faces
+    )
+    at_vertex = set(inc)
+    maximal = tuple(k for k, (_, fs) in enumerate(faces) if fs in at_vertex)
+    assert all(mat_rank([ray_table[i] for i in cones[k].rays]) == n for k in maximal)
+    return Fan(n, ray_table, cones, maximal)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Kouchnirenko non-degeneracy: does some compact face polynomial have a
 critical point on the real torus (R \\ 0)^n?
 
-Verdicts come in four flavors.  Exact decisions come in five routes,
+Verdicts come in four flavors.  Exact decisions come in four routes,
 tried in this order.  Faces that are sign-definite with even exponents are
 nonzero on the torus, so the weighted Euler identity forces a nonzero
 partial.  The exponent-kernel route: x_i d_i f_gamma = sum alpha_i c_alpha
@@ -12,33 +12,36 @@ supports, a single-monomial partial) there is none, even over C.  Faces
 supported on two variables reduce to a univariate gcd plus Sturm root
 counting after normalizing the second variable to +-1, legitimate because
 the critical set of a quasi-homogeneous polynomial is invariant under the
-positive weighted scaling.  The circuit route takes the faces with three or
-more active variables whose kernel is one line, spanned by a primitive b
-with no zero entry (the support is a circuit; Gelfand, Kapranov and
-Zelevinsky 1994, ch. 9): a torus critical point exists iff the Fraction
-identity prod |b_alpha / c_alpha|^{b_alpha} = 1 holds and a GF(2) system
-for the signs is solvable, and then one is written down from the
-least-norm solution of A^T log|x| = log|b / c|.  The pencil route takes
-dim ker A = 2 the same way along the kernel vectors u(s) = b1 + s b2 (the
-Horn-Kapranov parametrisation, Kapranov 1991): on each interval of the
-s-line where the signs of u are constant, the sign system and a common
-root of the two product identities, found by a gcd and Sturm root
-isolation.  Both routes reuse the one elimination of the kernel route.
-The order is: sign-definite even -> exponent kernel -> two variables ->
-circuit (dim ker A = 1) -> pencil (dim ker A = 2, identities of degree at
-most PENCIL_MAX_DEGREE) -> dim ker A >= 3 -> multistart.  That last route minimizes ||grad f_gamma||^2 over the slice
-max|x_i| = 1 of every sign orthant and labels the face
-'nondegenerate-numeric': not a certificate.
+positive weighted scaling.  The pencil route takes the faces with three or
+more active variables whose kernel is spanned by one or two vectors: up to
+scale the kernel vectors are u(s) = b1 + s b2 (the Horn-Kapranov
+parametrisation, Kapranov 1991; Gelfand, Kapranov and Zelevinsky 1994,
+ch. 9), constant in s when the kernel is one line and the support is a
+circuit.  On each interval of the s-line where the signs of u are
+constant, a torus critical point exists iff a GF(2) system for the signs
+is solvable and the product identities prod |u_alpha / c_alpha|^{b_alpha}
+= 1, one per basis vector b, have a common root inside it, found by a gcd
+and Sturm root isolation; one is then written down from the least-norm
+solution of A^T log|x| = log|u / c|.  The route reuses the one elimination
+of the kernel route.  The order is: sign-definite even -> exponent kernel
+-> two variables -> pencil (dim ker A = 1, or dim ker A = 2 with
+identities of degree at most PENCIL_MAX_DEGREE) -> multistart.  That last
+route minimizes ||grad f_gamma||^2 over the slice max|x_i| = 1 of every
+sign orthant and labels the face 'nondegenerate-numeric': not a
+certificate.
 
 The multistart compiles the face polynomial once into a monomial basis for
 its gradient and Hessian and runs projected Levenberg-Marquardt on every
 start of every orthant together, in numpy blocks.  A point counts as a
-torus witness when its residual is at most the tolerance and every
-coordinate is at least TORUS_FLOOR in absolute value.
+torus witness when its residual is at most the tolerance, every
+coordinate is at least TORUS_FLOOR in absolute value, and its
+torus-invariant relative residual (`_relative_residual`) is at most
+RELATIVE_TOL.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -64,6 +67,7 @@ from .univariate import (
     ueval,
     ugcd,
     umul,
+    upow,
     utrim,
 )
 
@@ -74,6 +78,8 @@ TORUS_FLOOR = 1e-3  # numeric minimizers closer than this to a coordinate plane
 PENCIL_MAX_DEGREE = 32  # faces whose pencil identities have a larger degree in s
                         # stay on the multistart: the exact gcd of degree 36-48
                         # identities took up to 2 s, of degree 60-160 over 5 s
+RELATIVE_TOL = 1e-6  # a multistart minimizer whose torus-invariant relative
+                     # residual is larger is no torus witness
 
 
 @dataclass(frozen=True)
@@ -270,92 +276,76 @@ def _torus_point(fp: FacePolynomial, ratios: list[Fraction], signs: int, detail:
     return DegeneracyVerdict("degenerate", tuple(witness), _residual(fp.poly(), fp.n, witness), detail)
 
 
-def _check_circuit(fp: FacePolynomial, b: tuple[int, ...]) -> DegeneracyVerdict:
-    """Exact decision for a face whose exponent kernel is spanned by one b.
+def _check_pencil(fp: FacePolynomial, kernel: list[tuple[int, ...]]) -> DegeneracyVerdict:
+    """Exact decision for a face whose exponent kernel is spanned by b1, or
+    by b1 and b2.
 
-    The support is a circuit (Gelfand, Kapranov and Zelevinsky 1994, ch. 9).
-    A torus point is critical iff c_alpha x^alpha = t b_alpha for all alpha
-    and some real t != 0, i.e. x^alpha = t r_alpha with r_alpha = b_alpha /
-    c_alpha.  In absolute value, A^T log|x| = log|t| + log|r| is solvable iff
-    log|r| lies in the row space of A (which holds the all-ones vector,
-    since the face's points lie on w.alpha = d > 0), i.e. iff <b, log|r|> =
-    0: the identity prod |r_alpha|^{b_alpha} = 1.  In sign it is the GF(2)
-    system of `_sign_system`.  The two parts are independent.
+    A torus point is critical iff c_alpha x^alpha = t u_alpha for some real
+    t != 0 and some kernel vector u with no zero entry.  With r = u / c,
+    A^T log|x| = log|t| + log|r| is solvable iff <b, log|r|> = 0 for each
+    basis vector b (the row space of A holds the all-ones vector, since the
+    face's points lie on w.alpha = d > 0): the identity prod
+    |r_alpha|^{b_alpha} = 1.  In sign it is the GF(2) system of
+    `_sign_system`; the two parts are independent.
+
+    Up to scale the kernel vectors are u(s) = b1 + s b2 and b2, which is 0
+    at the free column of b1 (`_exponent_kernel`) and so never a torus
+    vector: the Horn-Kapranov parametrisation (Kapranov 1991; Gelfand,
+    Kapranov and Zelevinsky 1994, ch. 9).  With one basis vector the
+    support is a circuit and the lines u_alpha are constants.  The roots of
+    the u_alpha(s) cut the s-line into open intervals of constant signs
+    sigma.  On each, |u_alpha| = sigma_alpha u_alpha turns the identity for
+    b into the polynomial C_- L(s) - eps C_+ R(s), where L and R are the
+    products of u_alpha^{|b_alpha|} over b_alpha > 0 and b_alpha < 0, C_+
+    and C_- those of |c_alpha|^{|b_alpha|}, and eps the product of
+    sigma_alpha over the odd b_alpha.  An interval holds a critical point
+    iff its signs are solvable and the gcd of its identities has a root
+    strictly inside it (every point does, if every identity vanishes).
     """
-    ratios = [Fraction(bj) / c for bj, (_, c) in zip(b, fp.terms)]
-    if math.prod(abs(r) ** bj for r, bj in zip(ratios, b)) != 1:
-        return DegeneracyVerdict(
-            "nondegenerate-exact", None, math.inf,
-            detail="circuit: prod |b/c|^b over the terms is not 1",
-        )
-    signs = _sign_system(fp, [r < 0 for r in ratios])
-    if signs is None:
-        return DegeneracyVerdict(
-            "nondegenerate-exact", None, math.inf,
-            detail="circuit: the sign system of the kernel vector has no solution",
-        )
-    return _torus_point(
-        fp, ratios, signs, f"circuit: torus critical point from the kernel vector {b}"
-    )
-
-
-def _check_pencil(fp: FacePolynomial, b1: tuple[int, ...], b2: tuple[int, ...]) -> DegeneracyVerdict:
-    """Exact decision for a face whose exponent kernel is spanned by b1, b2.
-
-    The kernel vectors up to scale are u(s) = b1 + s b2 and b2 (s =
-    infinity), the Horn-Kapranov parametrisation (Kapranov 1991; Gelfand,
-    Kapranov and Zelevinsky 1994, ch. 9).  b2 is 0 at the free column of b1
-    (`_exponent_kernel`), so only the s-line can hold a torus point.  As for
-    a circuit, a u with no zero entry comes from a torus critical point iff
-    r = u / c passes the sign system and prod |r_alpha|^{b_alpha} = 1 holds
-    for b = b1 and b = b2.
-
-    The roots of the entries u_alpha(s) cut the s-line into open intervals
-    of constant signs sigma.  On each, |u_alpha| = sigma_alpha u_alpha turns
-    the identity for b into the polynomial C_- L(s) - eps C_+ R(s), where L
-    and R are the products of u_alpha^{|b_alpha|} over b_alpha > 0 and
-    b_alpha < 0, C_+ and C_- those of |c_alpha|^{|b_alpha|}, and eps the
-    product of sigma_alpha over the odd b_alpha.  An interval holds a
-    critical point iff its signs are solvable and the gcd of its two
-    identities has a root strictly inside it (every point does, if both
-    identities vanish).
-    """
-    lines = [utrim([Fraction(x), Fraction(y)]) for x, y in zip(b1, b2)]
+    lines = [utrim([Fraction(x) for x in column]) for column in zip(*kernel)]
     sides = []  # per basis vector: C_- L and C_+ R
-    for b in (b1, b2):
+    for b in kernel:
         pair = [[Fraction(1)], [Fraction(1)]]
         for line, (_, c), e in zip(lines, fp.terms, b):
-            for _ in range(abs(e)):
-                pair[e < 0] = umul(pair[e < 0], line)
+            pair[e < 0] = umul(pair[e < 0], upow(line, abs(e)))
             pair[e > 0] = [v * abs(c) ** abs(e) for v in pair[e > 0]]
         sides.append(pair)
     gcds: dict[tuple[bool, ...], UPoly] = {}
-    cuts = sorted({Fraction(-x, y) for x, y in zip(b1, b2) if y})
+    cuts = sorted({-line[0] / line[1] for line in lines if len(line) == 2})
     ends = [None, *cuts, None]
+    solvable = False
     for lo, hi in zip(ends, ends[1:]):
-        inner = hi - 1 if lo is None else lo + 1 if hi is None else (lo + hi) / 2
+        inner = (
+            Fraction(0) if not cuts
+            else hi - 1 if lo is None else lo + 1 if hi is None else (lo + hi) / 2
+        )
         negative = [ueval(line, inner) < 0 for line in lines]
         signs = _sign_system(fp, [n != (c < 0) for n, (_, c) in zip(negative, fp.terms)])
         if signs is None:
             continue
+        solvable = True
         # eps = -1 for b iff an odd number of its odd entries sit on negative u_alpha
-        key = tuple(sum(n for n, e in zip(negative, b) if e % 2) % 2 == 1 for b in (b1, b2))
+        key = tuple(sum(n for n, e in zip(negative, b) if e % 2) % 2 == 1 for b in kernel)
         if key not in gcds:
-            gcds[key] = ugcd(*(
+            gcds[key] = functools.reduce(ugcd, (
                 utrim([x + y if flip else x - y for x, y in itertools.zip_longest(
                     left, right, fillvalue=Fraction(0))])
                 for (left, right), flip in zip(sides, key)
-            ))
+            ), [])
         s = isolate_root_between(gcds[key], lo, hi) if gcds[key] else inner
         if s is not None:
+            at = f", s ~ {float(s):.6g}" if len(kernel) == 2 else ""
             return _torus_point(
                 fp, [ueval(line, s) / c for line, (_, c) in zip(lines, fp.terms)], signs,
-                f"kernel pencil: torus critical point from the kernel vector {b1} + s*{b2}, "
-                f"s ~ {float(s):.6g}",
+                f"kernel pencil: torus critical point from the kernel vector "
+                f"{' + s*'.join(map(str, kernel))}{at}",
             )
     return DegeneracyVerdict(
         "nondegenerate-exact", None, math.inf,
-        detail="kernel pencil: no kernel vector passes both product identities and its sign system",
+        detail="kernel pencil: " + (
+            "the product identities have no common root where the sign system is solvable"
+            if solvable else "no kernel vector without a zero entry has a solvable sign system"
+        ),
     )
 
 
@@ -371,6 +361,18 @@ def _residual(poly: PolyDict, n: int, point) -> float:
     return math.fsum(
         poly_eval_float(poly_diff(poly, i), point) ** 2 for i in range(n)
     )
+
+
+def _relative_residual(fp: FacePolynomial, point) -> Fraction:
+    """max over the active i of |x_i d_i f(x)| / sum_alpha |c_alpha alpha_i
+    x^alpha| at the float point, in Fraction arithmetic; invariant under the
+    face's torus action and 0 exactly at a critical point."""
+    x = [Fraction(v) for v in point]
+    worst = Fraction(0)
+    for i in fp.active_vars():
+        terms = [c * e[i] * math.prod(xj**ej for xj, ej in zip(x, e)) for e, c in fp.terms if e[i]]
+        worst = max(worst, abs(sum(terms)) / sum(abs(t) for t in terms))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +518,16 @@ def _multistart(fp: FacePolynomial, tol: float, starts: int, seed: int) -> Degen
     best_val, best_x = best(np.arange(rows))
     best_torus_val, best_torus_x = best(torus)
     if best_torus_x is not None and best_torus_val <= tol:
+        relative = _relative_residual(fp, best_torus_x)
+        if relative <= RELATIVE_TOL:
+            return DegeneracyVerdict(
+                "degenerate", best_torus_x, best_torus_val,
+                detail=f"multistart minimizer with residual {best_torus_val:.3g}",
+            )
         return DegeneracyVerdict(
-            "degenerate", best_torus_x, best_torus_val,
-            detail=f"multistart minimizer with residual {best_torus_val:.3g}",
+            "inconclusive", best_torus_x, best_torus_val,
+            detail=f"residual {best_torus_val:.3g} below tolerance, but the torus-invariant "
+            f"relative residual is {float(relative):.3g}; not a torus witness",
         )
     if best_val <= tol:
         return DegeneracyVerdict(
@@ -571,10 +580,8 @@ def check_face(
     active = fp.active_vars()
     if len(active) == 2:
         return _check_two_variable(fp, active[0], active[1])
-    if len(kernel) == 1:
-        return _check_circuit(fp, kernel[0])
-    if len(kernel) == 2 and _pencil_degree(*kernel) <= PENCIL_MAX_DEGREE:
-        return _check_pencil(fp, *kernel)
+    if len(kernel) == 1 or len(kernel) == 2 and _pencil_degree(*kernel) <= PENCIL_MAX_DEGREE:
+        return _check_pencil(fp, kernel)
     return _multistart(fp, tol, starts, seed)
 
 

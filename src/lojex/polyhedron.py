@@ -24,15 +24,15 @@ n - 1 generators and no third ray's set contains it.
 Vertices are then certified against the H-rep: a support point is a vertex
 iff n linearly independent facets are active there.
 
-Faces are read from these two representations as facet bitmasks.  The
-compact faces grow from the vertices: each support point and coordinate
-direction has the mask of the facets through it, the join of a face with
-a vertex has the facets through both, and a join that some coordinate
-direction's mask covers is unbounded and dropped (`compact_faces`).  The
-normal fan needs every face: each facet is a bitmask over the vertices and
-coordinate directions it contains, the faces are the AND-closure of those
-masks, and every face carries the indices of the facets through it
-(`_enumerate_proper_faces`).
+Faces are read from these two representations as facet bitmasks: each
+vertex, coordinate direction and face carries the mask of the facets
+through it.  One walk grows the faces from the vertices: the join of a
+face with a vertex or a coordinate direction has the facets through both
+(`_join_walk`).  The
+compact faces join vertices only and drop a join once some coordinate
+direction lies in all of its facets (`compact_faces`); the normal fan
+joins coordinate directions too, and reads every nonempty proper face
+(`fan.normal_fan`).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, InputError
 from .linalg import affine_rank, dot, eliminate, mat_rank, primitive, solve_scaled
@@ -202,45 +202,47 @@ def face_of_normal(
 # ---------------------------------------------------------------------------
 # face enumeration
 
-def _enumerate_proper_faces(
-    poly: NewtonPolyhedron,
-) -> list[tuple[frozenset[Exponent], frozenset[int], tuple[int, ...]]]:
-    """All nonempty proper faces as (vertex set, recession coordinate set,
-    indices of the facets through the face) triples.
+def _facets_through(poly: NewtonPolyhedron, point: Sequence[int]) -> int:
+    """The bitmask of the facets through a point of the polyhedron."""
+    return sum(1 << k for k, f in enumerate(poly.facets) if dot(f.normal, point) == f.offset)
 
-    Each facet is one bitmask over the vertices and the coordinate
-    directions it contains.  Every face is the intersection of the facets
-    through it, so closing the masks under AND reaches each face once, and
-    the facets through a face are those whose mask covers the face's.  A
-    face of this pointed polyhedron is nonempty iff it contains a vertex.
+
+def _facets_along(poly: NewtonPolyhedron) -> list[int]:
+    """Per coordinate direction e_i, the bitmask of the facets it lies in:
+    those whose normal has entry 0 at i."""
+    return [
+        sum(1 << k for k, f in enumerate(poly.facets) if f.normal[i] == 0)
+        for i in range(poly.n)
+    ]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of a mask, ascending."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
+def _join_walk(
+    vertex_masks: list[int], atoms: list[int], dropped: Callable[[int], bool]
+) -> list[int]:
+    """Facet sets of the faces grown from the vertices by joins with atoms.
+
+    The join of a face with facet set fs and an atom, the facet mask of a
+    vertex or of a coordinate direction, has facet set fs & atom.  A face
+    that `dropped` rejects is neither kept nor grown, so every join of it
+    must be rejected too.
     """
-    verts = sorted(poly.vertices)
-    masks = [
-        sum(1 << k for k, v in enumerate(verts) if dot(f.normal, v) == f.offset)
-        | sum(1 << (len(verts) + i) for i, a in enumerate(f.normal) if a == 0)
-        for f in poly.facets
-    ]
-    on_vertex = (1 << len(verts)) - 1
-    seen: set[int] = set()
-    queue = [m for m in masks if m & on_vertex]
-    while queue:
-        face = queue.pop()
-        if face in seen:
-            continue
-        seen.add(face)
-        for m in masks:
-            nxt = face & m
-            if nxt & on_vertex and nxt not in seen:
-                queue.append(nxt)
-    result = [
-        (
-            frozenset(v for k, v in enumerate(verts) if face >> k & 1),
-            frozenset(i for i in range(poly.n) if face >> (len(verts) + i) & 1),
-            tuple(k for k, m in enumerate(masks) if m & face == face),
-        )
-        for face in seen
-    ]
-    return sorted(result, key=lambda fc: (sorted(fc[0]), sorted(fc[1])))
+    seen = set(vertex_masks)
+    faces = list(vertex_masks)  # grows while it is walked
+    for fs in faces:
+        for m in atoms:
+            join = fs & m
+            if join not in seen:
+                seen.add(join)
+                if not dropped(join):
+                    faces.append(join)
+    return faces
 
 
 def compact_faces(
@@ -248,44 +250,20 @@ def compact_faces(
 ) -> list[FaceData]:
     """Every face with a strictly positive defining normal, once each.
 
-    Includes all vertices.  Each support point and each coordinate direction
-    carries a bitmask over the facets through it, and a face is carried as
-    its facet set fs, the mask of the facets through it.  The join of a face
-    with a vertex v, the least face holding both, has facet set fs & inc[v];
-    it is unbounded iff some coordinate direction lies in every facet of
-    fs.  A compact face is the join of its vertices, so growing joins from
-    each vertex and dropping the unbounded ones reaches every compact face
-    through compact faces only.  A face's lattice points are the support
-    points whose mask covers fs, and its defining normal is the sum of the
-    normals of the facets in fs, strictly positive exactly for compact
-    faces.
+    Includes all vertices.  The faces are grown by joins with vertices
+    (`_join_walk`), dropping every join that some coordinate direction's
+    mask covers: it is unbounded, and so are its joins.  A face's lattice
+    points are the support points whose mask covers its facet set fs, and
+    its defining normal is the sum of the normals of the facets in fs,
+    strictly positive exactly for compact faces.
     """
     support = set(support)
-    masks = {
-        p: sum(1 << k for k, f in enumerate(poly.facets) if dot(f.normal, p) == f.offset)
-        for p in support | poly.vertices
-    }
+    masks = {p: _facets_through(poly, p) for p in support | poly.vertices}
     inc = [masks[v] for v in sorted(poly.vertices)]
-    rays = [
-        sum(1 << k for k, f in enumerate(poly.facets) if f.normal[i] == 0)
-        for i in range(poly.n)
-    ]
-    seen = set(inc)
-    faces = list(inc)  # grows while it is walked
-    for fs in faces:
-        for m in inc:
-            join = fs & m
-            if join not in seen:
-                seen.add(join)
-                if not any(r & join == join for r in rays):
-                    faces.append(join)
+    rays = _facets_along(poly)
     out = []
-    for fs in faces:
-        tight, rest = [], fs
-        while rest:
-            tight.append(poly.facets[(rest & -rest).bit_length() - 1].normal)
-            rest &= rest - 1
-        normal = tuple(map(sum, zip(*tight)))
+    for fs in _join_walk(inc, inc, lambda fs: any(r & fs == fs for r in rays)):
+        normal = tuple(map(sum, zip(*(poly.facets[k].normal for k in _bits(fs)))))
         assert all(x > 0 for x in normal)
         out.append(FaceData(normal, frozenset(p for p in support if masks[p] & fs == fs)))
     return sorted(out, key=lambda fd: sorted(fd.lattice_points))

@@ -64,6 +64,18 @@ def umul(a: UPoly, b: UPoly) -> UPoly:
     return out
 
 
+def upow(p: UPoly, e: int) -> UPoly:
+    """p^e by repeated squaring, for e >= 0."""
+    out = [Fraction(1)]
+    while True:
+        if e & 1:
+            out = umul(out, p)
+        e >>= 1
+        if not e:
+            return out
+        p = umul(p, p)
+
+
 def _primitive(p: Sequence) -> list[int]:
     """The integer multiple of a nonzero p with coprime coefficients and a
     positive leading coefficient."""

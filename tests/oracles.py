@@ -6,11 +6,13 @@ is a staircase walk, the zero-set oracle enumerates coordinate-zero
 patterns, the entry-parameter oracle bisects on membership, the distance
 oracle walks all s! rankings of the zero-set variables, cone facets and
 cone membership come from a fresh double-description run on the cone's
-generators (lojex reads cone facets off the face lattice instead), the
-fan validator checks the fan condition pairwise with exact cone algebra,
-the compact-face oracle filters the whole face lattice (the AND-closure of
-the facet masks that the normal fan uses) instead of growing faces from the
-vertices, the parallelepiped oracle walks the bounding box of the cone with a
+generators (lojex reads cone facets off the fan's cones instead),
+simplicial-cone membership solves for a point's Fraction coordinates in
+the cone's generators, the fan validator checks the fan condition
+pairwise with exact cone algebra, the face-lattice oracle closes the
+facet masks under AND instead of growing faces from the vertices, and
+both the compact faces and the normal fan's cones are checked against it,
+the parallelepiped oracle walks the bounding box of the cone with a
 Fraction inverse, the stellar-step oracle solves for the new ray in
 every maximal cone instead of splitting only the cones around its face,
 and the envelope-slope oracle takes each bin's minimum with its own
@@ -31,7 +33,6 @@ from lojex.fan import (
     Fan,
     RayVec,
     _assemble_simplicial,
-    _coords_in_basis,
     _parallelepiped_point,
     cone_det,
 )
@@ -39,10 +40,10 @@ from lojex.linalg import dot, eliminate, mat_rank, solve_scaled
 from lojex.polyhedron import (
     FaceData,
     NewtonPolyhedron,
-    _enumerate_proper_faces,
     contains,
     dd_dual_rays,
 )
+from lojex.taylor import Exponent
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +121,55 @@ def is_vertex_lp(point: tuple[int, ...], support: set[tuple[int, ...]]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# compact faces from the whole face lattice
+# the whole face lattice as the AND-closure of the facet masks
+
+def face_lattice(
+    poly: NewtonPolyhedron,
+) -> list[tuple[frozenset[Exponent], frozenset[int], tuple[int, ...]]]:
+    """All nonempty proper faces as (vertex set, recession coordinate set,
+    indices of the facets through the face) triples.
+
+    Each facet is one bitmask over the vertices and the coordinate
+    directions it contains.  Every face is the intersection of the facets
+    through it, so closing the masks under AND reaches each face once, and
+    the facets through a face are those whose mask covers the face's.  A
+    face of this pointed polyhedron is nonempty iff it contains a vertex.
+    """
+    verts = sorted(poly.vertices)
+    masks = [
+        sum(1 << k for k, v in enumerate(verts) if dot(f.normal, v) == f.offset)
+        | sum(1 << (len(verts) + i) for i, a in enumerate(f.normal) if a == 0)
+        for f in poly.facets
+    ]
+    on_vertex = (1 << len(verts)) - 1
+    seen: set[int] = set()
+    queue = [m for m in masks if m & on_vertex]
+    while queue:
+        face = queue.pop()
+        if face in seen:
+            continue
+        seen.add(face)
+        for m in masks:
+            nxt = face & m
+            if nxt & on_vertex and nxt not in seen:
+                queue.append(nxt)
+    result = [
+        (
+            frozenset(v for k, v in enumerate(verts) if face >> k & 1),
+            frozenset(i for i in range(poly.n) if face >> (len(verts) + i) & 1),
+            tuple(k for k, m in enumerate(masks) if m & face == face),
+        )
+        for face in seen
+    ]
+    return sorted(result, key=lambda fc: (sorted(fc[0]), sorted(fc[1])))
+
 
 def compact_faces_from_lattice(poly: NewtonPolyhedron, support) -> list[FaceData]:
     """The faces of the whole face lattice with no recession direction, each
     with the sum of the normals of the facets through it and the support
     points that normal attains its least value on."""
     out = []
-    for verts, rays, tight in _enumerate_proper_faces(poly):
+    for verts, rays, tight in face_lattice(poly):
         if rays:
             continue
         normal = tuple(sum(poly.facets[k].normal[i] for k in tight) for i in range(poly.n))
@@ -247,6 +289,27 @@ def entry_parameter_bisect(
 
 
 # ---------------------------------------------------------------------------
+# membership in a simplicial cone by solving for the coordinates
+
+def coords_in_basis(basis: list[RayVec], v: Sequence) -> list[Fraction] | None:
+    """Coefficients c with sum c_i basis_i = v, or None if v is outside the span
+    or the basis is linearly dependent.  v may be rational."""
+    frac = [Fraction(x) for x in v]
+    den = math.lcm(*(x.denominator for x in frac))
+    scaled = [x.numerator * (den // x.denominator) for x in frac]
+    sol = solve_scaled(list(zip(*basis)), [scaled])
+    if sol is None:
+        return None
+    p, (coeffs,) = sol
+    return [Fraction(c, p * den) for c in coeffs]
+
+
+def simplicial_cone_contains(vectors: Sequence[RayVec], v: Sequence) -> bool:
+    coeffs = coords_in_basis(list(vectors), v)
+    return coeffs is not None and all(c >= 0 for c in coeffs)
+
+
+# ---------------------------------------------------------------------------
 # cone facets and membership by a fresh double-description run
 
 def cone_facet_sets(vectors: Sequence[RayVec]) -> list[frozenset[int]]:
@@ -321,7 +384,7 @@ def simplicial_cone_contains_or_member(vectors: list[RayVec], v: Sequence) -> bo
     for vec in vectors:
         if mat_rank(basis + [vec]) > len(basis):
             basis.append(vec)
-    coeffs = _coords_in_basis(basis, v) if basis else None
+    coeffs = coords_in_basis(basis, v) if basis else None
     if coeffs is None:
         return False
     if len(basis) == len(vectors):
@@ -335,12 +398,12 @@ def fulldim_cone_contains_lower(vectors: list[RayVec], v: Sequence) -> bool:
     for vec in vectors:
         if mat_rank(basis + [vec]) > len(basis):
             basis.append(vec)
-    vc = _coords_in_basis(basis, v)
+    vc = coords_in_basis(basis, v)
     if vc is None:
         return False
     projected = []
     for vec in vectors:
-        c = _coords_in_basis(basis, vec)
+        c = coords_in_basis(basis, vec)
         assert c is not None
         # a positive multiple generates the same ray, and DD takes integers
         den = math.lcm(*(x.denominator for x in c))

@@ -33,7 +33,6 @@ from lojex.exponents import (
     transversals,
 )
 from lojex.fan import cone_det, fan_exponents, normal_fan, simplicialize, unimodularize
-from lojex.fan import simplicial_cone_contains
 from lojex.linalg import affine_rank, dot
 from lojex.nondegeneracy import check_model
 from lojex.parser import parse_text
@@ -53,6 +52,7 @@ from .oracles import (
     fulldim_cone_contains,
     is_vertex_lp,
     monomial_zero_patterns,
+    simplicial_cone_contains,
 )
 
 ALL = Hypotheses(True, True, True)

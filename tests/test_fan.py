@@ -15,7 +15,6 @@ from lojex.fan import (
     fan_exponents,
     hirzebruch_jung_chain,
     normal_fan,
-    simplicial_cone_contains,
     simplicialize,
     unimodularize,
 )
@@ -27,8 +26,10 @@ from lojex.taylor import support
 from .conftest import germ, random_support, run_lojex, run_python
 from .oracles import (
     cone_facet_sets,
+    coords_in_basis,
     fulldim_cone_contains,
     parallelepiped_point_box_walk,
+    simplicial_cone_contains,
     unimodularize_every_cone,
     validate_fan,
 )
@@ -351,8 +352,6 @@ def test_determinant_monotonicity_witness():
 
 def test_covering_thousand_rays_interior_unique():
     rng = random.Random(61)
-    from lojex.fan import _coords_in_basis
-
     for name in ("circle", "cusp", "monomial", "quartic_mix"):
         poly = build_polyhedron(support(germ(name)))
         fan = _refined(poly)
@@ -365,7 +364,7 @@ def test_covering_thousand_rays_interior_unique():
             interiors = []
             for c in fan.maximal_cones():
                 gens = fan.generators(c)
-                coeffs = _coords_in_basis(gens, ray)
+                coeffs = coords_in_basis(gens, ray)
                 if coeffs is not None and all(x >= 0 for x in coeffs):
                     holders.append(c)
                     if all(x > 0 for x in coeffs):

@@ -16,6 +16,7 @@ from lojex.linalg import dot
 from lojex.nondegeneracy import (
     DEFAULT_TOL,
     PENCIL_MAX_DEGREE,
+    RELATIVE_TOL,
     TORUS_FLOOR,
     _CompiledFace,
     _check_two_variable,
@@ -24,6 +25,7 @@ from lojex.nondegeneracy import (
     _kernel_pins_a_term,
     _normalized_float_poly,
     _pencil_degree,
+    _relative_residual,
     _sign_definite_even,
     check_face,
     check_model,
@@ -164,9 +166,23 @@ def test_numeric_route_on_three_variable_face():
     assert vd.residual <= 1e-10
     x, y, z = vd.witness
     assert abs(x - y + z) < 1e-5
+    assert _relative_residual(fpd, vd.witness) <= RELATIVE_TOL
+
+    # dim ker A = 4, so the multistart decides too.  Its best torus point
+    # (1, 0.023, -0.012) has ||grad||^2 ~ 1e-14 only because it lies near the
+    # line y = z = 0: its torus-invariant relative residual is 0.98, so it
+    # is no critical point and the face is not called degenerate
+    _, fpn = _face_poly(
+        "3*z^5*x^3 + 2*z^7*x - 2*y*z^5*x^2 + 2*y^2*z^5*x - y^6*x^2 - y^6*z*x + y^6*z^2", (1, 1, 1)
+    )
+    assert len(_exponent_kernel(fpn)) == 4
+    vn = check_face(fpn)
+    assert vn.status == "inconclusive" and vn.residual <= DEFAULT_TOL, vn
+    assert _relative_residual(fpn, vn.witness) > 0.9
+    assert "relative residual" in vn.detail
 
     # the Hesse cubic at the degenerate parameter: critical on the diagonal
-    # (a circuit, so the circuit route decides it exactly)
+    # (a circuit, so the pencil route decides it exactly)
     hesse = parse_text("x^3 + y^3 + z^3 - 3*x*y*z")
     polyh = build_polyhedron(support(hesse))
     faceh = face_of_normal(polyh, support(hesse), (1, 1, 1))
@@ -333,16 +349,16 @@ def test_kernel_rule_faces_have_no_complex_torus_critical_point(signed_faces):
 # coefficient 1.
 KERNEL = "exponent kernel: a term's entry is 0 on every kernel vector"
 EULER = "sign-definite even face: no torus zero by the Euler identity"
-CIRCUIT_PRODUCT = "circuit: prod |b/c|^b over the terms is not 1"
-CIRCUIT_SIGNS = "circuit: the sign system of the kernel vector has no solution"
-CIRCUIT_POINT = "circuit: torus critical point from the kernel vector "
 MULTISTART = "multistart minimum of ||grad||^2 on the slice: "
-PENCIL = "kernel pencil: no kernel vector passes both product identities and its sign system"
+PENCIL_SIGNS = "kernel pencil: no kernel vector without a zero entry has a solvable sign system"
+PENCIL_ROOT = (
+    "kernel pencil: the product identities have no common root where the sign system is solvable"
+)
 PENCIL_POINT = "kernel pencil: torus critical point from the kernel vector "
 NUMERIC_PINS = {
     # its three-variable face is a circuit, b = (2, 1, 1, -4)
     "x^4 + y^4 + z^4 + x^2*y*z": (
-        {EULER: 6, CIRCUIT_PRODUCT: 1},
+        {EULER: 6, PENCIL_ROOT: 1},
         {},
     ),
     # its three-variable face x^3*y + y^3*z + z^3*x has affinely independent
@@ -353,7 +369,7 @@ NUMERIC_PINS = {
     ),
     # six points in four variables: dim ker A = 2, a pencil of kernel vectors
     "x1^4 + x2^4 + x3^4 + x4^4 + x1*x2*x3*x4 - x1^2*x2^2": (
-        {EULER: 11, KERNEL: 2, PENCIL: 1,
+        {EULER: 11, KERNEL: 2, PENCIL_ROOT: 1,
          "univariate reduction: partials share no nonzero real root": 1},
         {},
     ),
@@ -362,12 +378,12 @@ NUMERIC_PINS = {
     # kernel
     "x^2*y^2 - 2*x*y*z^2 + z^4 + x^6 + y^6 + z^6": (
         {EULER: 8, KERNEL: 2},
-        {((0, 0, 4), (1, 1, 2), (2, 2, 0)): ("degenerate", CIRCUIT_POINT + "(1, -2, 1)", 0.0)},
+        {((0, 0, 4), (1, 1, 2), (2, 2, 0)): ("degenerate", PENCIL_POINT + "(1, -2, 1)", 0.0)},
     ),
     # the two four-point faces are circuits; the seven-point face has
     # dim ker A = 2
     "x1^4 + x2^4 + x3^4 + x4^4 + x5^4 + x1^2*x2*x3 - x3^2*x4*x5": (
-        {EULER: 24, KERNEL: 4, CIRCUIT_PRODUCT: 2, PENCIL: 1},
+        {EULER: 24, KERNEL: 4, PENCIL_ROOT: 3},
         {},
     ),
 }
@@ -405,15 +421,15 @@ def test_planted_germ_spurious_faces_not_degenerate():
 
 
 # two circuit faces the multistart mislabelled, each with the reason the
-# circuit route gives
+# pencil route gives
 FOUND_CIRCUITS = {
     # face {(0,2,4), (3,3,1), (5,1,3), (5,3,0)}: called degenerate at a
     # near-axis point
-    "-2*x1^5*x2^3 - 2*x1^5*x2*x3^3 - 3*x1^3*x2^3*x3 - x2^2*x3^4": CIRCUIT_PRODUCT,
+    "-2*x1^5*x2^3 - 2*x1^5*x2*x3^3 - 3*x1^3*x2^3*x3 - x2^2*x3^4": PENCIL_ROOT,
     # face {(1,1,2), (2,0,3), (4,1,0), (5,0,1)}: called inconclusive on a
     # coordinate plane
     "3*x1^5*x3 + 3*x1^4*x2 - 2*x1^3*x2*x3^3 - 3*x1^2*x2^2*x3^2 + x1^2*x3^3"
-    " - x1*x2^2*x3^5 - x1*x2*x3^2": CIRCUIT_SIGNS,
+    " - x1*x2^2*x3^5 - x1*x2*x3^2": PENCIL_SIGNS,
 }
 
 
@@ -429,7 +445,7 @@ def test_circuit_faces_certified_nondegenerate(text):
 
 def _is_circuit(fp) -> bool:
     """At least three active variables and an exponent kernel of one vector
-    with no zero entry: a face the circuit route decides."""
+    with no zero entry: a face the pencil route decides with constant lines."""
     kernel = _exponent_kernel(fp)
     return len(fp.active_vars()) >= 3 and len(kernel) == 1 and all(kernel[0])
 
@@ -488,18 +504,6 @@ def _sign_patterns(pts):
     }
 
 
-def _relative_residual(fp, w) -> Fraction:
-    """max over i of |x_i d_i f(x)| / sum_alpha |c_alpha alpha_i x^alpha| at
-    the float point w, in Fraction arithmetic; invariant under the face's
-    torus action and 0 exactly at a critical point."""
-    x = [Fraction(v) for v in w]
-    worst = Fraction(0)
-    for i in fp.active_vars():
-        terms = [c * e[i] * math.prod(xj**ej for xj, ej in zip(x, e)) for e, c in fp.terms if e[i]]
-        worst = max(worst, abs(sum(terms)) / sum(abs(t) for t in terms))
-    return worst
-
-
 def test_circuit_route_against_oracles(signed_faces):
     sympy = pytest.importorskip("sympy")
     # blocked is None on the seeded and pinned faces, and on a planted face
@@ -522,12 +526,12 @@ def test_circuit_route_against_oracles(signed_faces):
         v = check_face(fp)
         pts = [exp for exp, _ in fp.terms]
         seen[v.status] += 1
-        if v.detail == CIRCUIT_PRODUCT:
+        if v.detail == PENCIL_ROOT:
             seen["product"] += 1
             assert v.status == "nondegenerate-exact"
             assert blocked is None, fp.terms  # planted faces satisfy the identity
             assert _torus_critical_basis(sympy, fp) == [1], fp.terms
-        elif v.detail == CIRCUIT_SIGNS:
+        elif v.detail == PENCIL_SIGNS:
             seen["signs"] += 1
             assert v.status == "nondegenerate-exact"
             assert blocked is not False, fp.terms
@@ -536,7 +540,7 @@ def test_circuit_route_against_oracles(signed_faces):
             want = tuple(int(bool(bj < 0) != (c < 0)) for bj, (_, c) in zip(b, fp.terms))
             assert want not in _sign_patterns(pts), fp.terms
         else:
-            assert v.status == "degenerate" and v.detail.startswith(CIRCUIT_POINT), v
+            assert v.status == "degenerate" and v.detail.startswith(PENCIL_POINT), v
             assert blocked is not True, fp.terms
             assert min(abs(x) for x in v.witness) >= TORUS_FLOOR, v.witness
             assert max(abs(v.witness[i]) for i in fp.active_vars()) == pytest.approx(1.0)
@@ -592,7 +596,7 @@ def test_pencil_route_against_oracles():
             v = check_face(fp)
             seen[planted, v.status] += 1
             if v.status == "nondegenerate-exact":
-                assert v.detail == PENCIL
+                assert v.detail in (PENCIL_SIGNS, PENCIL_ROOT)
                 assert not planted, fp.terms
                 # a complex torus critical point alone would be no error; these
                 # seeded faces have none
@@ -619,7 +623,7 @@ def test_pencil_route_on_the_multistart_faces_it_replaced():
         _, fp = _face_poly(text, normal)
         assert len(_exponent_kernel(fp)) == 2 and len(fp.active_vars()) >= 3
         v = check_face(fp)
-        assert (v.status, v.detail) == ("nondegenerate-exact", PENCIL), text
+        assert (v.status, v.detail) == ("nondegenerate-exact", PENCIL_ROOT), text
     # the kernel of this face is spanned by b1 = (1, 3, -8, 4, 0) and b2 =
     # (1, 2, -4, 0, 1); c = b1 + b2 makes (1, 1, 1) critical
     _, fp = _face_poly("2*z^4 + 5*y^4 - 12*x*y^2*z + 4*x^2*y*z + x^4", (1, 1, 1))
@@ -640,6 +644,19 @@ def test_high_degree_pencil_faces_stay_on_the_multistart():
     v = check_face(fp)
     assert time.perf_counter() - start < 5
     assert v.status == "nondegenerate-numeric" and v.detail.startswith(MULTISTART), v
+
+
+def test_large_kernel_entries_decided_in_time():
+    # a circuit whose kernel entries reach 30000: raising each line to
+    # |b_alpha| one factor at a time took 4.7 s on a 2-core machine, squaring
+    # takes about 0.05 s.  The facet is checked alone, because the germ's
+    # two-variable edges have degree 30000.
+    _, fp = _face_poly("x^30000 + y^30000 + z^30000 - 5*x^9131*y^10773*z^10096", (1, 1, 1))
+    assert _exponent_kernel(fp) == [(10096, 10773, -30000, 9131)]
+    start = time.perf_counter()
+    v = check_face(fp)
+    assert time.perf_counter() - start < 2
+    assert (v.status, v.detail) == ("nondegenerate-exact", PENCIL_ROOT), v
 
 
 def test_gf2_solve_matches_enumeration():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lojex.errors import InputError
+from lojex.fan import normal_fan
 from lojex.linalg import affine_rank, dot
 from lojex.polyhedron import (
     build_polyhedron,
@@ -23,6 +24,7 @@ from .conftest import random_support, run_lojex
 from .oracles import (
     compact_faces_from_lattice,
     entry_parameter_bisect,
+    face_lattice,
     is_vertex_lp,
     staircase_vertices_2d,
 )
@@ -92,13 +94,27 @@ def test_compact_faces_examples():
 
 def test_compact_faces_match_the_face_lattice():
     # faces grown from the vertices against the filtered face lattice, on
-    # seeded supports with n = 2..6
+    # seeded supports with n = 2..6; for n <= 4, where the fan is built, the
+    # normal fan's cones against the whole lattice: a cone's rays are the
+    # facets through its face, and the maximal cones are the vertices'
     rng = random.Random(41)
     for k in range(100):
         n = 2 + k % 5
         supp = random_support(rng, n, max_points=6 + 2 * n, max_entry=7)
         poly = build_polyhedron(supp)
         assert compact_faces(poly, supp) == compact_faces_from_lattice(poly, supp), supp
+        if n > 4:
+            continue
+        lattice = face_lattice(poly)
+        fan = normal_fan(poly)
+        assert fan.rays == tuple(f.normal for f in poly.facets)
+        assert len(fan.cones) == len(lattice), supp
+        assert {c.rays: c.attached_face for c in fan.cones} == {
+            tight: verts for verts, _, tight in lattice
+        }, supp
+        assert {fan.cones[i].rays for i in fan.maximal} == {
+            tight for verts, rays, tight in lattice if len(verts) == 1 and not rays
+        }, supp
 
 
 def test_nondegen_on_large_support_in_time():

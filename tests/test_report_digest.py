@@ -28,7 +28,7 @@ from lojex.cli import main
 from .conftest import CATALOG
 from .test_nondegeneracy import NUMERIC_PINS
 
-REPORT_DIGEST = "65978311581e7d1f93988a9d3f26535587259969ea2470a17f50fb1a589449b2"
+REPORT_DIGEST = "d24fe8536e52c5765d58f3b48a3243394f56d464eb44a392d5ec9b487c110984"
 AUDIT_DIGEST = "a37097e96754e340d64f5b8695d019f9f4e0300e4988325e8124948500f35622"
 
 
