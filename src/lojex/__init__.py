@@ -16,7 +16,6 @@ from .audit import (
     audit_euler_comparison,
     audit_f_vs_g,
     diagonal_probe,
-    dist_to_zero_set,
 )
 from .cli import AnalysisOptions, analyze_germ
 from .errors import CapExceededError, InputError, LojexError, ParseError
@@ -38,7 +37,6 @@ from .fan import (
     Cone,
     Fan,
     FanExponents,
-    chart_pullback_exponents,
     fan_exponents,
     normal_fan,
     simplicialize,
@@ -60,8 +58,6 @@ from .polyhedron import (
     compact_faces,
     contains,
     diagonal_exponent,
-    face_of_normal,
-    g_gamma_eval,
     hat_polyhedron,
     support_value,
 )
@@ -69,11 +65,6 @@ from .taylor import (
     RemainderDescriptor,
     TaylorModel,
     Term,
-    euler_field_value,
-    evaluate,
-    evaluate_exact,
-    gradient,
-    gradient_exact,
     support,
 )
 

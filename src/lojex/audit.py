@@ -363,13 +363,6 @@ class Sample:
         return self._log_g[vertices]
 
 
-def dist_to_zero_set(point: Sequence[float], family: TransversalFamily) -> float:
-    """Max-norm distance to the union of coordinate subspaces of the family."""
-    if not family.lambda_hitting:
-        return max(abs(x) for x in point)
-    return min(max(abs(point[i]) for i in j) for j in family.lambda_hitting)
-
-
 def audit_L1(sample: Sample, theta: Fraction | float, forced: bool = False) -> AuditResult:
     """Gradient inequality: ||grad f|| against |f|^theta."""
     th = float(theta)

@@ -52,7 +52,7 @@ from .fan import (
 from .nondegeneracy import DEFAULT_STARTS, DEFAULT_TOL, check_model
 from .parser import model_to_text, parse_germ
 from .polyhedron import build_polyhedron, hat_polyhedron
-from .taylor import TaylorModel, poly_eval_many, support
+from .taylor import TaylorModel, support
 
 
 @dataclass
@@ -80,7 +80,9 @@ def _sampled_negative(model: TaylorModel, seed: int, radius: float) -> tuple[flo
     """Look for a sign witness against a declared-nonnegative germ."""
     rng = np.random.default_rng(seed ^ 0x5EED)
     pts = rng.uniform(-radius, radius, size=(10_000, model.n))
-    vals = poly_eval_many(model.poly(), pts)
+    # numpy's pairwise summation over the terms; a germ of remainders only is 0
+    pieces = [float(t.coeff) * np.prod(pts ** np.asarray(t.exp), axis=1) for t in model.terms]
+    vals = np.sum(pieces, axis=0) if pieces else np.zeros(len(pts))
     worst = int(np.argmin(vals))
     if vals[worst] < -1e-12:
         return tuple(float(x) for x in pts[worst])
@@ -214,17 +216,16 @@ def analyze_germ(
 
 
 def _sample(
-    model: TaylorModel, report: ExponentReport, opts: AnalysisOptions, points=()
+    model: TaylorModel, hat_vertices, opts: AnalysisOptions, points=()
 ) -> audit_mod.Sample:
-    """The audits' shared sample, probed on the diagonals through every hat
-    vertex and then through `points`."""
+    """The audits' shared sample, probed on the diagonals through the hat
+    vertices and then through `points`."""
     plan = SamplePlan(
         radii=_default_radii(opts.radius, opts.radius * 1e-3, 16),
         directions_per_radius=opts.samples,
         seed=opts.seed,
     )
-    vertices = [v for v, _ in report.alpha.per_hat_vertex]
-    probes = [p for v in [*vertices, *points] for p in audit_mod.diagonal_probe(v)]
+    probes = [p for v in [*hat_vertices, *points] for p in audit_mod.diagonal_probe(v)]
     return audit_mod.Sample(model, plan, probes)
 
 
@@ -238,7 +239,7 @@ def _run_audits(
     forced = not gates_ok
     # degenerate-face witnesses are the directions where the comparison
     # lemmas break down: probe them explicitly under --force
-    sample = _sample(model, report, opts, [
+    sample = _sample(model, [v for v, _ in report.alpha.per_hat_vertex], opts, [
         v.witness for v in report.face_verdicts.values()
         if v.status == "degenerate" and v.witness is not None
     ])
@@ -387,8 +388,11 @@ _PARSER = _build_argparser()
 def _opts_from_args(args) -> AnalysisOptions:
     if args.seed < 0 or args.samples < 0:
         raise InputError("--seed and --samples must be >= 0")
-    if not 0 < args.radius < math.inf:
-        raise InputError(f"--radius must be positive and finite, got {args.radius}")
+    if args.starts < 1 or (args.max_dim is not None and args.max_dim < 1):
+        raise InputError("--starts and --max-dim must be >= 1")
+    for flag, value in (("--radius", args.radius), ("--tol", args.tol)):
+        if not 0 < value < math.inf:
+            raise InputError(f"{flag} must be positive and finite, got {value}")
     return AnalysisOptions(
         declare_nonnegative="nonnegative" in args.declare,
         declare_convex="convex" in args.declare,
@@ -460,17 +464,20 @@ def run(args) -> int:
         return 0 if ok else 2
 
     if args.command == "verify":
-        outcome = analyze_germ(model, opts, with_audits=False)
-        rep = outcome.report
-        assert rep is not None
-        sample = _sample(model, rep, opts)
+        # the audits read the hat vertices, the alpha witness (which no gate
+        # changes) and the transversal family: no fan and no face verdicts
+        _check_max_dim(model, opts)
+        poly = build_polyhedron(support(model))
+        hat = hat_polyhedron(poly)
+        witness = alpha_exponent(poly, hat, Hypotheses(False, False, False)).witness
+        sample = _sample(model, sorted(hat.vertices), opts)
         audits = []
         if args.theta is not None:
             audits.append(audit_mod.audit_L1(sample, args.theta))
-        if args.alpha is not None and rep.alpha.witness is not None:
-            audits.append(audit_mod.audit_L0(sample, rep.alpha.witness, args.alpha))
+        if args.alpha is not None and witness is not None:
+            audits.append(audit_mod.audit_L0(sample, witness, args.alpha))
         if args.dist is not None:
-            audits.append(audit_mod.audit_L2(sample, args.dist, rep.transversal))
+            audits.append(audit_mod.audit_L2(sample, args.dist, transversals(hat)))
         if not audits:
             raise InputError("verify needs at least one of --theta/--alpha/--dist")
         for a in audits:

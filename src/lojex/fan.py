@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CapExceededError, InputError
-from .linalg import dot, eliminate, mat_rank, solve_scaled
+from .linalg import eliminate, mat_rank, solve_scaled
 from .polyhedron import (
     NewtonPolyhedron,
     _bits,
@@ -373,10 +373,3 @@ def fan_exponents(fan: Fan, poly: NewtonPolyhedron) -> FanExponents:
         N=max(c.n_sigma for c in per),
     )
 
-
-def chart_pullback_exponents(fan: Fan, cone: Cone, alpha: Sequence[int]) -> tuple[int, ...]:
-    """Monomial exponents of x^alpha pulled back through the cone's chart map."""
-    gens = fan.generators(cone)
-    if len(gens) != fan.n or mat_rank(gens) != fan.n:
-        raise InputError("chart pullback needs a full-dimensional simplicial cone")
-    return tuple(dot(g, alpha) for g in gens)

@@ -72,15 +72,6 @@ def mat_rank(rows: Iterable[Sequence[int]]) -> int:
     return len(eliminate(rows)[1])
 
 
-def affine_rank(points: Sequence[Sequence[int]]) -> int:
-    """Dimension of the affine hull of the given points (-1 for the empty set)."""
-    pts = list(points)
-    if not pts:
-        return -1
-    base = pts[0]
-    return mat_rank([[a - b for a, b in zip(p, base)] for p in pts[1:]])
-
-
 def solve_scaled(
     matrix: Sequence[Sequence[int]], rhs_cols: Sequence[Sequence[int]]
 ) -> tuple[int, list[list[int]]] | None:

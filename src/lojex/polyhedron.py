@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, InputError
-from .linalg import affine_rank, dot, eliminate, mat_rank, primitive, solve_scaled
+from .linalg import dot, eliminate, mat_rank, primitive, solve_scaled
 from .taylor import MAX_DIM, Exponent, check_exponent
 
 MAX_SUPPORT = 10_000
@@ -78,11 +78,6 @@ class FaceData:
     @property
     def compact(self) -> bool:
         return all(a > 0 for a in self.defining_normal)
-
-    @property
-    def dim(self) -> int:
-        """Affine dimension of the lattice points on the face."""
-        return affine_rank(list(self.lattice_points))
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +185,6 @@ def contains(poly: NewtonPolyhedron, point: Sequence) -> bool:
     return all(dot(f.normal, pt) >= f.offset for f in poly.facets)
 
 
-def face_of_normal(
-    poly: NewtonPolyhedron, support: Iterable[Exponent], a: Sequence[int]
-) -> FaceData:
-    """Lattice support points attaining l(a)."""
-    level = support_value(poly, a)
-    pts = frozenset(p for p in support if dot(a, p) == level)
-    return FaceData(tuple(int(x) for x in a), pts)
-
-
 # ---------------------------------------------------------------------------
 # face enumeration
 
@@ -270,15 +256,7 @@ def compact_faces(
 
 
 # ---------------------------------------------------------------------------
-# the vertex-monomial proxy and the hat construction
-
-def g_gamma_eval(poly: NewtonPolyhedron, point: Sequence[float]) -> float:
-    """Sum over vertices of |x^alpha| at a float point."""
-    return math.fsum(
-        abs(math.prod(point[i] ** a for i, a in enumerate(v) if a))
-        for v in poly.vertices
-    )
-
+# the hat construction
 
 def hat_vector(alpha: Exponent) -> Exponent:
     return tuple(1 if a > 0 else 0 for a in alpha)

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import CapExceededError, InputError
 
 Exponent = tuple[int, ...]
@@ -95,7 +93,6 @@ class TaylorModel:
     n: int
     terms: tuple[Term, ...]
     remainders: tuple[RemainderDescriptor, ...] = ()
-    origin_critical: bool = True
 
     def __post_init__(self):
         if self.n < 1:
@@ -110,7 +107,7 @@ class TaylorModel:
             if t.exp in seen:
                 raise InputError(f"duplicate exponent {t.exp} in terms")
             seen.add(t.exp)
-            if self.origin_critical and sum(t.exp) <= 1:
+            if sum(t.exp) <= 1:
                 raise InputError(
                     f"term x^{t.exp} violates f(0)=0, grad f(0)=0; the analysis "
                     "applies to origin-critical germs only"
@@ -124,14 +121,13 @@ class TaylorModel:
         n: int,
         coeffs: Mapping[Sequence[int], Fraction | int | str],
         remainders: Iterable[RemainderDescriptor] = (),
-        origin_critical: bool = True,
     ) -> "TaylorModel":
         terms = tuple(
             Term(Fraction(c), tuple(e))
             for e, c in sorted(coeffs.items())
             if Fraction(c) != 0
         )
-        return cls(n, terms, tuple(remainders), origin_critical)
+        return cls(n, terms, tuple(remainders))
 
     def poly(self) -> PolyDict:
         return {t.exp: t.coeff for t in self.terms}
@@ -158,66 +154,8 @@ def poly_eval_float(poly: PolyDict, point: Sequence[float]) -> float:
     )
 
 
-def poly_eval_exact(poly: PolyDict, point: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for exp, c in poly.items():
-        term = c
-        for i, e in enumerate(exp):
-            if e:
-                term *= Fraction(point[i]) ** e
-        total += term
-    return total
-
-
-def poly_eval_many(poly: PolyDict, pts: np.ndarray) -> np.ndarray:
-    """Vectorized float evaluation at an (m, n) array of points.
-
-    Terms are accumulated with numpy's pairwise summation.
-    """
-    if not poly:
-        return np.zeros(len(pts))
-    pieces = [float(c) * np.prod(pts ** np.asarray(exp), axis=1) for exp, c in poly.items()]
-    return np.sum(pieces, axis=0)
-
-
 # ---------------------------------------------------------------------------
 # model operations
-
-def _check_point(model: TaylorModel, point: Sequence) -> None:
-    if len(point) != model.n:
-        raise InputError(f"point has length {len(point)}, expected {model.n}")
-
-
-def evaluate(model: TaylorModel, point: Sequence[float]) -> float:
-    """Float value of the polynomial part (remainders are lattice metadata only)."""
-    _check_point(model, point)
-    return poly_eval_float(model.poly(), point)
-
-
-def evaluate_exact(model: TaylorModel, point: Sequence[Fraction]) -> Fraction:
-    _check_point(model, point)
-    return poly_eval_exact(model.poly(), point)
-
-
-def gradient(model: TaylorModel, point: Sequence[float]) -> tuple[float, ...]:
-    """Gradient of the polynomial part: exact term-wise differentiation, then evaluation."""
-    _check_point(model, point)
-    p = model.poly()
-    return tuple(poly_eval_float(poly_diff(p, i), point) for i in range(model.n))
-
-
-def gradient_exact(model: TaylorModel, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    _check_point(model, point)
-    p = model.poly()
-    return tuple(poly_eval_exact(poly_diff(p, i), point) for i in range(model.n))
-
-
-def euler_field_value(model: TaylorModel, point: Sequence[float]) -> float:
-    """Sum over i of |x_i * df/dx_i| at the point."""
-    _check_point(model, point)
-    grad = gradient(model, point)
-    return math.fsum(abs(point[i] * grad[i]) for i in range(model.n))
-
 
 def support(model: TaylorModel) -> frozenset[Exponent]:
     """Taylor-support generators: term exponents plus unit-remainder exponents."""

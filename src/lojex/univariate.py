@@ -149,35 +149,33 @@ def square_free(p: UPoly) -> UPoly:
     return udivmod(p, ugcd(p, uderiv(p)))[0]
 
 
-def count_real_roots(p: UPoly, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
-    """Distinct real roots of p in the open interval (lo, hi), the whole
-    line by default; None is an infinite end, and either end may itself be
-    a root.
-
-    Sturm's count V(lo) - V(hi) over the chain of the square-free part is
-    the number of roots in (lo, hi], so a root at hi is taken off.
-    """
+def _sturm_count(
+    p: UPoly, lo: Fraction | None, hi: Fraction | None
+) -> tuple[int, UPoly, list[UPoly]]:
+    """The number of distinct real roots of p in (lo, hi), None an infinite
+    end, with the square-free part q of p and its Sturm chain ([] for a
+    constant q).  Sturm's count V(lo) - V(hi) counts the roots in (lo, hi],
+    so a root at hi is taken off."""
     q = square_free(p)
     if udeg(q) < 1:
-        return 0
+        return 0, q, []
     chain = sturm_chain(q)
     count = _variations(chain, lo, -1) - _variations(chain, hi)
-    return count - (hi is not None and ueval(q, hi) == 0)
+    return count - (hi is not None and ueval(q, hi) == 0), q, chain
 
 
 def isolate_root_between(
     p: UPoly, lo: Fraction | None = None, hi: Fraction | None = None
 ) -> Fraction | None:
     """A rational within 2^-64 * max(1, |root|) of some root of p in the
-    open interval (lo, hi), or None if there is none (`count_real_roots`).
+    open interval (lo, hi), or None if there is none (`_sturm_count`).
 
     Bisection on the Sturm chain of the square-free part; an infinite end
     starts at the Cauchy bound, inside which every root lies strictly.
     """
-    if count_real_roots(p, lo, hi) == 0:
+    count, q, chain = _sturm_count(p, lo, hi)
+    if count == 0:
         return None
-    q = square_free(p)
-    chain = sturm_chain(q)
     bound = cauchy_root_bound(q)
     a = -bound if lo is None else lo
     b = bound if hi is None else hi

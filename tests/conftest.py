@@ -62,11 +62,6 @@ def run_lojex(*args: str) -> subprocess.CompletedProcess:
     return run_python("-m", "lojex", *args)
 
 
-@pytest.fixture
-def catalog():
-    return {name: parse_text(text) for name, text in CATALOG.items()}
-
-
 def example_flat_germ(k: int) -> TaylorModel:
     """The flat-remainder family: x1^2 x2^2 plus x1^k times a factor flat in x2."""
     return TaylorModel.from_dict(

@@ -16,7 +16,11 @@ the parallelepiped oracle walks the bounding box of the cone with a
 Fraction inverse, the stellar-step oracle solves for the new ray in
 every maximal cone instead of splitting only the cones around its face,
 and the envelope-slope oracle takes each bin's minimum with its own
-boolean mask and the suffix minimum in a Python loop.
+boolean mask and the suffix minimum in a Python loop.  The pointwise
+references at the end evaluate f, its gradient, the Euler field, g_Gamma
+and the distance to the zero set one point at a time in plain floats,
+where the audits take logs over whole batches of directions; the face of
+a normal is read off the support values point by point.
 """
 
 from __future__ import annotations
@@ -24,11 +28,12 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from lojex.audit import SLOPE_BINS, SLOPE_LOWER_FRACTION
+from lojex.errors import InputError
 from lojex.fan import (
     Fan,
     RayVec,
@@ -42,8 +47,9 @@ from lojex.polyhedron import (
     NewtonPolyhedron,
     contains,
     dd_dual_rays,
+    support_value,
 )
-from lojex.taylor import Exponent
+from lojex.taylor import Exponent, TaylorModel, poly_diff, poly_eval_float
 
 
 # ---------------------------------------------------------------------------
@@ -548,3 +554,63 @@ def lower_envelope_slope_per_bin(predictor: np.ndarray, response: np.ndarray) ->
         centers, mins = zip(*lower)
     coeffs = np.polyfit(np.array(centers), np.array(mins), 1)
     return float(coeffs[0])
+
+
+# ---------------------------------------------------------------------------
+# pointwise references in plain floats
+
+def _check_point(model: TaylorModel, point: Sequence) -> None:
+    if len(point) != model.n:
+        raise InputError(f"point has length {len(point)}, expected {model.n}")
+
+
+def evaluate(model: TaylorModel, point: Sequence[float]) -> float:
+    """Float value of the polynomial part (remainders are lattice metadata only)."""
+    _check_point(model, point)
+    return poly_eval_float(model.poly(), point)
+
+
+def gradient(model: TaylorModel, point: Sequence[float]) -> tuple[float, ...]:
+    """Gradient of the polynomial part: exact term-wise differentiation, then evaluation."""
+    _check_point(model, point)
+    p = model.poly()
+    return tuple(poly_eval_float(poly_diff(p, i), point) for i in range(model.n))
+
+
+def euler_field_value(model: TaylorModel, point: Sequence[float]) -> float:
+    """Sum over i of |x_i * df/dx_i| at the point."""
+    grad = gradient(model, point)
+    return math.fsum(abs(point[i] * grad[i]) for i in range(model.n))
+
+
+def g_gamma_eval(poly: NewtonPolyhedron, point: Sequence[float]) -> float:
+    """Sum over vertices of |x^alpha| at a float point."""
+    return math.fsum(
+        abs(math.prod(point[i] ** a for i, a in enumerate(v) if a))
+        for v in poly.vertices
+    )
+
+
+def dist_to_zero_set(point: Sequence[float], family) -> float:
+    """Max-norm distance to the union of coordinate subspaces of the family."""
+    if not family.lambda_hitting:
+        return max(abs(x) for x in point)
+    return min(max(abs(point[i]) for i in j) for j in family.lambda_hitting)
+
+
+def face_of_normal(
+    poly: NewtonPolyhedron, support: Iterable[Exponent], a: Sequence[int]
+) -> FaceData:
+    """Lattice support points attaining l(a)."""
+    level = support_value(poly, a)
+    pts = frozenset(p for p in support if dot(a, p) == level)
+    return FaceData(tuple(int(x) for x in a), pts)
+
+
+def affine_rank(points: Sequence[Sequence[int]]) -> int:
+    """Dimension of the affine hull of the given points (-1 for the empty set)."""
+    pts = list(points)
+    if not pts:
+        return -1
+    base = pts[0]
+    return mat_rank([[a - b for a, b in zip(p, base)] for p in pts[1:]])

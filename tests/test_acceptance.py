@@ -33,12 +33,11 @@ from lojex.exponents import (
     transversals,
 )
 from lojex.fan import cone_det, fan_exponents, normal_fan, simplicialize, unimodularize
-from lojex.linalg import affine_rank, dot
+from lojex.linalg import dot
 from lojex.nondegeneracy import check_model
 from lojex.parser import parse_text
 from lojex.polyhedron import build_polyhedron, hat_polyhedron
-from lojex.taylor import euler_field_value, support
-from lojex.polyhedron import g_gamma_eval
+from lojex.taylor import support
 
 from .conftest import (
     example_flat_germ,
@@ -48,8 +47,11 @@ from .conftest import (
     random_support,
 )
 from .oracles import (
+    affine_rank,
+    euler_field_value,
     family_zero_patterns,
     fulldim_cone_contains,
+    g_gamma_eval,
     is_vertex_lp,
     monomial_zero_patterns,
     simplicial_cone_contains,

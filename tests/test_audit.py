@@ -20,7 +20,6 @@ from lojex.audit import (
     audit_euler_comparison,
     audit_f_vs_g,
     diagonal_probe,
-    dist_to_zero_set,
     envelope_rows,
     lower_envelope_slope,
     ranking_probes,
@@ -29,11 +28,14 @@ from lojex.cli import AnalysisOptions, _run_audits, analyze_germ, main
 from lojex.errors import InputError
 from lojex.exponents import transversals
 from lojex.parser import parse_germ, parse_text
-from lojex.polyhedron import build_polyhedron, g_gamma_eval, hat_polyhedron
-from lojex.taylor import euler_field_value, evaluate, gradient, support
+from lojex.polyhedron import build_polyhedron, hat_polyhedron
+from lojex.taylor import support
 
 from .conftest import CATALOG, GATED_NONNEG, germ, subprocess_env
-from .oracles import lower_envelope_slope_per_bin, ranking_i_rho
+from .oracles import (
+    dist_to_zero_set, euler_field_value, evaluate, g_gamma_eval, gradient,
+    lower_envelope_slope_per_bin, ranking_i_rho,
+)
 
 PLAN = SamplePlan(seed=5)
 DEEP_PLAN = SamplePlan(radii=_default_radii(1e-1, 1e-5, 16), seed=5)

@@ -10,7 +10,6 @@ from lojex.fan import (
     Cone,
     Fan,
     _parallelepiped_point,
-    chart_pullback_exponents,
     cone_det,
     fan_exponents,
     hirzebruch_jung_chain,
@@ -374,21 +373,6 @@ def test_covering_thousand_rays_interior_unique():
             assert len(interiors) <= 1, (name, ray)
             if len(holders) > 1:
                 assert not interiors or len(holders) == 1
-
-
-def test_chart_pullback_exponents():
-    poly = build_polyhedron({(2, 0), (0, 2)})
-    fan = _refined(poly)
-    cone = next(
-        c
-        for c in fan.maximal_cones()
-        if set(fan.generators(c)) == {(1, 0), (1, 1)}
-    )
-    gens = fan.generators(cone)
-    vals = chart_pullback_exponents(fan, cone, (2, 0))
-    assert vals == tuple(dot(g, (2, 0)) for g in gens)
-    assert sorted(vals) == [2, 2]
-    assert sorted(chart_pullback_exponents(fan, cone, (0, 2))) == [0, 2]
 
 
 def test_chart_exponent_dominance():

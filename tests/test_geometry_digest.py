@@ -15,6 +15,7 @@ from lojex.fan import Fan, normal_fan, simplicialize, unimodularize
 from lojex.polyhedron import build_polyhedron, compact_faces
 
 from .conftest import random_support
+from .oracles import affine_rank
 
 GEOMETRY_DIGEST = "2c5139f5282d16aeb990b0a1c3350080a67a8bae8a344267cb962ce10fec354c"
 
@@ -38,7 +39,7 @@ def _geometry_doc(supp) -> dict:
         "vertices": sorted(poly.vertices),
         "facets": [[f.normal, f.offset] for f in poly.facets],
         "compact_faces": [
-            [fd.defining_normal, sorted(fd.lattice_points), fd.dim]
+            [fd.defining_normal, sorted(fd.lattice_points), affine_rank(fd.lattice_points)]
             for fd in compact_faces(poly, supp)
         ],
         "normal_fan": _fan_doc(normal_fan(poly)),

