@@ -6,17 +6,6 @@ non-degeneracy, convenience), the combinatorial exponent formulas, and
 floating-point audits of the resulting inequalities near the origin.
 """
 
-from .audit import (
-    AuditResult,
-    Sample,
-    SamplePlan,
-    audit_L0,
-    audit_L1,
-    audit_L2,
-    audit_euler_comparison,
-    audit_f_vs_g,
-    diagonal_probe,
-)
 from .cli import AnalysisOptions, analyze_germ
 from .errors import CapExceededError, InputError, LojexError, ParseError
 from .exponents import (
@@ -69,3 +58,18 @@ from .taylor import (
 )
 
 __version__ = "0.1.0"
+
+# the audits need numpy, which the exact commands never load: their names
+# resolve from lojex.audit on first use (PEP 562)
+_AUDIT_NAMES = frozenset({
+    "AuditResult", "Sample", "SamplePlan", "audit_L0", "audit_L1", "audit_L2",
+    "audit_euler_comparison", "audit_f_vs_g", "diagonal_probe",
+})
+
+
+def __getattr__(name: str):
+    if name in _AUDIT_NAMES:
+        from . import audit
+
+        return getattr(audit, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -147,6 +147,19 @@ def direction_pool(
     return np.vstack([_normalize_rows(dirs), _normalize_rows(probes)])
 
 
+def _sampled_negative(model: TaylorModel, seed: int, radius: float) -> tuple[float, ...] | None:
+    """Look for a sign witness against a declared-nonnegative germ."""
+    rng = np.random.default_rng(seed ^ 0x5EED)
+    pts = rng.uniform(-radius, radius, size=(10_000, model.n))
+    # numpy's pairwise summation over the terms; a germ of remainders only is 0
+    pieces = [float(t.coeff) * np.prod(pts ** np.asarray(t.exp), axis=1) for t in model.terms]
+    vals = np.sum(pieces, axis=0) if pieces else np.zeros(len(pts))
+    worst = int(np.argmin(vals))
+    if vals[worst] < -1e-12:
+        return tuple(float(x) for x in pts[worst])
+    return None
+
+
 # ---------------------------------------------------------------------------
 # envelope machinery
 
@@ -292,14 +305,14 @@ def _ratio_audit(
     """Audit LHS >= c·RHS^scale (and LHS <= C·RHS^scale if two-sided).
 
     Takes log|LHS| and log|RHS| as (levels, rows) arrays.  Rows where RHS = 0
-    are left out of their level and counted in `excluded`.
+    are left out of their level and counted in `excluded`; when that leaves
+    every level empty (RHS = |f| = 0 on a germ of remainders only) the
+    audit is indeterminate, with nan ratios and a note.
     """
     kept = np.isfinite(log_rhs)
     log_ratio = log_lhs - scale * np.where(kept, log_rhs, 0.0)
     excluded = np.count_nonzero(~kept, axis=1)
     empty = excluded == kept.shape[1]
-    if empty.all():
-        raise InputError(f"every {name} sample has a zero right-hand side: degenerate sampling plan")
     lo = np.exp(np.where(kept, log_ratio, np.inf).min(axis=1))
     hi = np.exp(np.where(kept, log_ratio, -np.inf).max(axis=1))
     minima = np.where(empty, np.nan, lo).tolist()
@@ -310,12 +323,16 @@ def _ratio_audit(
         (verdict, tau), tau_upper = _one_sided_verdict(minima), math.nan
     near = np.array(plan.radii) <= SLOPE_RADIUS_CAP
     slope = lower_envelope_slope(log_rhs[near].ravel(), log_lhs[near].ravel())
+    if empty.all():
+        min_ratio = max_ratio = math.nan
+        note = f"every {name} sample has a zero right-hand side: no ratio to audit"
+    else:
+        min_ratio, max_ratio, note = float(lo[~empty].min()), float(hi[~empty].max()), ""
     return AuditResult(
-        name, exponent, verdict,
-        min_ratio=float(lo[~empty].min()), max_ratio=float(hi[~empty].max()),
+        name, exponent, verdict, min_ratio=min_ratio, max_ratio=max_ratio,
         empirical_slope=slope, kendall_tau=tau, kendall_tau_upper=tau_upper,
         radii=plan.radii, level_minima=tuple(minima), level_maxima=tuple(maxima),
-        forced=forced, excluded=tuple(int(k) for k in excluded),
+        forced=forced, note=note, excluded=tuple(int(k) for k in excluded),
     )
 
 

@@ -15,19 +15,14 @@ the report is still written); 3 input error; 4 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
-import itertools
-import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import audit as audit_mod
 from . import report as report_mod
-from .audit import SamplePlan, _default_radii
 from .errors import CapExceededError, InputError, LojexError
 from .exponents import (
     ExponentReport,
@@ -54,6 +49,13 @@ from .parser import model_to_text, parse_germ
 from .polyhedron import build_polyhedron, hat_polyhedron
 from .taylor import TaylorModel, support
 
+if TYPE_CHECKING:
+    from .audit import Sample
+
+# numpy is loaded by the audits and the declared-sign sampler alone: they
+# import lojex.audit when they run, and look its functions up on the module
+# at call time, so that a wrapper set on lojex.audit is the one called
+
 
 @dataclass
 class AnalysisOptions:
@@ -74,19 +76,6 @@ class AnalysisOutcome:
     exit_code: int
     report: ExponentReport | None = None
     audits: list = field(default_factory=list)
-
-
-def _sampled_negative(model: TaylorModel, seed: int, radius: float) -> tuple[float, ...] | None:
-    """Look for a sign witness against a declared-nonnegative germ."""
-    rng = np.random.default_rng(seed ^ 0x5EED)
-    pts = rng.uniform(-radius, radius, size=(10_000, model.n))
-    # numpy's pairwise summation over the terms; a germ of remainders only is 0
-    pieces = [float(t.coeff) * np.prod(pts ** np.asarray(t.exp), axis=1) for t in model.terms]
-    vals = np.sum(pieces, axis=0) if pieces else np.zeros(len(pts))
-    worst = int(np.argmin(vals))
-    if vals[worst] < -1e-12:
-        return tuple(float(x) for x in pts[worst])
-    return None
 
 
 def _provably_nonnegative(model: TaylorModel) -> bool:
@@ -153,7 +142,9 @@ def analyze_germ(
 
     nonnegative = opts.declare_nonnegative or opts.declare_convex
     if nonnegative:
-        witness = _sampled_negative(model, opts.seed, opts.radius)
+        from . import audit as audit_mod
+
+        witness = audit_mod._sampled_negative(model, opts.seed, opts.radius)
         if witness is not None:
             nonnegative = False
             flags.append(
@@ -217,11 +208,13 @@ def analyze_germ(
 
 def _sample(
     model: TaylorModel, hat_vertices, opts: AnalysisOptions, points=()
-) -> audit_mod.Sample:
+) -> Sample:
     """The audits' shared sample, probed on the diagonals through the hat
     vertices and then through `points`."""
-    plan = SamplePlan(
-        radii=_default_radii(opts.radius, opts.radius * 1e-3, 16),
+    from . import audit as audit_mod
+
+    plan = audit_mod.SamplePlan(
+        radii=audit_mod._default_radii(opts.radius, opts.radius * 1e-3, 16),
         directions_per_radius=opts.samples,
         seed=opts.seed,
     )
@@ -236,6 +229,8 @@ def _run_audits(
     opts: AnalysisOptions,
     gates_ok: bool,
 ) -> list:
+    from . import audit as audit_mod
+
     forced = not gates_ok
     # degenerate-face witnesses are the directions where the comparison
     # lemmas break down: probe them explicitly under --force
@@ -410,12 +405,9 @@ def _emit(doc: dict, args, audits) -> None:
     if args.json_path:
         target = sys.stdout if args.json_path == "-" else open(args.json_path, "w", encoding="utf-8")
         try:
-            # a few large writes: json.dump writes every token on its own,
-            # and json.dumps would hold all tokens of a large report at once
-            chunks = json.JSONEncoder(indent=2).iterencode(doc)
-            while batch := "".join(itertools.islice(chunks, 1024)):
-                target.write(batch)
-            target.write("\n")
+            # the bytes of json.dump(doc, target, indent=2) and a newline,
+            # encoded in C and written in batches
+            report_mod.write_json(doc, target)
         finally:
             if target is not sys.stdout:
                 target.close()
@@ -466,6 +458,8 @@ def run(args) -> int:
     if args.command == "verify":
         # the audits read the hat vertices, the alpha witness (which no gate
         # changes) and the transversal family: no fan and no face verdicts
+        from . import audit as audit_mod
+
         _check_max_dim(model, opts)
         poly = build_polyhedron(support(model))
         hat = hat_polyhedron(poly)

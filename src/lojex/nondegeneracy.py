@@ -46,8 +46,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InputError
 from .linalg import eliminate, primitive
@@ -70,6 +69,11 @@ from .univariate import (
     upow,
     utrim,
 )
+
+# numpy is imported by the float routes alone (the witness placement and the
+# multistart), so a model whose faces the exact routes decide never loads it
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TOL = 1e-10
 DEFAULT_STARTS = 64
@@ -264,6 +268,8 @@ def _torus_point(fp: FacePolynomial, ratios: list[Fraction], signs: int, detail:
     """The degenerate verdict at the torus point x^alpha = t r_alpha: |t| = 1,
     y = log|x| the least-norm solution of A^T y = log|r|, moved along the face
     weight w to max |x_j| = 1, with the signs of `_sign_system`."""
+    import numpy as np
+
     active = fp.active_vars()
     a_t = np.array([[exp[j] for j in active] for exp, _ in fp.terms], dtype=float)
     log_r = np.array([math.log(abs(r.numerator)) - math.log(r.denominator) for r in ratios])
@@ -401,6 +407,8 @@ class _CompiledFace:
 
     @classmethod
     def build(cls, poly: PolyDict, active: tuple[int, ...]) -> "_CompiledFace":
+        import numpy as np
+
         partials = [poly_diff(poly, i) for i in active]
         columns = partials + [poly_diff(p, j) for p in partials for j in active]
         basis = sorted({tuple(e[i] for i in active) for col in columns for e in col})
@@ -413,6 +421,8 @@ class _CompiledFace:
 
     def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """g (B, k) and H (B, k, k) at the rows of x (B, k)."""
+        import numpy as np
+
         b, k = x.shape
         mono = np.ones((b, len(self.exps)))
         for j in range(k):
@@ -437,6 +447,8 @@ def _levenberg_marquardt(
     accepted step gains next to nothing, or no damping gives a descent.
     Returns the final rows and their values.
     """
+    import numpy as np
+
     z = z.copy()
     k = z.shape[1]
     diag = np.arange(k)
@@ -477,6 +489,8 @@ def _levenberg_marquardt(
 
 
 def _multistart(fp: FacePolynomial, tol: float, starts: int, seed: int) -> DegeneracyVerdict:
+    import numpy as np
+
     active = fp.active_vars()
     k = len(active)
     poly = _normalized_float_poly(fp)

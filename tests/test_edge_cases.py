@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,25 @@ def test_flat_remainder_only_germ_is_rejected():
     )
     with pytest.raises(InputError):
         analyze_germ(m, AnalysisOptions())
+
+
+def test_germ_of_unit_remainders_only_audits_indeterminate(tmp_path, capsys):
+    # f = 0 on every sample, so L1's right-hand side |f|^theta is 0 at every
+    # level: the audit is indeterminate, with every sample excluded, where it
+    # used to end the run with an input error (exit 3) and no report
+    text = "@remainder exp=(2,0) unit\n@remainder exp=(0,2) unit"
+    out = tmp_path / "report.json"
+    assert main(["analyze", text, "--force", "--json", str(out)]) == 2
+    assert main(["verify", text, "--theta", "1/2"]) == 0
+    assert "audit L1 at exponent 0.5: indeterminate" in capsys.readouterr().out
+    l1 = json.loads(out.read_text())["audits"][0]
+    assert l1["inequality"] == "L1" and l1["verdict"] == "indeterminate" and l1["forced"]
+    assert "zero right-hand side" in l1["note"]
+    assert math.isnan(l1["min_ratio"]) and math.isnan(l1["max_ratio"])
+    assert l1["kendall_tau"] is None and l1["empirical_slope"] is None
+    # 256 random rows, 4 axis probes and the two diagonals of the two hat vertices
+    assert {row["excluded"] for row in l1["envelope"]} == {264}
+    assert all(math.isnan(row["min_ratio"]) for row in l1["envelope"])
 
 
 def test_flat_remainder_does_not_perturb_faces():

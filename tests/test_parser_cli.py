@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
@@ -11,11 +12,11 @@ import pytest
 
 import lojex.cli
 import lojex.report
-from lojex.cli import AnalysisOptions, analyze_germ, main
+from lojex.cli import AnalysisOptions, main
 from lojex.errors import InputError, ParseError
 from lojex.parser import model_to_text, parse_germ, parse_json, parse_text
 
-from .conftest import run_lojex, subprocess_env
+from .conftest import run_lojex, run_python, subprocess_env
 
 
 def test_parse_examples():
@@ -200,23 +201,104 @@ def test_fan_command_is_the_analyze_fan_section(tmp_path):
         assert fan_out.read_text() == json.dumps(expected, indent=2) + "\n", text
 
 
-def test_report_bytes_are_those_of_a_streamed_dump(tmp_path, capsys):
-    # the report is written in batches of encoder chunks, most reports here
-    # in more than one; its bytes must be those json.dump streams
+# a germ with no polynomial part: f = 0 on every sample, so its audits
+# write NaN ratios
+REMAINDERS_ONLY = "@remainder exp=(2,0) unit\n@remainder exp=(0,2) unit"
+
+
+def test_report_bytes_are_those_of_a_streamed_dump(tmp_path, capsys, monkeypatch):
+    # the writer sends each container of scalars to the C encoder and puts
+    # its brackets on their own lines; the file must hold the bytes of
+    # json.dumps(doc, indent=2) and a newline for the document the command
+    # built, on every command, with and without --force
+    from .conftest import CATALOG
+    from .test_nondegeneracy import NUMERIC_PINS
+
+    written = []
+    write_json = lojex.report.write_json
+
+    def recording(doc, fh):
+        text = io.StringIO()
+        write_json(doc, text)
+        written.append((doc, text.getvalue()))
+        fh.write(text.getvalue())
+
+    monkeypatch.setattr(lojex.report, "write_json", recording)
+    out = tmp_path / "report.json"
+    germs = sorted(set(CATALOG.values()) | set(NUMERIC_PINS)) + [REMAINDERS_ONLY]
+    for text in germs:
+        for argv in (["analyze"], ["analyze", "--force"], ["exponents"], ["fan"], ["nondegen"],
+                     ["verify", "--theta", "1/2", "--alpha", "2", "--dist", "2"]):
+            written.clear()
+            main([argv[0], text, *argv[1:], "--json", str(out)])
+            capsys.readouterr()
+            if argv[0] == "fan" and not written:
+                continue  # above the fan's dimension cap: no report
+            (doc, report), = written
+            assert report == json.dumps(doc, indent=2) + "\n", (argv, text)
+            assert out.read_bytes() == report.encode(), (argv, text)
+    written.clear()
+    main(["analyze", REMAINDERS_ONLY, "--force", "--json", "-"])
+    (doc, report), = written
+    assert capsys.readouterr().out.endswith("\n" + json.dumps(doc, indent=2) + "\n")
+    assert "NaN" in report
+
+
+@pytest.mark.parametrize("c_encoder", [True, False])
+def test_report_writer_matches_json_dumps(monkeypatch, c_encoder):
+    if not c_encoder:
+        # the public encoder, as on an interpreter built without _json
+        monkeypatch.setattr(lojex.report, "c_make_encoder", None)
+    lojex.report._layout.cache_clear()
+    docs = [
+        {}, [], (), 0, "x", None, True, -1.5, math.nan,
+        [math.inf, -math.inf, -0.0, 5e-324, 1e300],
+        {"a": [], "b": {}, "c": [[], {}, [[]], [{}]], "d": ({"e": ()},)},
+        {"\u00e9\u2603": "\u00fc \x00\t\"\\", "big": 10**300 + 1, "neg": -(2**64)},
+        {"leaf": [True, False, None, 1, -2, 0.1, "s", 2**70]},
+        [[1, 2], [3, [4, {"k": (5, 6)}]], {"x": {"y": {"z": [None]}}}],
+        (1, (2, 3), "t", {"u": (True, [])}),
+        [list(range(3000)), [[k, -k] for k in range(3000)]],
+    ]
+    try:
+        for doc in docs:
+            out = io.StringIO()
+            lojex.report.write_json(doc, out)
+            assert out.getvalue() == json.dumps(doc, indent=2) + "\n", doc
+    finally:
+        lojex.report._layout.cache_clear()
+
+
+def test_exact_commands_never_import_numpy(tmp_path):
+    # a fresh interpreter, so that imports made by other tests cannot hide
+    # one; numpy is for the audits, the multistart, the witness placement
+    # and the declared-sign sampler, and no catalog germ reaches the last three
     from .conftest import CATALOG
 
-    out = tmp_path / "report.json"
-    for text in CATALOG.values():
-        for flags in ([], ["--force"]):
-            doc = analyze_germ(parse_germ(text), AnalysisOptions(force=bool(flags))).document
-            streamed = io.StringIO()
-            json.dump(doc, streamed, indent=2)
-            streamed.write("\n")
-            main(["analyze", text, *flags, "--json", str(out)])
-            assert out.read_bytes() == streamed.getvalue().encode(), text
-            capsys.readouterr()
-            main(["analyze", text, *flags, "--json", "-"])
-            assert capsys.readouterr().out.endswith("\n" + streamed.getvalue()), text
+    report = tmp_path / "analyze.json"
+    exact = [[cmd, text] for text in CATALOG.values() for cmd in ("exponents", "fan", "nondegen")]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import lojex\n"
+        "print('numpy' in sys.modules)\n"
+        "from lojex.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in json.loads(sys.argv[1]):\n"
+        "        main(argv)\n"
+        "print('numpy' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['analyze', 'x^2 + y^4', '--json', sys.argv[2]])\n"
+        "print('numpy' in sys.modules)\n"
+        "print(lojex.audit_L1 is sys.modules['lojex.audit'].audit_L1)\n"
+    )
+    proc = run_python("-c", code, json.dumps(exact), str(report))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "True", "True"]
+    # the audits written after the lazy import are those of a warm process
+    again = tmp_path / "again.json"
+    main(["analyze", "x^2 + y^4", "--json", str(again)])
+    assert json.loads(report.read_text())["audits"]
+    assert report.read_bytes() == again.read_bytes()
 
 
 def test_main_reuses_one_parser(monkeypatch):
