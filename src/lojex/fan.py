@@ -26,6 +26,7 @@ by the pivot rather than divided.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -65,6 +66,26 @@ class Fan:
 
     def maximal_cones(self) -> list[Cone]:
         return [self.cones[i] for i in self.maximal]
+
+    # the fan is frozen, so what is computed from it is kept in its __dict__
+    # and read by both `fan_exponents` and `report.fan_json`
+
+    @functools.cached_property
+    def cone_dets(self) -> tuple[int | None, ...]:
+        """Signed determinant of each maximal cone's generators, in `maximal`
+        order; None for a cone with more than n rays."""
+        return tuple(
+            cone_det(self.generators(c)) if len(c.rays) == self.n else None
+            for c in self.maximal_cones()
+        )
+
+    def support_values(self, poly: NewtonPolyhedron) -> tuple[int, ...]:
+        """`support_value` of every ray on poly, computed once for the last poly."""
+        cached = self.__dict__.get("_support_values")
+        if cached is None or cached[0] is not poly:
+            cached = poly, tuple(support_value(poly, r) for r in self.rays)
+            self.__dict__["_support_values"] = cached
+        return cached[1]
 
 
 @dataclass(frozen=True)
@@ -343,13 +364,12 @@ def unimodularize(fan: Fan, trace: list | None = None) -> Fan:
 def fan_exponents(fan: Fan, poly: NewtonPolyhedron) -> FanExponents:
     """Per-cone ray support values and the aggregated bounds L and N."""
     n = fan.n
-    ray_values = [support_value(poly, r) for r in fan.rays]
+    ray_values = fan.support_values(poly)
     per = []
-    for pos, cone in enumerate(fan.maximal_cones()):
-        gens = fan.generators(cone)
-        if len(gens) != n:
+    for pos, (cone, det) in enumerate(zip(fan.maximal_cones(), fan.cone_dets)):
+        if len(cone.rays) != n:
             raise InputError("fan_exponents requires a simplicial fan")
-        if abs(cone_det(gens)) != 1:
+        if abs(det) != 1:
             raise InputError("fan_exponents requires a unimodular fan")
         l_values = tuple(ray_values[i] for i in cone.rays)
         per.append(ConeExponents(pos, l_values, max(l_values), sum(l_values)))

@@ -22,8 +22,9 @@ constant, a torus critical point exists iff a GF(2) system for the signs
 is solvable and the product identities prod |u_alpha / c_alpha|^{b_alpha}
 = 1, one per basis vector b, have a common root inside it, found by a gcd
 and Sturm root isolation; one is then written down from the least-norm
-solution of A^T log|x| = log|u / c|.  The route reuses the one elimination
-of the kernel route.  The order is: sign-definite even -> exponent kernel
+solution of A^T log|x| = log|u / c|, computed exactly from the float logs
+and rounded once.  The route reuses the one elimination of the kernel
+route.  The order is: sign-definite even -> exponent kernel
 -> two variables -> pencil (dim ker A = 1, or dim ker A = 2 with
 identities of degree at most PENCIL_MAX_DEGREE) -> multistart.  That last
 route minimizes ||grad f_gamma||^2 over the slice max|x_i| = 1 of every
@@ -49,7 +50,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import InputError
-from .linalg import eliminate, primitive
+from .linalg import dot, eliminate, primitive, solve_scaled
 from .polyhedron import FaceData, NewtonPolyhedron, compact_faces
 from .taylor import (
     Exponent,
@@ -70,8 +71,8 @@ from .univariate import (
     utrim,
 )
 
-# numpy is imported by the float routes alone (the witness placement and the
-# multistart), so a model whose faces the exact routes decide never loads it
+# numpy is imported by the multistart alone, so a model whose faces the exact
+# routes decide never loads it
 if TYPE_CHECKING:
     import numpy as np
 
@@ -267,18 +268,31 @@ def _sign_system(fp: FacePolynomial, negative: list[bool]) -> int | None:
 def _torus_point(fp: FacePolynomial, ratios: list[Fraction], signs: int, detail: str) -> DegeneracyVerdict:
     """The degenerate verdict at the torus point x^alpha = t r_alpha: |t| = 1,
     y = log|x| the least-norm solution of A^T y = log|r|, moved along the face
-    weight w to max |x_j| = 1, with the signs of `_sign_system`."""
-    import numpy as np
+    weight w to max |x_j| = 1, with the signs of `_sign_system`.
 
+    The float logs satisfy the identities only up to rounding, so y is the
+    least-norm least-squares solution (Penrose 1955): y = R^T z with
+    (M^T M) z = M^T log|r| and M = A^T R^T, where R holds the rows of A^T
+    at the pivot columns of A's elimination, a basis of its row space.  The
+    logs are taken as the exact Fractions their floats are and the integer
+    Gram system M^T M is solved by the fraction-free elimination of
+    `linalg` (Bareiss), so y and its shift are exact and each coordinate is
+    rounded once: the witness does not depend on a LAPACK build.
+    """
     active = fp.active_vars()
-    a_t = np.array([[exp[j] for j in active] for exp, _ in fp.terms], dtype=float)
-    log_r = np.array([math.log(abs(r.numerator)) - math.log(r.denominator) for r in ratios])
-    y = np.linalg.lstsq(a_t, log_r, rcond=None)[0]
-    w = np.array([fp.face.defining_normal[j] for j in active], dtype=float)
-    y += w * np.min(-y / w)
+    a_t = [[exp[j] for j in active] for exp, _ in fp.terms]
+    log_r = [Fraction(math.log(abs(r.numerator)) - math.log(r.denominator)) for r in ratios]
+    scale = math.lcm(*(b.denominator for b in log_r))
+    b = [int(x * scale) for x in log_r]
+    rows = [a_t[i] for i in eliminate(list(zip(*a_t)))[1]]
+    m_t = [[dot(r, row) for row in a_t] for r in rows]
+    p, (z,) = solve_scaled([[dot(u, v) for v in m_t] for u in m_t], [[dot(u, b) for u in m_t]])
+    y = [Fraction(dot(col, z), p * scale) for col in zip(*rows)]
+    w = [fp.face.defining_normal[j] for j in active]
+    shift = min(-yc / wc for yc, wc in zip(y, w))
     witness = [1.0] * fp.n
     for a, j in enumerate(active):
-        witness[j] = (-1.0 if signs >> a & 1 else 1.0) * math.exp(y[a])
+        witness[j] = (-1.0 if signs >> a & 1 else 1.0) * math.exp(float(y[a] + w[a] * shift))
     return DegeneracyVerdict("degenerate", tuple(witness), _residual(fp.poly(), fp.n, witness), detail)
 
 

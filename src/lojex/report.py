@@ -14,9 +14,6 @@ from fractions import Fraction
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import TYPE_CHECKING, Any
 
-from .fan import cone_det
-from .polyhedron import support_value
-
 if TYPE_CHECKING:
     from .audit import AuditResult
     from .exponents import ExponentReport
@@ -65,13 +62,12 @@ def polyhedron_json(poly: NewtonPolyhedron) -> dict:
 
 
 def fan_json(fan: Fan, poly: NewtonPolyhedron) -> dict:
-    ray_values = [support_value(poly, r) for r in fan.rays]
+    ray_values = fan.support_values(poly)
     cones = []
-    for cone in fan.maximal_cones():
-        gens = fan.generators(cone)
+    for cone, det in zip(fan.maximal_cones(), fan.cone_dets):
         entry: dict[str, Any] = {"rays": list(cone.rays)}
-        if len(gens) == fan.n:
-            entry["det"] = int(cone_det(gens))
+        if det is not None:
+            entry["det"] = det
         entry["l_values"] = [ray_values[i] for i in cone.rays]
         if cone.attached_face is not None:
             entry["attached_vertices"] = [list(v) for v in sorted(cone.attached_face)]

@@ -20,7 +20,9 @@ boolean mask and the suffix minimum in a Python loop.  The pointwise
 references at the end evaluate f, its gradient, the Euler field, g_Gamma
 and the distance to the zero set one point at a time in plain floats,
 where the audits take logs over whole batches of directions; the face of
-a normal is read off the support values point by point.
+a normal is read off the support values point by point.  A degenerate
+face's torus witness is placed by numpy's floating-point least-squares
+solve, where lojex solves the Gram system of the exponent rows exactly.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from lojex.fan import (
     cone_det,
 )
 from lojex.linalg import dot, eliminate, mat_rank, solve_scaled
+from lojex.nondegeneracy import FacePolynomial
 from lojex.polyhedron import (
     FaceData,
     NewtonPolyhedron,
@@ -554,6 +557,27 @@ def lower_envelope_slope_per_bin(predictor: np.ndarray, response: np.ndarray) ->
         centers, mins = zip(*lower)
     coeffs = np.polyfit(np.array(centers), np.array(mins), 1)
     return float(coeffs[0])
+
+
+# ---------------------------------------------------------------------------
+# torus witness placement in floats
+
+def torus_point_lstsq(
+    fp: FacePolynomial, ratios: Sequence[Fraction], signs: int
+) -> tuple[float, ...]:
+    """The witness of `nondegeneracy._torus_point` from `numpy.linalg.lstsq`:
+    y = log|x| the least-norm solution of A^T y = log|r|, moved along the
+    face weight w to max |x_j| = 1, all in floats."""
+    active = fp.active_vars()
+    a_t = np.array([[exp[j] for j in active] for exp, _ in fp.terms], dtype=float)
+    log_r = np.array([math.log(abs(r.numerator)) - math.log(r.denominator) for r in ratios])
+    y = np.linalg.lstsq(a_t, log_r, rcond=None)[0]
+    w = np.array([fp.face.defining_normal[j] for j in active], dtype=float)
+    y += w * np.min(-y / w)
+    witness = [1.0] * fp.n
+    for a, j in enumerate(active):
+        witness[j] = (-1.0 if signs >> a & 1 else 1.0) * math.exp(y[a])
+    return tuple(witness)
 
 
 # ---------------------------------------------------------------------------

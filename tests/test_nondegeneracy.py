@@ -10,9 +10,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lojex import nondegeneracy
 from lojex.cli import main
 from lojex.errors import InputError
-from lojex.linalg import dot
+from lojex.linalg import dot, eliminate
 from lojex.nondegeneracy import (
     DEFAULT_TOL,
     PENCIL_MAX_DEGREE,
@@ -37,7 +38,7 @@ from lojex.polyhedron import build_polyhedron, compact_faces
 from lojex.taylor import poly_diff, poly_eval_float, support
 
 from .conftest import germ, random_support, subprocess_env
-from .oracles import face_of_normal
+from .oracles import face_of_normal, torus_point_lstsq
 
 
 def _face_poly(text, normal):
@@ -352,9 +353,11 @@ def test_kernel_rule_faces_have_no_complex_torus_critical_point(signed_faces):
 # Face verdicts of germs with faces of three or more active variables, at
 # seed 0 and the default starts.  Every face not listed is
 # nondegenerate-exact, and the counts of their exact routes are pinned too.
-# A listed face has its status, the start of its detail and its residual:
+# A listed face has its status, the start of its detail, its residual:
 # ||grad||^2 of the face polynomial, for the multistart scaled to largest
-# coefficient 1.
+# coefficient 1, and its witness.  A pencil witness is placed by exact
+# arithmetic and one rounding per coordinate, so its bits are the same on
+# every platform.
 KERNEL = "exponent kernel: a term's entry is 0 on every kernel vector"
 EULER = "sign-definite even face: no torus zero by the Euler identity"
 MULTISTART = "multistart minimum of ||grad||^2 on the slice: "
@@ -386,7 +389,8 @@ NUMERIC_PINS = {
     # kernel
     "x^2*y^2 - 2*x*y*z^2 + z^4 + x^6 + y^6 + z^6": (
         {EULER: 8, KERNEL: 2},
-        {((0, 0, 4), (1, 1, 2), (2, 2, 0)): ("degenerate", PENCIL_POINT + "(1, -2, 1)", 0.0)},
+        {((0, 0, 4), (1, 1, 2), (2, 2, 0)):
+            ("degenerate", PENCIL_POINT + "(1, -2, 1)", 0.0, (1.0, 1.0, 1.0))},
     ),
     # the two four-point faces are circuits; the seven-point face has
     # dim ker A = 2
@@ -410,11 +414,12 @@ def test_numeric_route_verdicts_pinned(text):
     exact = [v for key, v in verdicts.items() if key not in pinned]
     assert all(v.status == "nondegenerate-exact" for v in exact)
     assert Counter(v.detail for v in exact) == Counter(exact_routes)
-    for key, (status, detail, residual) in pinned.items():
+    for key, (status, detail, residual, witness) in pinned.items():
         v = verdicts[key]
         assert v.status == status, key
         assert v.detail.startswith(detail), v.detail
         assert math.isclose(v.residual, residual, rel_tol=1e-6), (key, v.residual)
+        assert v.witness == witness, (key, v.witness)
         if status == "degenerate":
             assert v.residual <= DEFAULT_TOL
             assert min(abs(x) for x in v.witness) >= TORUS_FLOOR
@@ -615,6 +620,94 @@ def test_pencil_route_against_oracles():
             assert _relative_residual(fp, v.witness) <= 1e-6, v.witness
     assert seen[True, "degenerate"] == 16
     assert seen[False, "nondegenerate-exact"] >= 12
+
+
+def _square_binomial_germs(count):
+    """Seeded germs (m1 - lam*m2)^2 * m3^e + x1^N + ... + xn^N in n = 3..5
+    variables, expanded: monomials m1 != m2 and m3 with exponents 0..2, e in
+    {0, 1, 2}, lam = +-p/q with p, q in 1..3, and N one to three above the
+    square's degree.  The square's three terms lie on a line, b = (1, -2, 1),
+    so a face of just them has rank A = 2 and a torus critical point where
+    m1 = lam*m2; with three or more active variables it is rank-deficient."""
+    rng = random.Random(41)
+    made = 0
+    while made < count:
+        n = rng.randint(3, 5)
+        m1, m2, m3 = ([rng.randint(0, 2) for _ in range(n)] for _ in range(3))
+        lam = Fraction(rng.randint(1, 3), rng.randint(1, 3)) * rng.choice((1, -1))
+        e = rng.randint(0, 2)
+        coeffs = {}
+        for c, p, q in ((1, m1, m1), (-2 * lam, m1, m2), (lam * lam, m2, m2)):
+            exp = tuple(a + b + e * d for a, b, d in zip(p, q, m3))
+            coeffs[exp] = coeffs.get(exp, 0) + c
+        if m1 == m2 or min(map(sum, coeffs)) < 2:
+            continue
+        big = max(map(sum, coeffs)) + rng.randint(1, 3)
+        for i in range(n):
+            exp = tuple(big * (j == i) for j in range(n))
+            coeffs[exp] = coeffs.get(exp, 0) + 1
+        made += 1
+        yield " ".join(
+            f"{'-' if c < 0 else '+'} {abs(c)}*"
+            + "*".join(f"x{i + 1}^{k}" for i, k in enumerate(exp) if k)
+            for exp, c in sorted(coeffs.items()) if c
+        )
+
+
+def _least_norm_witness(sympy, mpmath, fp, ratios):
+    """|x_j| over the active j at the exact least-norm least-squares
+    solution of A^T y = log|r| (the float logs taken exactly), shifted
+    along the face weight to max y_j = 0, evaluated to 120 bits."""
+    active = fp.active_vars()
+    logs = [Fraction(math.log(abs(r.numerator)) - math.log(r.denominator)) for r in ratios]
+    a_t = sympy.Matrix([[exp[j] for j in active] for exp, _ in fp.terms])
+    y = a_t.pinv() * sympy.Matrix([sympy.Rational(b.numerator, b.denominator) for b in logs])
+    w = [fp.face.defining_normal[j] for j in active]
+    shift = min(-yc / wc for yc, wc in zip(y, w))
+    with mpmath.workprec(120):
+        return [mpmath.exp(mpmath.mpf(yc + wc * shift)) for yc, wc in zip(y, w)]
+
+
+def test_torus_point_against_least_squares_oracle(monkeypatch):
+    # every placement of a degenerate witness on seeded square-binomial germs
+    # and planted pencil faces: a torus witness at max |x_j| = 1, within 4 ulp
+    # of the exact least-norm witness, and within 4 ulp of numpy's lstsq
+    # except where lstsq's own rounding is the larger error
+    sympy = pytest.importorskip("sympy")
+    mpmath = pytest.importorskip("mpmath")
+    placed = []
+    torus_point = nondegeneracy._torus_point
+
+    def recording(fp, ratios, signs, detail):
+        v = torus_point(fp, ratios, signs, detail)
+        placed.append((fp, ratios, signs, v.witness))
+        return v
+
+    monkeypatch.setattr(nondegeneracy, "_torus_point", recording)
+    for text in _square_binomial_germs(150):
+        _verdicts(text)
+    germ_faces = len(placed)
+    for fp in _pencil_faces(16, planted=True):
+        check_face(fp)
+    deficient = 0
+    for fp, ratios, signs, witness in placed:
+        active = fp.active_vars()
+        deficient += len(eliminate([[exp[j] for j in active] for exp, _ in fp.terms])[1]) < len(active)
+        assert min(abs(x) for x in witness) >= TORUS_FLOOR, witness
+        assert max(abs(witness[j]) for j in active) == 1.0, witness
+        assert _relative_residual(fp, witness) <= RELATIVE_TOL, witness
+        oracle = torus_point_lstsq(fp, ratios, signs)
+        exact = _least_norm_witness(sympy, mpmath, fp, ratios)
+        for j, x in zip(active, exact):
+            ours = abs(abs(mpmath.mpf(witness[j])) - x)
+            ulp = 4 * math.ulp(witness[j])
+            assert ours <= ulp, (fp.terms, witness, j)
+            if abs(witness[j] - oracle[j]) > ulp:
+                # lstsq's rounding, not the exact solve's: the oracle is farther out
+                assert abs(abs(mpmath.mpf(oracle[j])) - x) > ours, (fp.terms, oracle, j)
+    # 47 rank-deficient germ faces and 16 full-rank pencil faces; with one
+    # LAPACK build, lstsq was 5-46 ulp off on 13 of their 249 coordinates
+    assert deficient == germ_faces >= 40 and len(placed) == germ_faces + 16
 
 
 def test_pencil_route_on_the_multistart_faces_it_replaced():

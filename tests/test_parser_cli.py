@@ -271,12 +271,18 @@ def test_report_writer_matches_json_dumps(monkeypatch, c_encoder):
 
 def test_exact_commands_never_import_numpy(tmp_path):
     # a fresh interpreter, so that imports made by other tests cannot hide
-    # one; numpy is for the audits, the multistart, the witness placement
-    # and the declared-sign sampler, and no catalog germ reaches the last three
+    # one; numpy is for the audits, the multistart and the declared-sign
+    # sampler.  No catalog germ reaches the last two, nor does any germ of
+    # NUMERIC_PINS, whose planted face is degenerate: its witness is placed
+    # exactly.  The texts go in through argv, since importing the test
+    # module that holds them loads numpy
     from .conftest import CATALOG
+    from .test_nondegeneracy import NUMERIC_PINS
 
     report = tmp_path / "analyze.json"
-    exact = [[cmd, text] for text in CATALOG.values() for cmd in ("exponents", "fan", "nondegen")]
+    texts = [*CATALOG.values(), *NUMERIC_PINS]
+    assert "x^2*y^2 - 2*x*y*z^2 + z^4 + x^6 + y^6 + z^6" in texts
+    exact = [[cmd, text] for text in texts for cmd in ("exponents", "fan", "nondegen")]
     code = (
         "import contextlib, io, json, sys\n"
         "import lojex\n"
