@@ -411,7 +411,8 @@ def _emit(doc: dict, args, audits) -> None:
         finally:
             if target is not sys.stdout:
                 target.close()
-    if args.csv_path and audits:
+    if args.csv_path:
+        # a run without audits writes the header alone, over any older table
         with open(args.csv_path, "w", encoding="utf-8") as fh:
             fh.write(report_mod.audits_csv(audits))
 

@@ -18,7 +18,10 @@ Refinement happens in two deterministic stages:
       classes of Z^n modulo the cone's lattice.  That search is a stellar
       step's one elimination, and only the cones around the new ray are split.
 
-Rays live in a deduplicated table; cones reference ray indices.  All
+Rays live in a deduplicated table; cones reference ray indices.  Each
+builder records the signed determinant of every maximal cone it makes
+(`Fan.dets`): the normal fan's and the triangles' by an elimination, the
+refinement's carried through each stellar step; no reader computes one.  All
 arithmetic is exact and runs on integers: determinants, ranks, span
 coordinates and inverses come from the one elimination in `linalg`, scaled
 by the pivot rather than divided.
@@ -26,7 +29,6 @@ by the pivot rather than divided.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -56,36 +58,21 @@ class Cone:
 
 @dataclass(frozen=True)
 class Fan:
+    """A fan in the dual nonnegative orthant.  `dets` is the signed determinant
+    of each maximal cone's generators in their listed order, in `maximal`
+    order (None for more than n rays), set by the function that builds it."""
+
     n: int
     rays: tuple[RayVec, ...]
     cones: tuple[Cone, ...]
     maximal: tuple[int, ...]  # indices into `cones` of the full-dimensional ones
+    dets: tuple[int | None, ...]
 
     def generators(self, cone: Cone) -> list[RayVec]:
         return [self.rays[i] for i in cone.rays]
 
     def maximal_cones(self) -> list[Cone]:
         return [self.cones[i] for i in self.maximal]
-
-    # the fan is frozen, so what is computed from it is kept in its __dict__
-    # and read by both `fan_exponents` and `report.fan_json`
-
-    @functools.cached_property
-    def cone_dets(self) -> tuple[int | None, ...]:
-        """Signed determinant of each maximal cone's generators, in `maximal`
-        order; None for a cone with more than n rays."""
-        return tuple(
-            cone_det(self.generators(c)) if len(c.rays) == self.n else None
-            for c in self.maximal_cones()
-        )
-
-    def support_values(self, poly: NewtonPolyhedron) -> tuple[int, ...]:
-        """`support_value` of every ray on poly, computed once for the last poly."""
-        cached = self.__dict__.get("_support_values")
-        if cached is None or cached[0] is not poly:
-            cached = poly, tuple(support_value(poly, r) for r in self.rays)
-            self.__dict__["_support_values"] = cached
-        return cached[1]
 
 
 @dataclass(frozen=True)
@@ -140,8 +127,12 @@ def normal_fan(poly: NewtonPolyhedron) -> Fan:
     )
     at_vertex = set(inc)
     maximal = tuple(k for k, (_, fs) in enumerate(faces) if fs in at_vertex)
-    assert all(mat_rank([ray_table[i] for i in cones[k].rays]) == n for k in maximal)
-    return Fan(n, ray_table, cones, maximal)
+    dets = []
+    for k in maximal:
+        work, pivots = eliminate([ray_table[i] for i in cones[k].rays])
+        assert len(pivots) == n, "a vertex's normal cone is full-dimensional"
+        dets.append(work[-1][-1] if len(work) == n else None)
+    return Fan(n, ray_table, cones, maximal, tuple(dets))
 
 
 # ---------------------------------------------------------------------------
@@ -171,34 +162,35 @@ def _pull_triangulate(fan: Fan, idx: tuple[int, ...]) -> list[tuple[int, ...]]:
 def _assemble_simplicial(
     n: int,
     rays: Sequence[RayVec],
-    max_cones: list[tuple[tuple[int, ...], frozenset[Exponent] | None]],
+    max_cones: list[tuple[tuple[int, ...], frozenset[Exponent] | None, int]],
 ) -> Fan:
-    """Build a fan from simplicial maximal cones; faces are all ray subsets."""
-    used = sorted({i for idx, _ in max_cones for i in idx})
-    remap = {old: new for new, old in enumerate(used)}
-    table = tuple(rays[i] for i in used)
+    """Build a fan from simplicial maximal cones, each its sorted ray indices,
+    attached face and signed determinant; faces are all ray subsets.  Each
+    ray must generate some maximal cone."""
+    max_cones = sorted(max_cones, key=lambda c: c[0])
     cone_set: dict[tuple[int, ...], frozenset[Exponent] | None] = {}
-    maximal_keys = []
-    for idx, attached in max_cones:
-        key = tuple(sorted(remap[i] for i in idx))
-        cone_set[key] = attached
-        maximal_keys.append(key)
-        for r in range(1, len(key)):
-            for sub in itertools.combinations(key, r):
-                cone_set.setdefault(tuple(sub), None)
+    for idx, attached, _ in max_cones:
+        cone_set[idx] = attached
+        for r in range(1, len(idx)):
+            for sub in itertools.combinations(idx, r):
+                cone_set.setdefault(sub, None)
     keys = sorted(cone_set)
-    cones = tuple(Cone(k, cone_set[k]) for k in keys)
     pos = {k: i for i, k in enumerate(keys)}
-    maximal = tuple(sorted(pos[k] for k in set(maximal_keys)))
-    return Fan(n, table, cones, maximal)
+    return Fan(
+        n,
+        tuple(rays),
+        tuple(Cone(k, cone_set[k]) for k in keys),
+        tuple(pos[c[0]] for c in max_cones),
+        tuple(c[2] for c in max_cones),
+    )
 
 
 def simplicialize(fan: Fan) -> Fan:
     """Refine every maximal cone to simplicial cones without adding rays."""
-    new_max: list[tuple[tuple[int, ...], frozenset[Exponent] | None]] = []
+    new_max = []
     for cone in fan.maximal_cones():
         for tri in _pull_triangulate(fan, cone.rays):
-            new_max.append((tri, cone.attached_face))
+            new_max.append((tri, cone.attached_face, cone_det([fan.rays[i] for i in tri])))
     return _assemble_simplicial(fan.n, fan.rays, new_max)
 
 
@@ -313,31 +305,32 @@ def unimodularize(fan: Fan, trace: list | None = None) -> Fan:
             rays.append(vec)
         return ray_index[vec]
 
-    max_cones: list[tuple[tuple[int, ...], frozenset[Exponent] | None]] = [
-        (c.rays, c.attached_face) for c in fan.maximal_cones()
+    cones = [
+        (c.rays, c.attached_face, det) for c, det in zip(fan.maximal_cones(), fan.dets)
     ]
 
     if n == 2:
         out = []
-        for idx, attached in max_cones:
-            u, v = rays[idx[0]], rays[idx[1]]
-            chain = hirzebruch_jung_chain(u, v)
+        for idx, attached, _ in cones:
+            chain = hirzebruch_jung_chain(rays[idx[0]], rays[idx[1]])
             for a, b in zip(chain, chain[1:]):
-                out.append((tuple(sorted((intern(a), intern(b)))), attached))
+                i, j = sorted((intern(a), intern(b)))
+                out.append(((i, j), attached, _det2(rays[i], rays[j])))
         return _assemble_simplicial(n, rays, out)
 
-    # each cone carries its |det|.  The new ray w is t / d in the worst cone's
-    # generators and lies in its face F = {g_j : t_j > 0}; the cones holding w
-    # are those with F among their rays, and g_j -> w scales their |det| by t_j / d
-    cones = [
-        (idx, attached, abs(cone_det([rays[i] for i in idx]))) for idx, attached in max_cones
-    ]
-    while (d := max((c[2] for c in cones), default=1)) != 1:
-        worst = [c for c in cones if c[2] == d]
+    # each cone carries its signed det.  The new ray w is t / d in the worst
+    # cone's generators and lies inside its face F = {g_j : t_j > 0}, a cone
+    # of the fan, so w is no ray yet; the cones holding w are those with F
+    # among their rays, and g_j -> w scales their det by t_j / d.  w takes the
+    # last index, so moving it from g_j's place p to the end of the sorted
+    # rays is n - 1 - p transpositions
+    while (d := max((abs(c[2]) for c in cones), default=1)) != 1:
+        worst = [c for c in cones if abs(c[2]) == d]
         if trace is not None:
             trace.append((d, len(worst)))
         worst_idx = max(worst, key=lambda c: [rays[i] for i in c[0]])[0]
         w, t = _parallelepiped_point([rays[i] for i in worst_idx])
+        assert w not in ray_index, "the new ray is already a ray of the fan"
         w_idx = intern(w)
         face = {r: x for r, x in zip(worst_idx, t) if x}
         some_ray = next(iter(face))
@@ -349,13 +342,13 @@ def unimodularize(fan: Fan, trace: list | None = None) -> Fan:
                 updated.append(cone)
                 continue
             _, attached, det = cone
-            for r in idx:
+            for p, r in enumerate(idx):
                 if r in face:
                     assert det * face[r] % d == 0
-                    repl = tuple(sorted(set(idx) - {r} | {w_idx}))
-                    updated.append((repl, attached, det * face[r] // d))
+                    repl = idx[:p] + idx[p + 1:] + (w_idx,)
+                    updated.append((repl, attached, (-1) ** (n - 1 - p) * det * face[r] // d))
         cones = updated
-    return _assemble_simplicial(n, rays, [c[:2] for c in cones])
+    return _assemble_simplicial(n, rays, cones)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +357,9 @@ def unimodularize(fan: Fan, trace: list | None = None) -> Fan:
 def fan_exponents(fan: Fan, poly: NewtonPolyhedron) -> FanExponents:
     """Per-cone ray support values and the aggregated bounds L and N."""
     n = fan.n
-    ray_values = fan.support_values(poly)
+    ray_values = [support_value(poly, r) for r in fan.rays]
     per = []
-    for pos, (cone, det) in enumerate(zip(fan.maximal_cones(), fan.cone_dets)):
+    for pos, (cone, det) in enumerate(zip(fan.maximal_cones(), fan.dets)):
         if len(cone.rays) != n:
             raise InputError("fan_exponents requires a simplicial fan")
         if abs(det) != 1:

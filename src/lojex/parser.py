@@ -238,9 +238,9 @@ def parse_json(data: dict | str) -> TaylorModel:
         if not isinstance(entries, list) or not all(isinstance(e, dict) and "exp" in e for e in entries):
             raise InputError(f'"{key}" must be a list of objects with an "exp"')
     exps = [_json_ints(t["exp"], '"exp"') for t in terms + remainders_raw]
-    n = data.get("n") or max((len(e) for e in exps), default=1)
-    if type(n) is not int:
-        raise InputError(f'"n" must be an integer, got {n!r}')
+    n = data.get("n", max((len(e) for e in exps), default=1))
+    if "n" in data and (type(n) is not int or n < 1):
+        raise InputError(f'"n" must be an integer >= 1, got {n!r}')
     coeffs: dict[tuple[int, ...], Fraction] = {}
     for t, exp in zip(terms, exps):
         exp = _pad(exp, n)
@@ -248,11 +248,12 @@ def parse_json(data: dict | str) -> TaylorModel:
     remainders = []
     for r, exp in zip(remainders_raw, exps[len(terms):]):
         exp = _pad(exp, n)
-        if r.get("unit"):
-            remainders.append(RemainderDescriptor(exp, frozenset(), True))
-        else:
-            flat = frozenset(i - 1 for i in _json_ints(r.get("flat", []), '"flat"'))
-            remainders.append(RemainderDescriptor(exp, flat, False))
+        unit = r.get("unit", False)
+        if type(unit) is not bool:
+            raise InputError(f'"unit" must be true or false, got {unit!r}')
+        # a unit with flat variables is refused by the descriptor
+        flat = frozenset(i - 1 for i in _json_ints(r.get("flat", []), '"flat"'))
+        remainders.append(RemainderDescriptor(exp, flat, unit))
     if not coeffs and not remainders:
         raise InputError("empty germ: no terms and no remainders")
     return TaylorModel.from_dict(n, coeffs, remainders)

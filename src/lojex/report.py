@@ -14,6 +14,8 @@ from fractions import Fraction
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import TYPE_CHECKING, Any
 
+from .polyhedron import support_value
+
 if TYPE_CHECKING:
     from .audit import AuditResult
     from .exponents import ExponentReport
@@ -62,9 +64,9 @@ def polyhedron_json(poly: NewtonPolyhedron) -> dict:
 
 
 def fan_json(fan: Fan, poly: NewtonPolyhedron) -> dict:
-    ray_values = fan.support_values(poly)
+    ray_values = [support_value(poly, r) for r in fan.rays]
     cones = []
-    for cone, det in zip(fan.maximal_cones(), fan.cone_dets):
+    for cone, det in zip(fan.maximal_cones(), fan.dets):
         entry: dict[str, Any] = {"rays": list(cone.rays)}
         if det is not None:
             entry["det"] = det

@@ -527,7 +527,9 @@ def unimodularize_every_cone(fan: Fan, trace: list | None = None) -> Fan:
                     repl = tuple(sorted(set(idx) - {idx[j]} | {w_idx}))
                     updated.append((repl, attached, x))
         cones = updated
-    return _assemble_simplicial(n, rays, [(idx, attached) for idx, attached, _ in cones])
+    return _assemble_simplicial(
+        n, rays, [(idx, attached, cone_det([rays[i] for i in idx])) for idx, attached, _ in cones]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import lojex.cli
+from lojex import report
 from lojex.cli import main
 from lojex.errors import CapExceededError, InputError
 from lojex.fan import (
@@ -22,7 +23,7 @@ from lojex.parser import parse_text
 from lojex.polyhedron import build_polyhedron, support_value
 from lojex.taylor import support
 
-from .conftest import germ, random_support, run_lojex, run_python
+from .conftest import CATALOG, germ, random_support, run_lojex, run_python
 from .oracles import (
     cone_facet_sets,
     coords_in_basis,
@@ -32,6 +33,7 @@ from .oracles import (
     unimodularize_every_cone,
     validate_fan,
 )
+from .test_geometry_digest import _corpus
 
 
 def _refined(poly):
@@ -81,7 +83,7 @@ def test_simplicialize_square_pyramid():
     # four 2D faces and the pyramid itself
     rays = ((0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1))
     faces = [(0,), (0, 1), (0, 1, 2, 3), (0, 2), (1,), (1, 3), (2,), (2, 3), (3,)]
-    fan = Fan(3, rays, tuple(Cone(f) for f in faces), (2,))
+    fan = Fan(3, rays, tuple(Cone(f) for f in faces), (2,), (None,))
     tris = [c.rays for c in simplicialize(fan).maximal_cones()]
     got = {frozenset(rays[i] for i in t) for t in tris}
     assert got == {
@@ -181,6 +183,49 @@ def test_unimodularize_matches_every_cone_oracle():
         got: list = []
         want: list = []
         assert unimodularize(sigma, trace=got) == unimodularize_every_cone(sigma, trace=want)
+        assert got == want
+
+
+def _catalog_and_digest_polyhedra():
+    supports = [support(germ(name)) for name in CATALOG] + _corpus()
+    return [build_polyhedron(s) for s in supports]
+
+
+def test_fans_carry_their_cone_determinants():
+    # each builder's det is the determinant of the cone's generators in their
+    # listed order: the normal fan's and the triangles' from an elimination,
+    # the refinement's carried through every stellar step with its sign
+    for poly in _catalog_and_digest_polyhedra():
+        fans = [normal_fan(poly)]
+        fans.append(simplicialize(fans[0]))
+        if poly.n <= 4:
+            fans.append(unimodularize(fans[1]))
+        for fan in fans:
+            assert len(fan.dets) == len(fan.maximal)
+            for cone, det in zip(fan.maximal_cones(), fan.dets):
+                gens = fan.generators(cone)
+                assert det == (cone_det(gens) if len(gens) == fan.n else None), gens
+
+
+def test_fan_readers_compute_no_determinant(monkeypatch):
+    import lojex.fan
+
+    def refused(vectors):
+        raise AssertionError("a fan reader recomputed a cone determinant")
+
+    for poly in _catalog_and_digest_polyhedra():
+        if poly.n > 4:
+            continue
+        want, _ = lojex.cli._fan_section(poly)
+        sigma0 = normal_fan(poly)
+        sigma = unimodularize(simplicialize(sigma0))
+        with monkeypatch.context() as patch:
+            patch.setattr(lojex.fan, "cone_det", refused)
+            got = {
+                "normal": report.fan_json(sigma0, poly),
+                "unimodular": report.fan_json(sigma, poly),
+                "exponents": report.fan_exponents_json(fan_exponents(sigma, poly)),
+            }
         assert got == want
 
 
@@ -412,13 +457,13 @@ def test_fan_exponents_input_checks():
     # the refinement less every maximal cone holding the diagonal
     fan = _refined(poly)
     diagonal = (1,) * fan.n
-    kept = tuple(
-        i for i in fan.maximal
+    kept = [
+        (i, det) for i, det in zip(fan.maximal, fan.dets)
         if not simplicial_cone_contains(fan.generators(fan.cones[i]), diagonal)
-    )
+    ]
     assert len(kept) < len(fan.maximal)
     with pytest.raises(InputError, match="does not cover"):
-        fan_exponents(Fan(fan.n, fan.rays, fan.cones, kept), poly)
+        fan_exponents(Fan(fan.n, fan.rays, fan.cones, *zip(*kept)), poly)
 
 
 def _listed_facets(fan, cone):

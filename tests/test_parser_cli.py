@@ -139,6 +139,14 @@ def test_cli_exit_codes(tmp_path):
         '{"terms":[{"coeff":"abc","exp":[2,2]}]}',
         '{"n":"2","terms":[{"coeff":1,"exp":[2,2]}]}',
         '{"terms":[{"coeff":1,"exp":[2,2]}],"remainders":[{"exp":[2,0],"flat":[true]}]}',
+        # a present "n" is a JSON integer >= 1, not a falsy value to infer over
+        '{"n":0,"terms":[{"coeff":1,"exp":[2,2]}]}',
+        '{"n":false,"terms":[{"coeff":1,"exp":[2,2]}]}',
+        '{"n":null,"terms":[{"coeff":1,"exp":[2,2]}]}',
+        # "unit" is a JSON boolean, and a unit is not also flat
+        '{"terms":[{"coeff":1,"exp":[2,2]}],"remainders":[{"exp":[2,0],"unit":1}]}',
+        '{"terms":[{"coeff":1,"exp":[2,2]}],"remainders":[{"exp":[2,0],"unit":"yes"}]}',
+        '{"terms":[{"coeff":1,"exp":[2,2]}],"remainders":[{"exp":[2,0],"unit":true,"flat":[1]}]}',
     ):
         assert main(["analyze", text]) == 3, text
     for flags in (["--theta", "abc"], ["--dist", "1/0"], ["--theta", "1/2", "--samples", "-1"],
@@ -415,6 +423,12 @@ def test_cli_csv_envelopes(tmp_path):
     assert {a["inequality"]: {e["excluded"] for e in a["envelope"]} for a in doc["audits"]} == {
         k: {v} for k, v in excluded.items()
     }
+    # a run with no audit writes the header alone over the table above
+    for argv, want in ((["exponents", "x^2 + y^2"], 0), (["analyze", "x^2 - 2*x*y + y^2"], 2)):
+        main(["analyze", "x^2 + y^2", "--csv", str(csv_path)])
+        assert len(csv_path.read_text().splitlines()) > 1
+        assert main([*argv, "--csv", str(csv_path)]) == want
+        assert csv_path.read_text() == lines[0] + "\n", argv
 
 
 def test_cli_force_runs_audits_on_failed_gates(tmp_path):
