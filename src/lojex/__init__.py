@@ -36,7 +36,6 @@ from .nondegeneracy import (
     FacePolynomial,
     check_face,
     check_model,
-    face_polynomial,
 )
 from .parser import model_to_text, parse_germ, parse_json, parse_text
 from .polyhedron import (

@@ -99,9 +99,11 @@ def _fan_section(poly) -> tuple[dict, FanExponents]:
     sigma0 = normal_fan(poly)
     sigma = unimodularize(simplicialize(sigma0))
     fanexp = fan_exponents(sigma, poly)
+    # the normal fan's rays are the facet normals, in facet order, and the
+    # support value of a facet's normal is its offset
     section = {
-        name: report_mod.fan_json(fan, poly)
-        for name, fan in (("normal", sigma0), ("unimodular", sigma))
+        "normal": report_mod.fan_json(sigma0, [f.offset for f in poly.facets]),
+        "unimodular": report_mod.fan_json(sigma, fanexp.ray_values),
     }
     section["exponents"] = report_mod.fan_exponents_json(fanexp)
     return section, fanexp

@@ -114,33 +114,15 @@ class DegeneracyVerdict:
     detail: str = ""
 
 
-def face_polynomial(model: TaylorModel, face: FaceData) -> FacePolynomial:
-    """Restriction of the polynomial part to the exponents on a compact face."""
-    if not face.compact:
-        raise InputError(
-            "face polynomial of a non-compact face is not determined by the "
-            "polynomial part"
-        )
-    terms = tuple(
-        (t.exp, t.coeff)
-        for t in sorted(model.terms, key=lambda t: t.exp)
-        if t.exp in face.lattice_points
-    )
-    unknown = any(
-        r.is_unit and r.exp in face.lattice_points for r in model.remainders
-    )
-    return FacePolynomial(face, model.n, terms, underdetermined=unknown)
-
-
 # ---------------------------------------------------------------------------
 # exact routes
 
 def _sign_definite_even(fp: FacePolynomial) -> bool:
-    """All exponents even and all coefficients of one sign."""
-    if not all(all(e % 2 == 0 for e in exp) for exp, _ in fp.terms):
-        return False
-    signs = {c > 0 for _, c in fp.terms}
-    return len(signs) == 1
+    """All coefficients of one sign and all exponents even."""
+    # a Fraction's sign is its numerator's, and an exponent is even iff the
+    # gcd of its entries is
+    signs = {c.numerator > 0 for _, c in fp.terms}
+    return len(signs) == 1 and all(math.gcd(*exp) % 2 == 0 for exp, _ in fp.terms)
 
 
 def _exponent_kernel(fp: FacePolynomial) -> list[tuple[int, ...]]:
@@ -572,6 +554,15 @@ def _multistart(fp: FacePolynomial, tol: float, starts: int, seed: int) -> Degen
 # ---------------------------------------------------------------------------
 # public entry points
 
+# f_gamma is nonzero on the torus, so the weighted Euler identity
+# sum a_i x_i d_i f_gamma = l * f_gamma forces a nonzero partial; verdicts
+# are frozen, so every sign-definite face shares this one
+_SIGN_DEFINITE = DegeneracyVerdict(
+    "nondegenerate-exact", None, math.inf,
+    detail="sign-definite even face: no torus zero by the Euler identity",
+)
+
+
 def check_face(
     fp: FacePolynomial,
     tol: float = DEFAULT_TOL,
@@ -593,12 +584,7 @@ def check_face(
             detail="face carries no polynomial terms (unit-remainder support only)",
         )
     if _sign_definite_even(fp):
-        # f_gamma is nonzero on the torus, so the weighted Euler identity
-        # sum a_i x_i d_i f_gamma = l * f_gamma forces a nonzero partial
-        return DegeneracyVerdict(
-            "nondegenerate-exact", None, math.inf,
-            detail="sign-definite even face: no torus zero by the Euler identity",
-        )
+        return _SIGN_DEFINITE
     kernel = _exponent_kernel(fp)
     if _kernel_pins_a_term(kernel):
         return DegeneracyVerdict(
@@ -623,15 +609,22 @@ def check_model(
     """Verdict for every compact face, plus the overall flag.
 
     Overall non-degenerate iff no face is degenerate and none inconclusive.
-    Keys are the sorted lattice-point tuples of the faces.
+    Keys are the sorted lattice-point tuples of the faces.  The face
+    polynomial of each compact face keeps the terms on it in exponent
+    order, which is the order of its key, and is underdetermined when a
+    unit remainder's exponent lies on it.
     """
     faces = compact_faces(poly, support(model))
+    coeffs = {t.exp: t.coeff for t in model.terms}
+    units = {r.exp for r in model.remainders if r.is_unit}
     verdicts: dict[tuple[Exponent, ...], DegeneracyVerdict] = {}
     for k, face in enumerate(faces):
-        fp = face_polynomial(model, face)
-        verdicts[tuple(sorted(face.lattice_points))] = check_face(
-            fp, tol=tol, starts=starts, seed=seed + k
+        key = tuple(sorted(face.lattice_points))
+        fp = FacePolynomial(
+            face, model.n, tuple((p, coeffs[p]) for p in key if p in coeffs),
+            underdetermined=not units.isdisjoint(key),
         )
+        verdicts[key] = check_face(fp, tol=tol, starts=starts, seed=seed + k)
     ok = all(
         v.status in ("nondegenerate-exact", "nondegenerate-numeric")
         for v in verdicts.values()

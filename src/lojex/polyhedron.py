@@ -21,30 +21,41 @@ another point dominates comes after it, already lies in the cone, and only
 marks active sets.  Each ray's active set is a bitmask over the
 generators; a pair of rays is adjacent iff their common set has at least
 n - 1 generators and no third ray's set contains it.
-Vertices are then certified against the H-rep: a support point is a vertex
-iff n linearly independent facets are active there.
 
-Faces are read from these two representations as facet bitmasks: each
-vertex, coordinate direction and face carries the mask of the facets
-through it.  One walk grows the faces from the vertices: the join of a
-face with a vertex or a coordinate direction has the facets through both
-(`_join_walk`).  The
-compact faces join vertices only and drop a join once some coordinate
-direction lies in all of its facets (`compact_faces`); the normal fan
-joins coordinate directions too, and reads every nonempty proper face
-(`fan.normal_fan`).
+Every incidence question is answered from these active sets, which list
+the generators on each facet exactly.  Their transpose is the facet mask
+of each generator, the bitmask of the facets through a support point or
+along a coordinate direction; the polyhedron keeps it (`point_masks`,
+`axis_masks`).  A support point p is a vertex iff the active sets of the
+facets through p meet in p's own bit alone.  The facets through p cut out
+F, the least face containing p.  If p is a vertex, F = {p}: no other
+point lies in F, and no coordinate direction e_i, or p + t e_i would.
+Otherwise F has dimension at least 1, so it has an edge, as the
+polyhedron is pointed.  A bounded edge brings a vertex other than p, which
+is a support point; an unbounded one runs along a coordinate direction,
+since the recession cone of F is a face of the orthant.  That generator
+lies on every facet through p, so its bit survives the meet.  A point on
+no facet is interior, and is no vertex.
+
+Faces are read from the masks too: each vertex, coordinate direction and
+face carries the mask of the facets through it.  One walk grows the faces
+from the vertices: the join of a face with a vertex or a coordinate
+direction has the facets through both (`_join_walk`).  The compact faces
+join vertices only and drop a join once some coordinate direction lies in
+all of its facets (`compact_faces`); the normal fan joins coordinate
+directions too, and reads every nonempty proper face (`fan.normal_fan`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapExceededError, InputError
-from .linalg import dot, eliminate, mat_rank, primitive, solve_scaled
+from .linalg import dot, eliminate, primitive, solve_scaled
 from .taylor import MAX_DIM, Exponent, check_exponent
 
 MAX_SUPPORT = 10_000
@@ -60,9 +71,27 @@ class Facet:
 
 @dataclass(frozen=True)
 class NewtonPolyhedron:
+    """Vertices and facets, with the facet mask of each generator: bit k is
+    set when facet k passes through the support point (`point_masks`) or
+    lies along the coordinate direction e_i (`axis_masks`, entry i).  The
+    masks are read off the double description and take no part in
+    equality."""
+
     n: int
     vertices: frozenset[Exponent]
     facets: tuple[Facet, ...]
+    point_masks: Mapping[Exponent, int] = field(compare=False, repr=False)
+    axis_masks: tuple[int, ...] = field(compare=False, repr=False)
+
+    def facets_through(self, point: Exponent) -> int:
+        """The facet mask of a point: the stored one for a support point,
+        else the facets whose equation it satisfies."""
+        mask = self.point_masks.get(point)
+        if mask is None:
+            mask = sum(
+                1 << k for k, f in enumerate(self.facets) if dot(f.normal, point) == f.offset
+            )
+        return mask
 
 
 @dataclass(frozen=True)
@@ -75,25 +104,32 @@ class FaceData:
     defining_normal: tuple[int, ...]
     lattice_points: frozenset[Exponent]
 
-    @property
-    def compact(self) -> bool:
-        return all(a > 0 for a in self.defining_normal)
-
 
 # ---------------------------------------------------------------------------
 # double description
 
-def dd_dual_rays(generators: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Extreme rays of the dual cone {z : <z, g> >= 0 for all g}.
+def dd_dual_rays(generators: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
+    """Extreme rays of the dual cone {z : <z, g> >= 0 for all g}, each with
+    its active set.
 
     Requires the generators to span the ambient space (so the dual is
-    pointed), which holds for all callers here.  Returns primitive integer
-    vectors in sorted order.  Each ray carries its active set, the bitmask
-    of the generators it vanishes on so far.
+    pointed), which holds for all callers here.  Returns (ray, active)
+    pairs sorted by ray, the rays primitive integer vectors.  The active
+    set is the bitmask of the generators the ray vanishes on: bit k for
+    generators[k].  It is kept exact as the generators go in, since a new
+    ray, a positive combination of two rays, vanishes on a generator iff
+    both of them do.
     """
     d = len(generators[0])
-    # starting basis: the first independent generators, in order
-    _, basis_idx = eliminate(list(zip(*generators)))
+    # starting basis: the first independent generators, in order.  The pivots
+    # of a prefix are the pivots of the whole list that fall inside it, so
+    # the prefix doubles until it spans
+    m = d
+    while True:
+        _, basis_idx = eliminate(list(zip(*generators[:m])))
+        if len(basis_idx) == d or m >= len(generators):
+            break
+        m *= 2
     if len(basis_idx) < d:
         raise InputError("generator set does not span the ambient space")
     # ray j satisfies <ray_j, basis_i> = delta_ij, so the initial dual cone is
@@ -128,14 +164,24 @@ def dd_dual_rays(generators: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]
             )
             new_active.append(common | 1 << k)
         rays, active = new_rays, new_active
-    return sorted(rays)
+    return sorted(zip(rays, active))
 
 
 # ---------------------------------------------------------------------------
 # construction and basic queries
 
 def build_polyhedron(points: Iterable[Sequence[int]]) -> NewtonPolyhedron:
-    """Vertices and facets of conv(union of (alpha + R^n_+)) over the support."""
+    """Vertices and facets of conv(union of (alpha + R^n_+)) over the support.
+
+    One double description gives the facets and the active set of each,
+    the generators on it.  Transposed, these are the facet masks the
+    polyhedron keeps.  A support point p is certified a vertex when the
+    active sets of the facets through p meet in p's bit alone: no other
+    point and no coordinate direction lies on all of them.  When p is no
+    vertex, the face those facets cut out has an edge, which brings a
+    second vertex or, unbounded, an axis direction into the meet (see the
+    module docstring).
+    """
     pts = [check_exponent(p) for p in points]
     if not pts:
         raise InputError("support is empty: the Newton polyhedron is undefined")
@@ -154,14 +200,27 @@ def build_polyhedron(points: Iterable[Sequence[int]]) -> NewtonPolyhedron:
     gens += [p + (1,) for p in pts]
     # the rays come sorted and no two facets share a normal, so the facets
     # come sorted by (normal, offset); a zero normal is the inequality x_{n+1} >= 0
-    facets = [Facet(ray[:n], -ray[n]) for ray in dd_dual_rays(gens) if any(ray[:n])]
+    facets, actives = [], []
+    for ray, active in dd_dual_rays(gens):
+        if any(ray[:n]):
+            facets.append(Facet(ray[:n], -ray[n]))
+            actives.append(active)
+    masks = [0] * len(gens)
+    for k, active in enumerate(actives):
+        for g in _bits(active):
+            masks[g] |= 1 << k
 
     vertices = []
-    for p in pts:
-        tight = [f.normal for f in facets if dot(f.normal, p) == f.offset]
-        if len(tight) >= n and mat_rank(tight) == n:
-            vertices.append(p)
-    return NewtonPolyhedron(n, frozenset(vertices), tuple(facets))
+    for g, p in enumerate(pts, start=n):
+        own, meet = 1 << g, -1
+        for k in _bits(masks[g]):
+            meet &= actives[k]
+            if meet == own:
+                vertices.append(p)
+                break
+    return NewtonPolyhedron(
+        n, frozenset(vertices), tuple(facets), dict(zip(pts, masks[n:])), tuple(masks[:n])
+    )
 
 
 def support_value(poly: NewtonPolyhedron, a: Sequence[int]) -> int:
@@ -187,20 +246,6 @@ def contains(poly: NewtonPolyhedron, point: Sequence) -> bool:
 
 # ---------------------------------------------------------------------------
 # face enumeration
-
-def _facets_through(poly: NewtonPolyhedron, point: Sequence[int]) -> int:
-    """The bitmask of the facets through a point of the polyhedron."""
-    return sum(1 << k for k, f in enumerate(poly.facets) if dot(f.normal, point) == f.offset)
-
-
-def _facets_along(poly: NewtonPolyhedron) -> list[int]:
-    """Per coordinate direction e_i, the bitmask of the facets it lies in:
-    those whose normal has entry 0 at i."""
-    return [
-        sum(1 << k for k, f in enumerate(poly.facets) if f.normal[i] == 0)
-        for i in range(poly.n)
-    ]
-
 
 def _bits(mask: int) -> Iterator[int]:
     """The indices of the set bits of a mask, ascending."""
@@ -241,18 +286,21 @@ def compact_faces(
     mask covers: it is unbounded, and so are its joins.  A face's lattice
     points are the support points whose mask covers its facet set fs, and
     its defining normal is the sum of the normals of the facets in fs,
-    strictly positive exactly for compact faces.
+    strictly positive exactly for compact faces.  The faces come sorted by
+    their sorted lattice points.
     """
-    support = set(support)
-    masks = {p: _facets_through(poly, p) for p in support | poly.vertices}
-    inc = [masks[v] for v in sorted(poly.vertices)]
-    rays = _facets_along(poly)
+    masks = [(p, poly.facets_through(p)) for p in sorted(set(support))]
+    inc = [poly.point_masks[v] for v in sorted(poly.vertices)]
+    rays = poly.axis_masks
     out = []
     for fs in _join_walk(inc, inc, lambda fs: any(r & fs == fs for r in rays)):
         normal = tuple(map(sum, zip(*(poly.facets[k].normal for k in _bits(fs)))))
         assert all(x > 0 for x in normal)
-        out.append(FaceData(normal, frozenset(p for p in support if masks[p] & fs == fs)))
-    return sorted(out, key=lambda fd: sorted(fd.lattice_points))
+        # the points come in sorted order, so they are the face's sort key
+        points = tuple(p for p, m in masks if m & fs == fs)
+        out.append((points, FaceData(normal, frozenset(points))))
+    out.sort(key=lambda entry: entry[0])
+    return [face for _, face in out]
 
 
 # ---------------------------------------------------------------------------

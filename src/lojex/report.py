@@ -12,9 +12,7 @@ import functools
 import json
 from fractions import Fraction
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import TYPE_CHECKING, Any
-
-from .polyhedron import support_value
+from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:
     from .audit import AuditResult
@@ -63,8 +61,9 @@ def polyhedron_json(poly: NewtonPolyhedron) -> dict:
     }
 
 
-def fan_json(fan: Fan, poly: NewtonPolyhedron) -> dict:
-    ray_values = [support_value(poly, r) for r in fan.rays]
+def fan_json(fan: Fan, ray_values: Sequence[int]) -> dict:
+    """The fan's rays and maximal cones, each cone with the support values
+    of its rays, read from `ray_values` (one per ray of the fan)."""
     cones = []
     for cone, det in zip(fan.maximal_cones(), fan.dets):
         entry: dict[str, Any] = {"rays": list(cone.rays)}

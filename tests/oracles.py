@@ -23,6 +23,10 @@ where the audits take logs over whole batches of directions; the face of
 a normal is read off the support values point by point.  A degenerate
 face's torus witness is placed by numpy's floating-point least-squares
 solve, where lojex solves the Gram system of the exponent rows exactly.
+The rank vertex certificate asks for n independent facet normals through
+a point, where lojex meets the active sets of the double description, and
+the face polynomial is restricted face by face from the model's terms,
+where `check_model` prepares the germ once for all its faces.
 """
 
 from __future__ import annotations
@@ -114,6 +118,13 @@ def _phase1_feasible(M: list[list[int]], d: list[int]) -> bool:
                 rows[i] = [(pv * x - f * y) // det for x, y in zip(row, prow)]
         basis[pivot_row] = entering
         det = pv
+
+
+def is_vertex_rank(poly: NewtonPolyhedron, point: Exponent) -> bool:
+    """Rank vertex certificate: n linearly independent facets pass through
+    the point."""
+    tight = [f.normal for f in poly.facets if dot(f.normal, point) == f.offset]
+    return len(tight) >= poly.n and mat_rank(tight) == poly.n
 
 
 def is_vertex_lp(point: tuple[int, ...], support: set[tuple[int, ...]]) -> bool:
@@ -340,7 +351,7 @@ def cone_facet_sets(vectors: Sequence[RayVec]) -> list[frozenset[int]]:
     sign = 1 if work[rank - 1][pivots[-1]] > 0 else -1
     projected = [tuple(sign * row[k] for row in work[:rank]) for k in range(len(vectors))]
     facets = []
-    for z in dd_dual_rays(projected):
+    for z, _ in dd_dual_rays(projected):
         tight = frozenset(i for i, p in enumerate(projected) if dot(p, z) == 0)
         facets.append(tight)
     return facets
@@ -348,8 +359,7 @@ def cone_facet_sets(vectors: Sequence[RayVec]) -> list[frozenset[int]]:
 
 def fulldim_cone_contains(vectors: Sequence[RayVec], v: Sequence) -> bool:
     """Exact membership for a full-dimensional pointed cone."""
-    duals = dd_dual_rays(list(vectors))
-    return all(dot(z, v) >= 0 for z in duals)
+    return all(dot(z, v) >= 0 for z, _ in dd_dual_rays(list(vectors)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +372,12 @@ def validate_fan(fan: Fan) -> None:
     rays, and the common ray set must be a face of both cones.
     """
     maxc = fan.maximal_cones()
-    duals = [dd_dual_rays(fan.generators(c)) for c in maxc]
+    duals = [[z for z, _ in dd_dual_rays(fan.generators(c))] for c in maxc]
     for i, j in itertools.combinations(range(len(maxc)), 2):
         common = sorted(set(maxc[i].rays) & set(maxc[j].rays))
         inter_rays = dd_dual_rays(duals[i] + duals[j])
         common_vecs = [fan.rays[r] for r in common]
-        for r in inter_rays:
+        for r, _ in inter_rays:
             if not (
                 common_vecs
                 and simplicial_cone_contains_or_member(common_vecs, r)
@@ -417,8 +427,7 @@ def fulldim_cone_contains_lower(vectors: list[RayVec], v: Sequence) -> bool:
         # a positive multiple generates the same ray, and DD takes integers
         den = math.lcm(*(x.denominator for x in c))
         projected.append(tuple(int(x * den) for x in c))
-    duals = dd_dual_rays(projected)
-    return all(dot(z, vc) >= 0 for z in duals)
+    return all(dot(z, vc) >= 0 for z, _ in dd_dual_rays(projected))
 
 
 def cone_all_face_sets(vectors: Sequence[RayVec]) -> set[frozenset[int]]:
@@ -631,6 +640,24 @@ def face_of_normal(
     level = support_value(poly, a)
     pts = frozenset(p for p in support if dot(a, p) == level)
     return FaceData(tuple(int(x) for x in a), pts)
+
+
+def face_polynomial(model: TaylorModel, face: FaceData) -> FacePolynomial:
+    """Restriction of the polynomial part to the exponents on a compact face."""
+    if not all(a > 0 for a in face.defining_normal):
+        raise InputError(
+            "face polynomial of a non-compact face is not determined by the "
+            "polynomial part"
+        )
+    terms = tuple(
+        (t.exp, t.coeff)
+        for t in sorted(model.terms, key=lambda t: t.exp)
+        if t.exp in face.lattice_points
+    )
+    unknown = any(
+        r.is_unit and r.exp in face.lattice_points for r in model.remainders
+    )
+    return FacePolynomial(face, model.n, terms, underdetermined=unknown)
 
 
 def affine_rank(points: Sequence[Sequence[int]]) -> int:

@@ -1,4 +1,6 @@
+import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -221,12 +223,34 @@ def test_fan_readers_compute_no_determinant(monkeypatch):
         sigma = unimodularize(simplicialize(sigma0))
         with monkeypatch.context() as patch:
             patch.setattr(lojex.fan, "cone_det", refused)
+            fx = fan_exponents(sigma, poly)
             got = {
-                "normal": report.fan_json(sigma0, poly),
-                "unimodular": report.fan_json(sigma, poly),
-                "exponents": report.fan_exponents_json(fan_exponents(sigma, poly)),
+                "normal": report.fan_json(sigma0, [support_value(poly, r) for r in sigma0.rays]),
+                "unimodular": report.fan_json(sigma, fx.ray_values),
+                "exponents": report.fan_exponents_json(fx),
             }
         assert got == want
+
+
+def test_fan_section_takes_each_support_value_once(monkeypatch):
+    # fan_exponents computes the refinement's support values and fan_json
+    # reads them; the normal fan's are the facet offsets
+    import lojex.fan
+
+    calls = []
+
+    def counted(poly, a):
+        calls.append(a)
+        return support_value(poly, a)
+
+    monkeypatch.setattr(lojex.fan, "support_value", counted)
+    monkeypatch.setattr(report, "support_value", counted, raising=False)
+    for poly in _catalog_and_digest_polyhedra():
+        if poly.n > 4:
+            continue
+        calls.clear()
+        lojex.cli._fan_section(poly)
+        assert sorted(calls) == sorted(_refined(poly).rays)
 
 
 def test_unimodularize_solves_once_per_stellar_step(monkeypatch):
@@ -263,6 +287,25 @@ def test_seeded_n4_support_refines_in_time():
         "refinement: 7133 maximal cones, 1654 rays",
         "L = 348, N = 1032",
     ]
+
+
+def test_fan_over_the_det_budget_exits_before_refining(tmp_path):
+    # sum |det| = 17 983 679 over the simplicial cones: the stellar loop ran
+    # for over 40 s with its memory growing by about 30 MB/s
+    text = "x^60 + y^70 + z^80 + x^7*y^11*z^13"
+    start = time.perf_counter()
+    proc = run_lojex("fan", text)
+    assert proc.returncode == 4, proc.stderr
+    assert "sum |det| = 17983679" in proc.stderr
+    # exponents still reports theta, with the fan-unavailable flag
+    proc = run_lojex("exponents", text, "--json", str(tmp_path / "e.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert time.perf_counter() - start < 20
+    doc = json.loads((tmp_path / "e.json").read_text())
+    assert "fan" not in doc
+    exps = doc["exponents"]
+    assert [f.split(":")[0] for f in exps["flags"]] == ["fan-unavailable"]
+    assert exps["theta"]["value"] == {"num": 79, "den": 80}
 
 
 def test_large_supports_build_polyhedron_in_time(tmp_path, monkeypatch, capsys):

@@ -31,14 +31,13 @@ from lojex.nondegeneracy import (
     _sign_definite_even,
     check_face,
     check_model,
-    face_polynomial,
 )
 from lojex.parser import parse_text
 from lojex.polyhedron import build_polyhedron, compact_faces
-from lojex.taylor import poly_diff, poly_eval_float, support
+from lojex.taylor import RemainderDescriptor, TaylorModel, poly_diff, poly_eval_float, support
 
 from .conftest import germ, random_support, subprocess_env
-from .oracles import face_of_normal, torus_point_lstsq
+from .oracles import face_of_normal, face_polynomial, torus_point_lstsq
 
 
 def _face_poly(text, normal):
@@ -133,6 +132,62 @@ def test_sign_definite_even_faces_are_exact():
         verdicts, ok = check_model(model, poly)
         assert ok, text
         assert all(v.status == "nondegenerate-exact" for v in verdicts.values())
+
+
+def _seeded_germs_with_remainders(rng, count):
+    """Germs with n = 2..4: the axis points d e_i and points of degree d,
+    which give large faces, a few random points, all doubled half the time
+    (even exponents), mixed signs, sometimes a planted degenerate edge
+    (x1^a - x2^a)^2, unit remainders on some points and a flat remainder."""
+    for _ in range(count):
+        n, d = rng.randint(2, 4), rng.randint(3, 6)
+        pts = {tuple(d * (j == i) for j in range(n)) for i in range(n)}
+        for _ in range(rng.randint(1, 5)):
+            cut = sorted(rng.randint(0, d) for _ in range(n - 1))
+            pts.add(tuple(b - a for a, b in zip([0, *cut], [*cut, d])))
+        pts |= {p for p in random_support(rng, n, 3, 8) if sum(p) >= 2}
+        scale = rng.choice((1, 2))
+        pts = sorted(tuple(scale * x for x in p) for p in pts)
+        coeffs, rems = {}, []
+        for p in pts:
+            if rng.random() < 0.1:
+                rems.append(RemainderDescriptor(p, is_unit=True))
+            else:
+                coeffs[p] = rng.choice((-3, -2, -1, 1, 2, 3))
+        if rng.random() < 0.25:
+            a = rng.randint(1, 3)
+            for i, c in enumerate((1, -2, 1)):
+                coeffs[(2 * a - i * a, i * a) + (0,) * (n - 2)] = c
+        if rng.random() < 0.3:
+            rems.append(RemainderDescriptor(pts[-1], frozenset({0})))
+        yield TaylorModel.from_dict(n, coeffs, rems)
+
+
+def test_check_model_matches_face_by_face_oracle():
+    # check_model prepares the germ once for all its faces; each verdict
+    # must be the one check_face gives on the face polynomial restricted
+    # face by face.  The germs reach every route: sign-definite, kernel,
+    # two-variable, pencil, multistart, degenerate and unit-remainder faces
+    statuses = set()
+    for model in _seeded_germs_with_remainders(random.Random(17), 80):
+        poly = build_polyhedron(support(model))
+        verdicts, ok = check_model(model, poly, starts=4, seed=5)
+        want = {
+            tuple(sorted(face.lattice_points)): check_face(
+                face_polynomial(model, face), starts=4, seed=5 + k
+            )
+            for k, face in enumerate(compact_faces(poly, support(model)))
+        }
+        assert list(verdicts.items()) == list(want.items()), model
+        assert ok == all(v.status.startswith("nondegenerate") for v in want.values())
+        statuses.update(v.status for v in verdicts.values())
+        # verdicts are frozen, so every sign-definite face shares one
+        assert len({
+            id(v) for v in verdicts.values() if v.detail.startswith("sign-definite")
+        }) <= 1
+    assert statuses == {
+        "nondegenerate-exact", "nondegenerate-numeric", "degenerate", "inconclusive"
+    }
 
 
 def test_exponent_kernel_rule():

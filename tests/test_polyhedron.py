@@ -27,6 +27,7 @@ from .oracles import (
     face_of_normal,
     g_gamma_eval,
     is_vertex_lp,
+    is_vertex_rank,
     staircase_vertices_2d,
 )
 
@@ -90,7 +91,7 @@ def test_compact_faces_examples():
         frozenset({(3, 0)}), frozenset({(0, 2)}), frozenset({(3, 0), (0, 2)})
     }
     for f in faces:
-        assert f.compact and all(a > 0 for a in f.defining_normal)
+        assert all(a > 0 for a in f.defining_normal)
 
 
 def test_compact_faces_match_the_face_lattice():
@@ -192,6 +193,48 @@ def test_vertices_match_lp_oracle_random():
         poly = build_polyhedron(supp)
         expected = {p for p in supp if is_vertex_lp(p, supp)}
         assert poly.vertices == expected
+
+
+def _seeded_incidence_supports():
+    """Seeded supports with n = 2..8, each also with its dominated points
+    v + e_i, with its points doubled and the midpoints of their pairs (some
+    inside a face, some inside the polyhedron), and as a 0/1 hat support."""
+    rng = random.Random(29)
+    for k in range(42):
+        n = 2 + k % 7
+        supp = random_support(rng, n, max_points=3 + n, max_entry=6)
+        yield supp
+        yield supp | {
+            tuple(x + (i == j) for j, x in enumerate(v))
+            for v in build_polyhedron(supp).vertices for i in range(n)
+        }
+        doubled = {tuple(2 * x for x in p) for p in supp}
+        yield doubled | {
+            tuple(a + b for a, b in zip(p, q)) for p in supp for q in supp if p < q
+        }
+        yield {tuple(int(x > 0) for x in p) for p in supp}
+
+
+def test_vertex_meet_matches_rank_certificate():
+    # the active sets of the facets through a point meet in its own bit
+    # alone iff n independent facets pass through it
+    for supp in _seeded_incidence_supports():
+        poly = build_polyhedron(supp)
+        assert poly.vertices == {p for p in supp if is_vertex_rank(poly, p)}, supp
+
+
+def test_stored_facet_masks_are_the_incidences():
+    for supp in _seeded_incidence_supports():
+        poly = build_polyhedron(supp)
+        assert set(poly.point_masks) == supp
+        for p, mask in poly.point_masks.items():
+            assert mask == sum(
+                1 << k for k, f in enumerate(poly.facets) if dot(f.normal, p) == f.offset
+            ), (supp, p)
+        assert poly.axis_masks == tuple(
+            sum(1 << k for k, f in enumerate(poly.facets) if f.normal[i] == 0)
+            for i in range(poly.n)
+        ), supp
 
 
 def test_vertices_match_staircase_2d():
