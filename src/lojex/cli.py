@@ -46,7 +46,7 @@ from .fan import (
 )
 from .nondegeneracy import DEFAULT_STARTS, DEFAULT_TOL, check_model
 from .parser import model_to_text, parse_germ
-from .polyhedron import build_polyhedron, hat_polyhedron
+from .polyhedron import build_polyhedron, hat_polyhedron, support_value
 from .taylor import TaylorModel, support
 
 if TYPE_CHECKING:
@@ -99,10 +99,8 @@ def _fan_section(poly) -> tuple[dict, FanExponents]:
     sigma0 = normal_fan(poly)
     sigma = unimodularize(simplicialize(sigma0))
     fanexp = fan_exponents(sigma, poly)
-    # the normal fan's rays are the facet normals, in facet order, and the
-    # support value of a facet's normal is its offset
     section = {
-        "normal": report_mod.fan_json(sigma0, [f.offset for f in poly.facets]),
+        "normal": report_mod.fan_json(sigma0, [support_value(poly, r) for r in sigma0.rays]),
         "unimodular": report_mod.fan_json(sigma, fanexp.ray_values),
     }
     section["exponents"] = report_mod.fan_exponents_json(fanexp)

@@ -117,14 +117,14 @@ def normal_fan(poly: NewtonPolyhedron) -> Fan:
     """
     n = poly.n
     ray_table = tuple(f.normal for f in poly.facets)
-    verts = sorted(poly.vertices)
-    inc = [poly.point_masks[v] for v in verts]
+    vertex_masks = [(v, m) for v, m in poly.point_masks if v in poly.vertices]
+    inc = [m for _, m in vertex_masks]
     faces = sorted(
         (tuple(_bits(fs)), fs)
         for fs in _join_walk(inc, inc + list(poly.axis_masks), lambda fs: not fs)
     )
     cones = tuple(
-        Cone(rays, frozenset(v for v, m in zip(verts, inc) if m & fs == fs))
+        Cone(rays, frozenset(v for v, m in vertex_masks if m & fs == fs))
         for rays, fs in faces
     )
     at_vertex = set(inc)

@@ -11,20 +11,20 @@ nothing is mutated from the caller's view.
 from __future__ import annotations
 
 from math import gcd
-from operator import index, mul
+from operator import index
 from typing import Iterable, Sequence
 
 
 def dot(a: Sequence, b: Sequence):
-    if len(a) != len(b):
-        raise ValueError(f"dot of vectors of lengths {len(a)} and {len(b)}")
-    return sum(map(mul, a, b))
+    return sum(x * y for x, y in zip(a, b, strict=True))
 
 
 def primitive(vec: Iterable[int]) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries (zero vector stays zero)."""
-    v = tuple(map(index, vec))
-    g = gcd(*v)
+    v = tuple(index(x) for x in vec)
+    g = 0
+    for x in v:
+        g = gcd(g, abs(x))
     if g <= 1:
         return v
     return tuple(x // g for x in v)

@@ -58,7 +58,6 @@ from .taylor import (
     TaylorModel,
     poly_diff,
     poly_eval_float,
-    support,
 )
 from .univariate import (
     UPoly,
@@ -614,7 +613,7 @@ def check_model(
     order, which is the order of its key, and is underdetermined when a
     unit remainder's exponent lies on it.
     """
-    faces = compact_faces(poly, support(model))
+    faces = compact_faces(poly)
     coeffs = {t.exp: t.coeff for t in model.terms}
     units = {r.exp for r in model.remainders if r.is_unit}
     verdicts: dict[tuple[Exponent, ...], DegeneracyVerdict] = {}

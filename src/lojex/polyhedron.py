@@ -52,7 +52,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, InputError
 from .linalg import dot, eliminate, primitive, solve_scaled
@@ -72,26 +72,16 @@ class Facet:
 @dataclass(frozen=True)
 class NewtonPolyhedron:
     """Vertices and facets, with the facet mask of each generator: bit k is
-    set when facet k passes through the support point (`point_masks`) or
-    lies along the coordinate direction e_i (`axis_masks`, entry i).  The
-    masks are read off the double description and take no part in
-    equality."""
+    set when facet k passes through the support point (`point_masks`, one
+    (point, mask) pair per support point, in sorted order) or lies along
+    the coordinate direction e_i (`axis_masks`, entry i).  The masks are
+    read off the double description and take no part in equality."""
 
     n: int
     vertices: frozenset[Exponent]
     facets: tuple[Facet, ...]
-    point_masks: Mapping[Exponent, int] = field(compare=False, repr=False)
+    point_masks: tuple[tuple[Exponent, int], ...] = field(compare=False, repr=False)
     axis_masks: tuple[int, ...] = field(compare=False, repr=False)
-
-    def facets_through(self, point: Exponent) -> int:
-        """The facet mask of a point: the stored one for a support point,
-        else the facets whose equation it satisfies."""
-        mask = self.point_masks.get(point)
-        if mask is None:
-            mask = sum(
-                1 << k for k, f in enumerate(self.facets) if dot(f.normal, point) == f.offset
-            )
-        return mask
 
 
 @dataclass(frozen=True)
@@ -121,15 +111,8 @@ def dd_dual_rays(generators: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int,
     both of them do.
     """
     d = len(generators[0])
-    # starting basis: the first independent generators, in order.  The pivots
-    # of a prefix are the pivots of the whole list that fall inside it, so
-    # the prefix doubles until it spans
-    m = d
-    while True:
-        _, basis_idx = eliminate(list(zip(*generators[:m])))
-        if len(basis_idx) == d or m >= len(generators):
-            break
-        m *= 2
+    # starting basis: the first independent generators, in order
+    _, basis_idx = eliminate(list(zip(*generators)))
     if len(basis_idx) < d:
         raise InputError("generator set does not span the ambient space")
     # ray j satisfies <ray_j, basis_i> = delta_ij, so the initial dual cone is
@@ -219,7 +202,8 @@ def build_polyhedron(points: Iterable[Sequence[int]]) -> NewtonPolyhedron:
                 vertices.append(p)
                 break
     return NewtonPolyhedron(
-        n, frozenset(vertices), tuple(facets), dict(zip(pts, masks[n:])), tuple(masks[:n])
+        n, frozenset(vertices), tuple(facets), tuple(sorted(zip(pts, masks[n:]))),
+        tuple(masks[:n]),
     )
 
 
@@ -276,9 +260,7 @@ def _join_walk(
     return faces
 
 
-def compact_faces(
-    poly: NewtonPolyhedron, support: Iterable[Exponent]
-) -> list[FaceData]:
+def compact_faces(poly: NewtonPolyhedron) -> list[FaceData]:
     """Every face with a strictly positive defining normal, once each.
 
     Includes all vertices.  The faces are grown by joins with vertices
@@ -289,15 +271,14 @@ def compact_faces(
     strictly positive exactly for compact faces.  The faces come sorted by
     their sorted lattice points.
     """
-    masks = [(p, poly.facets_through(p)) for p in sorted(set(support))]
-    inc = [poly.point_masks[v] for v in sorted(poly.vertices)]
+    inc = [m for p, m in poly.point_masks if p in poly.vertices]
     rays = poly.axis_masks
     out = []
     for fs in _join_walk(inc, inc, lambda fs: any(r & fs == fs for r in rays)):
         normal = tuple(map(sum, zip(*(poly.facets[k].normal for k in _bits(fs)))))
         assert all(x > 0 for x in normal)
         # the points come in sorted order, so they are the face's sort key
-        points = tuple(p for p, m in masks if m & fs == fs)
+        points = tuple(p for p, m in poly.point_masks if m & fs == fs)
         out.append((points, FaceData(normal, frozenset(points))))
     out.sort(key=lambda entry: entry[0])
     return [face for _, face in out]

@@ -234,7 +234,7 @@ def test_fan_readers_compute_no_determinant(monkeypatch):
 
 def test_fan_section_takes_each_support_value_once(monkeypatch):
     # fan_exponents computes the refinement's support values and fan_json
-    # reads them; the normal fan's are the facet offsets
+    # reads them; only the rays of the refinement are counted
     import lojex.fan
 
     calls = []

@@ -40,7 +40,7 @@ def _geometry_doc(supp) -> dict:
         "facets": [[f.normal, f.offset] for f in poly.facets],
         "compact_faces": [
             [fd.defining_normal, sorted(fd.lattice_points), affine_rank(fd.lattice_points)]
-            for fd in compact_faces(poly, supp)
+            for fd in compact_faces(poly)
         ],
         "normal_fan": _fan_doc(normal_fan(poly)),
         "simplicial_fan": _fan_doc(sigma),

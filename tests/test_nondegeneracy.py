@@ -176,7 +176,7 @@ def test_check_model_matches_face_by_face_oracle():
             tuple(sorted(face.lattice_points)): check_face(
                 face_polynomial(model, face), starts=4, seed=5 + k
             )
-            for k, face in enumerate(compact_faces(poly, support(model)))
+            for k, face in enumerate(compact_faces(poly))
         }
         assert list(verdicts.items()) == list(want.items()), model
         assert ok == all(v.status.startswith("nondegenerate") for v in want.values())
@@ -261,7 +261,7 @@ def test_euler_identity_on_faces():
         model = germ(name)
         supp = support(model)
         poly = build_polyhedron(supp)
-        for face in compact_faces(poly, supp):
+        for face in compact_faces(poly):
             fp = face_polynomial(model, face)
             fpoly = fp.poly()
             if not fpoly:
@@ -328,7 +328,7 @@ def signed_faces():
         supp = random_support(rng, n, max_points=8, max_entry=5)
         coeffs = {e: rng.choice((-3, -2, -1, 1, 2, 3)) for e in sorted(supp)}
         poly = build_polyhedron(supp)
-        faces += [_face_of(n, coeffs, face) for face in compact_faces(poly, supp)]
+        faces += [_face_of(n, coeffs, face) for face in compact_faces(poly)]
     return faces
 
 
@@ -370,7 +370,7 @@ def test_kernel_rule_covers_monomial_faces_and_partials(signed_faces):
         model = parse_text(text)
         supp = support(model)
         poly = build_polyhedron(supp)
-        faces += [face_polynomial(model, face) for face in compact_faces(poly, supp)]
+        faces += [face_polynomial(model, face) for face in compact_faces(poly)]
     covered = [fp for fp in faces if _monomial_face_or_partial(fp)]
     assert len(covered) > 500
     assert all(_kernel_pins_a_term(_exponent_kernel(fp)) for fp in covered)
@@ -579,7 +579,7 @@ def test_circuit_route_against_oracles(signed_faces):
     for text in NUMERIC_PINS:
         model = parse_text(text)
         supp = support(model)
-        for face in compact_faces(build_polyhedron(supp), supp):
+        for face in compact_faces(build_polyhedron(supp)):
             fp = face_polynomial(model, face)
             if _is_circuit(fp):
                 faces.append((fp, None))
