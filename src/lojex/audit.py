@@ -2,13 +2,19 @@
 
 Sampling happens on a fixed pool of max-norm unit directions (random pool
 plus deterministic probes: coordinate axes and caller-chosen diagonals),
-rescaled through a geometric grid of radius levels.  A `Sample` is that
-pool through every radius of a `SamplePlan`, with log|f| and the vertex sum
-log g_Gamma computed at most once, when an audit first reads them; the
-audits of one run read the same sample, and only the distance audit L2
-draws a pool of its own, whose probes are the tight
-section of every ranking (one per distinct upper set, found among the
-subsets of the zero-set variables).  Reusing one pool across levels
+rescaled through a geometric grid of radius levels.  The random rows are
+the first values of numpy's `default_rng(seed)` stream (SeedSequence into
+PCG64, drawn by `Generator.uniform`), computed here by an exact port, so the
+audits never load `numpy.random` and their sample does not follow stream
+changes between numpy versions; each (seed, rows, n) is drawn once per
+process.  A `Sample` is that pool through every radius of a `SamplePlan`,
+with log|f| and the vertex sum log g_Gamma computed at most once, when an
+audit first reads them; the audits of one run read the same sample, and
+only the distance audit L2 draws a pool of its own, whose probes are the
+tight section of every ranking (one per distinct upper set, found among the
+subsets of the zero-set variables).  That pool begins with the same random
+and axis rows, so log|f| on them is evaluated once per run and L2 evaluates
+only its ranking rows.  Reusing one pool across levels
 makes the per-level envelope minima directly comparable, so the pass/fail
 call is a trend test, not an absolute-constant test: the inequalities only
 claim "there exist c, eps", so the audit checks that the per-level minima of
@@ -35,10 +41,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,6 +80,15 @@ class SamplePlan:
         if not r or not all(0 < x < math.inf for x in r) or any(a <= b for a, b in zip(r, r[1:])):
             raise InputError("radii must be strictly decreasing, positive and finite")
         object.__setattr__(self, "radii", r)
+        for name in ("seed", "directions_per_radius"):
+            value = getattr(self, name)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise InputError(f"{name} must be an integer, got {value!r}") from None
+            if value < 0:
+                raise InputError(f"{name} must be >= 0, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -95,6 +111,67 @@ class AuditResult:
 
 # ---------------------------------------------------------------------------
 # direction pools
+
+# numpy's SeedSequence (pool size 4) and PCG64 (O'Neill, PCG, HMC-CS-2014-0905:
+# XSL-RR 128/64 on a 128-bit LCG), as `np.random.default_rng(seed)` runs them
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_seed(seed: int) -> tuple[int, int]:
+    """PCG64's (state, increment) for SeedSequence(seed), seed >= 0."""
+    words = [(seed >> s) & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    h = 0x43B0D7E5
+
+    def hashmix(v: int) -> int:
+        nonlocal h
+        v = (v ^ h) * (h := h * 0x931E8875 & _M32) & _M32
+        return v ^ v >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    # generate_state(4, uint64): eight 32-bit words, paired low word first
+    h, state = 0x8B51F9DD, []
+    for v in pool * 2:
+        v = (v ^ h) * (h := h * 0x58F38DED & _M32) & _M32
+        state.append(v ^ v >> 16)
+    s0, s1, i0, i1 = (state[k] | state[k + 1] << 32 for k in range(0, 8, 2))
+    # pcg_setseq_128_srandom_r: the state starts at 0, steps, adds the seed, steps
+    inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+    return ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128, inc
+
+
+def _pcg64_doubles(seed: int, count: int) -> np.ndarray:
+    """The first `count` values of `default_rng(seed).random()`: each is the
+    next 64-bit output shifted right by 11, times 2^-53."""
+    state, inc = _pcg64_seed(seed)
+    out = [0] * count
+    for k in range(count):
+        state = (state * _PCG_MULT + inc) & _M128
+        x = (state >> 64 ^ state) & _M64
+        rot = state >> 122
+        out[k] = ((x >> rot | x << (64 - rot)) & _M64) >> 11
+    return np.array(out, dtype=float) * 2.0**-53
+
+
+@lru_cache(maxsize=8)
+def _random_directions(seed: int, count: int, n: int) -> np.ndarray:
+    """`count` rows of `default_rng(seed).uniform(-1, 1, (count, n))`, scaled
+    to max-norm 1, read-only."""
+    rows = _normalize_rows((-1.0 + 2.0 * _pcg64_doubles(seed, count * n)).reshape(count, n))
+    rows.setflags(write=False)
+    return rows
+
 
 def _normalize_rows(dirs: np.ndarray) -> np.ndarray:
     scale = np.max(np.abs(dirs), axis=1)
@@ -141,10 +218,10 @@ def direction_pool(
     plan: SamplePlan, n: int, extra: Iterable[Sequence[float]] = ()
 ) -> np.ndarray:
     """The plan's random max-norm unit rows, then the axis probes and `extra`."""
-    rng = np.random.default_rng(plan.seed)
-    dirs = rng.uniform(-1.0, 1.0, size=(plan.directions_per_radius, n))
     probes = np.array([*axis_probes(n), *extra], dtype=float)
-    return np.vstack([_normalize_rows(dirs), _normalize_rows(probes)])
+    return np.vstack([
+        _random_directions(plan.seed, plan.directions_per_radius, n), _normalize_rows(probes)
+    ])
 
 
 def _sampled_negative(model: TaylorModel, seed: int, radius: float) -> tuple[float, ...] | None:
@@ -224,11 +301,15 @@ def lower_envelope_slope(predictor: np.ndarray, response: np.ndarray) -> float |
     unequal axis degrees the large-|f| bins belong to a different regime.
     """
     mask = np.isfinite(predictor) & np.isfinite(response)
-    x, y = predictor[mask], response[mask]
-    if x.size < 2 or x.max() == x.min():
+    x, y = (predictor, response) if mask.all() else (predictor[mask], response[mask])
+    if x.size < 2:
         return None
-    edges = np.linspace(x.min(), x.max(), SLOPE_BINS + 1)
-    which = np.clip(np.digitize(x, edges) - 1, 0, SLOPE_BINS - 1)
+    lo, hi = x.min(), x.max()
+    if hi == lo:
+        return None
+    edges = np.linspace(lo, hi, SLOPE_BINS + 1)
+    # np.digitize on increasing edges
+    which = np.clip(edges.searchsorted(x, side="right") - 1, 0, SLOPE_BINS - 1)
     mins = np.full(SLOPE_BINS, np.inf)
     np.minimum.at(mins, which, y)
     filled = np.bincount(which, minlength=SLOPE_BINS) > 0
@@ -239,7 +320,7 @@ def lower_envelope_slope(predictor: np.ndarray, response: np.ndarray) -> float |
     # bin is bounded by every sample to its right; the suffix minimum removes
     # spikes in sparsely sampled bins
     mins = np.minimum.accumulate(mins[filled][::-1])[::-1]
-    cutoff = x.min() + SLOPE_LOWER_FRACTION * (x.max() - x.min())
+    cutoff = lo + SLOPE_LOWER_FRACTION * (hi - lo)
     lower = centers <= cutoff
     if np.count_nonzero(lower) >= 2:
         centers, mins = centers[lower], mins[lower]
@@ -257,38 +338,48 @@ def _log_abs(a: np.ndarray) -> np.ndarray:
 
 
 def _logsumexp(a: np.ndarray, sign: np.ndarray | None = None) -> np.ndarray:
-    """log|sum(sign * exp(a))| over the leading axis; -inf where the sum is zero."""
+    """log|sum(sign * exp(a))| over the leading axis; -inf where the sum is zero.
+
+    Overwrites `a`, which every caller builds for this call alone.
+    """
     top = np.max(a, axis=0)
     top[np.isneginf(top)] = 0.0  # every term is zero: exp(a - top) stays 0
-    s = np.exp(a - top)
+    a -= top
+    np.exp(a, out=a)
     if sign is not None:
-        s *= sign
-    return top + _log_abs(np.sum(s, axis=0))
+        a *= sign
+    return top + _log_abs(np.sum(a, axis=0))
+
+
+class _PoolTable(NamedTuple):
+    """What the monomials of every polynomial read off a pool's rows."""
+
+    log_d: np.ndarray  # log|d|, 0 where d = 0
+    zero: np.ndarray  # d = 0
+    negative: np.ndarray | None  # d < 0; None for the pool of |d|
 
 
 def _log_poly(
-    poly: dict[Exponent, Fraction | int], dirs: np.ndarray, log_r: np.ndarray
+    poly: dict[Exponent, Fraction | int], table: _PoolTable, log_r: np.ndarray
 ) -> np.ndarray:
     """log|p(r·d)| at every radius r and pool direction d, as (levels, rows).
 
-    A term c·x^e is log|c| + e·log|d| + |e|·log r, so no power underflows; the
-    direction part is computed once per pool.  Its sign is that of c times the
-    parity of e on the negative coordinates.  A zero coordinate with a positive
-    exponent makes the term -inf (never 0·(-inf)).  The terms are laid out as
-    (terms, levels, rows), so the log-sum-exp reduces over the short leading
-    axis in whole contiguous slices.
+    A term c·x^e is log|c| + e·log|d| + |e|·log r, so no power underflows.  Its
+    sign is that of c times the parity of e on the negative coordinates.  A
+    zero coordinate with a positive exponent makes the term -inf (never
+    0·(-inf)).  The terms are laid out as (terms, levels, rows), so the
+    log-sum-exp reduces over the short leading axis in whole contiguous slices.
     """
     if not poly:
-        return np.full((len(log_r), len(dirs)), -np.inf)
+        return np.full((len(log_r), len(table.log_d)), -np.inf)
     exps = np.array(list(poly))  # (terms, n), integers
     coeffs = np.array([float(c) for c in poly.values()])
-    log_d = _log_abs(dirs)
-    zero = np.isneginf(log_d)
-    base = exps @ np.where(zero, 0.0, log_d).T + _log_abs(coeffs)[:, None]  # (terms, rows)
-    base[(exps > 0) @ zero.T] = -np.inf
+    base = exps @ table.log_d.T + _log_abs(coeffs)[:, None]  # (terms, rows)
+    base[(exps > 0) @ table.zero.T] = -np.inf
     terms = base[:, None, :] + (exps.sum(axis=1)[:, None] * log_r)[:, :, None]
-    odd = (exps % 2) @ (dirs.T < 0) % 2
-    sign = np.sign(coeffs)[:, None] * (1.0 - 2.0 * odd)
+    sign = np.sign(coeffs)[:, None]
+    if table.negative is not None:
+        sign = sign * (1.0 - 2.0 * ((exps % 2) @ table.negative.T % 2))
     return _logsumexp(terms, sign[:, None, :])
 
 
@@ -321,7 +412,8 @@ def _ratio_audit(
         verdict, tau, tau_upper = _two_sided_verdict(minima, maxima)
     else:
         (verdict, tau), tau_upper = _one_sided_verdict(minima), math.nan
-    near = np.array(plan.radii) <= SLOPE_RADIUS_CAP
+    # the radii strictly decrease, so the levels inside the cap are a suffix
+    near = slice(sum(r > SLOPE_RADIUS_CAP for r in plan.radii), None)
     slope = lower_envelope_slope(log_rhs[near].ravel(), log_lhs[near].ravel())
     if empty.all():
         min_ratio = max_ratio = math.nan
@@ -347,7 +439,9 @@ class Sample:
     the same rows.  The audits of one run read one sample, so its pool is
     drawn, log|f| evaluated and log g_Gamma evaluated per vertex set at most
     once, each when an audit first reads it: a run whose only audit is L2,
-    which draws a pool of its own, draws no other.
+    which draws a pool of its own, draws no other.  L2's pool comes from
+    `with_probes`: it shares the random and axis rows, and log|f| on those
+    rows is evaluated by whichever of the two samples reads log|f| first.
     """
 
     def __init__(
@@ -358,24 +452,47 @@ class Sample:
         self.probes = list(probes)
         self.log_r = np.log(plan.radii)
         self._log_g: dict[frozenset[Exponent], np.ndarray] = {}
+        # log|f| on the random and axis rows, shared with `with_probes` samples
+        self._lead: dict[str, np.ndarray] = {}
+
+    def with_probes(self, probes: Iterable[Sequence[float]]) -> Sample:
+        """This sample's model and plan, with `probes` in place of its own."""
+        other = Sample(self.model, self.plan, probes)
+        other._lead = self._lead
+        return other
 
     @cached_property
     def dirs(self) -> np.ndarray:
         return direction_pool(self.plan, self.model.n, self.probes)
 
     @cached_property
+    def table(self) -> _PoolTable:
+        log_d = _log_abs(self.dirs)
+        zero = np.isneginf(log_d)
+        log_d[zero] = 0.0
+        return _PoolTable(log_d, zero, self.dirs < 0)
+
+    @cached_property
     def log_f(self) -> np.ndarray:
-        return self.log_poly(self.model.poly())
+        poly = self.model.poly()
+        n = self.model.n
+        lead = len(_random_directions(self.plan.seed, self.plan.directions_per_radius, n)) + 2 * n
+        if "log_f" in self._lead:
+            own = _log_poly(poly, _PoolTable(*(t[lead:] for t in self.table)), self.log_r)
+            return np.concatenate([self._lead["log_f"], own], axis=1)
+        log_f = self.log_poly(poly)
+        self._lead["log_f"] = log_f[:, :lead]
+        return log_f
 
     def log_poly(self, poly: dict[Exponent, Fraction | int]) -> np.ndarray:
-        return _log_poly(poly, self.dirs, self.log_r)
+        return _log_poly(poly, self.table, self.log_r)
 
     def log_g(self, vertices: frozenset[Exponent]) -> np.ndarray:
         """log g_Gamma(r·d) for g_Gamma = sum over the vertices of |x^v|: the
         vertex polynomial at |d|."""
         if vertices not in self._log_g:
             self._log_g[vertices] = _log_poly(
-                dict.fromkeys(vertices, 1), np.abs(self.dirs), self.log_r
+                dict.fromkeys(vertices, 1), self.table._replace(negative=None), self.log_r
             )
         return self._log_g[vertices]
 
@@ -413,11 +530,11 @@ def audit_L2(
     """Distance inequality: f against dist(x, zero set)^L.
 
     Samples every ranking region through its tight section probe, on a pool
-    of its own drawn with the model and plan of `sample`.
+    of its own with the random and axis rows of `sample`.
     """
     ld = float(loj_dist)
     n = sample.model.n
-    own = Sample(sample.model, sample.plan, ranking_probes(family, n))
+    own = sample.with_probes(ranking_probes(family, n))
     log_d = _log_abs(own.dirs)
     members = family.lambda_hitting or (range(n),)
     log_dist = np.min([log_d[:, sorted(j)].max(axis=1) for j in members], axis=0)

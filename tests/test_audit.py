@@ -31,7 +31,7 @@ from lojex.parser import parse_germ, parse_text
 from lojex.polyhedron import build_polyhedron, hat_polyhedron
 from lojex.taylor import support
 
-from .conftest import CATALOG, GATED_NONNEG, germ, subprocess_env
+from .conftest import CATALOG, GATED_NONNEG, germ, run_python, subprocess_env
 from .oracles import (
     dist_to_zero_set, euler_field_value, evaluate, g_gamma_eval, gradient,
     lower_envelope_slope_per_bin, ranking_i_rho,
@@ -50,6 +50,51 @@ def test_plan_validation():
         SamplePlan(radii=(1e-4, 1e-1))
     with pytest.raises(InputError):
         SamplePlan(radii=())
+
+
+def test_plan_rejects_bad_seeds_and_counts():
+    # in a child process under a 60 s guard: a seed that the stream port
+    # failed to reject could loop for ever instead of failing
+    code = (
+        "from lojex.audit import SamplePlan\n"
+        "from lojex.errors import InputError\n"
+        "for kw in ({'seed': -1}, {'seed': 1.5}, {'directions_per_radius': -1}):\n"
+        "    try:\n"
+        "        SamplePlan(**kw)\n"
+        "        print('accepted', kw)\n"
+        "    except InputError as exc:\n"
+        "        print('InputError', exc)\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split()[0] for line in proc.stdout.splitlines()] == ["InputError"] * 3
+    assert SamplePlan(seed=np.int64(3)).seed == 3
+
+
+# single- and multi-word seeds: SeedSequence mixes words past its pool of 4
+STREAM_SEEDS = [*range(64), 2**32 + 5, 2**70 + 3, 0xC0FFEE << 176 | 0xDEADBEEF]
+
+
+def test_random_directions_are_default_rng_stream():
+    assert STREAM_SEEDS[-1].bit_length() == 200
+    for seed in STREAM_SEEDS:
+        for n in range(1, 9):
+            for k in (0, 1, 50, 256):
+                want = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(k, n))
+                got = (-1.0 + 2.0 * audit._pcg64_doubles(seed, k * n)).reshape(k, n)
+                assert np.array_equal(got, want), (seed, n, k)
+                rows = audit._random_directions(seed, k, n)
+                assert np.array_equal(rows, audit._normalize_rows(want)), (seed, n, k)
+
+
+def test_random_directions_are_drawn_once_and_read_only():
+    rows = audit._random_directions(9, 16, 3)
+    assert audit._random_directions(9, 16, 3) is rows
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0.5
+    pool = audit.direction_pool(SamplePlan(directions_per_radius=16, seed=9), 3)
+    pool[0, 0] = 0.5  # a pool is the caller's own copy
+    assert rows[0, 0] != 0.5
 
 
 def test_dist_to_zero_set_examples():
@@ -276,35 +321,50 @@ def test_log_space_envelopes_match_pointwise_loop(name, monkeypatch):
 
 def test_audits_of_a_run_share_one_sample(monkeypatch):
     pools = _recorded_pools(monkeypatch)
-    log_f_pools, log_g_calls = [], 0
+    log_f_rows, log_g_calls = [], 0
     original = audit._log_poly
     model = germ("quartic_mix")
     vertex_sum = dict.fromkeys(build_polyhedron(support(model)).vertices, 1)
 
-    def recording_log_poly(poly, dirs, log_r):
+    def recording_log_poly(poly, table, log_r):
         nonlocal log_g_calls
         if poly == model.poly():
-            log_f_pools.append(dirs)
+            log_f_rows.append(table.log_d)
         log_g_calls += poly == vertex_sum
-        return original(poly, dirs, log_r)
+        return original(poly, table, log_r)
 
     monkeypatch.setattr(audit, "_log_poly", recording_log_poly)
     outcome = analyze_germ(model, AnalysisOptions(samples=64))
     assert len(outcome.audits) == 5
-    # the shared pool of L1, L0, euler-comparison and f-vs-g, then L2's
+    # the shared pool of L1, L0, euler-comparison and f-vs-g, then L2's, which
+    # begins with the same random and axis rows
     assert len(pools) == 2
-    assert len(log_f_pools) == 2 and all(d is p for d, p in zip(log_f_pools, pools))
+    shared, own = pools
+    lead = len(audit._random_directions(0, 64, 2)) + 4
+    assert np.array_equal(shared[:lead], own[:lead])
+    # each row of log|f| is evaluated once: the run's pool, then L2's ranking rows
+    assert [len(rows) for rows in log_f_rows] == [len(shared), len(own) - lead]
     # euler-comparison and f-vs-g read one log g_Gamma
     assert log_g_calls == 1
 
 
 def test_verify_draws_only_the_pools_its_audits_read(monkeypatch, capsys):
-    # L2 draws a pool of its own; the shared one is drawn only for L1 or L0
+    # L2 draws a pool of its own; the shared one is drawn only for L1 or L0,
+    # and L2 alone evaluates log|f| on its own pool, no diagonal row
     pools = _recorded_pools(monkeypatch)
+    rows = []
+    original = audit._log_poly
+    monkeypatch.setattr(
+        audit, "_log_poly", lambda poly, table, log_r: rows.append(len(table.log_d))
+        or original(poly, table, log_r)
+    )
     for flags, count in ((["--dist", "2"], 1), (["--theta", "1/2", "--dist", "2"], 2)):
         pools.clear()
+        rows.clear()
         assert main(["verify", "x^2 + y^2", "--samples", "64", *flags]) == 0
         assert len(pools) == count, flags
+        if count == 1:
+            assert rows == [len(pools[0])]
     capsys.readouterr()
 
 
@@ -433,6 +493,33 @@ def test_tau_matches_scipy_kendalltau():
             assert tau == scipy_tau(s), s  # the same float, not just close
             compared += 1
     assert compared > 1500
+
+
+def test_audits_never_import_numpy_random():
+    # a fresh interpreter, so that imports made by other tests cannot hide
+    # one: the audit directions are computed by lojex, and numpy.random is
+    # for the multistart and the declared-sign sampler alone.  No catalog
+    # germ reaches the multistart
+    argvs = [["analyze", text] for text in CATALOG.values()] + [
+        ["verify", "x^2 + y^2", "--theta", "1/2", "--alpha", "2", "--dist", "2"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from lojex.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps(codes))\n"
+        "print('numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['analyze', 'x^2 + y^4', '--declare', 'nonnegative'])\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    proc = run_python("-c", code, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    codes, *flags = proc.stdout.splitlines()
+    # exit code 2 is a failed gate (the degenerate catalog germs), not an error
+    assert set(json.loads(codes)) <= {0, 2}
+    assert flags == ["True False", "True"]
 
 
 def test_analyze_needs_no_scipy(tmp_path):
