@@ -42,7 +42,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -52,6 +51,7 @@ import numpy as np
 from .errors import InputError
 from .exponents import TransversalFamily
 from .polyhedron import NewtonPolyhedron
+from .record import record
 from .taylor import Exponent, TaylorModel, poly_diff
 
 TAU_FAIL = -0.8
@@ -69,9 +69,9 @@ def _default_radii(outer: float = 1e-1, inner: float = 1e-4, levels: int = 16) -
     return tuple(outer * ratio**k for k in range(levels))
 
 
-@dataclass(frozen=True)
+@record
 class SamplePlan:
-    radii: tuple[float, ...] = field(default_factory=_default_radii)
+    radii: tuple[float, ...] = _default_radii()
     directions_per_radius: int = 256
     seed: int = 0
 
@@ -91,7 +91,7 @@ class SamplePlan:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
+@record
 class AuditResult:
     inequality: str  # L0 | L1 | L2 | euler-comparison | f-vs-g
     exponent: float | None

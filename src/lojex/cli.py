@@ -18,7 +18,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -47,6 +46,7 @@ from .fan import (
 from .nondegeneracy import DEFAULT_STARTS, DEFAULT_TOL, check_model
 from .parser import model_to_text, parse_germ
 from .polyhedron import build_polyhedron, hat_polyhedron, support_value
+from .record import record
 from .taylor import TaylorModel, support
 
 if TYPE_CHECKING:
@@ -57,7 +57,7 @@ if TYPE_CHECKING:
 # at call time, so that a wrapper set on lojex.audit is the one called
 
 
-@dataclass
+@record
 class AnalysisOptions:
     declare_nonnegative: bool = False
     declare_convex: bool = False
@@ -70,12 +70,12 @@ class AnalysisOptions:
     max_dim: int | None = None
 
 
-@dataclass
+@record
 class AnalysisOutcome:
     document: dict
     exit_code: int
-    report: ExponentReport | None = None
-    audits: list = field(default_factory=list)
+    report: ExponentReport | None
+    audits: list
 
 
 def _provably_nonnegative(model: TaylorModel) -> bool:

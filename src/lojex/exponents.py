@@ -22,16 +22,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .linalg import dot
 from .polyhedron import NewtonPolyhedron, contains, diagonal_exponent
+from .record import record, replace
 from .taylor import Exponent, TaylorModel
 
 
-@dataclass(frozen=True)
+@record
 class Hypotheses:
     kn: bool
     nondegenerate: bool
@@ -56,7 +56,7 @@ def _gated(result):
 # ---------------------------------------------------------------------------
 # the monomial-ideal condition
 
-@dataclass(frozen=True)
+@record
 class RemainderCheck:
     exp: Exponent
     is_unit: bool
@@ -65,7 +65,7 @@ class RemainderCheck:
     reason: str
 
 
-@dataclass(frozen=True)
+@record
 class KNReport:
     satisfied: bool
     remainders: tuple[RemainderCheck, ...]
@@ -117,7 +117,7 @@ def check_kn(model: TaylorModel, poly: NewtonPolyhedron) -> KNReport:
 # ---------------------------------------------------------------------------
 # convenience
 
-@dataclass(frozen=True)
+@record
 class ConvenienceReport:
     convenient: bool
     partially_convenient: bool
@@ -150,7 +150,7 @@ def convenience(poly: NewtonPolyhedron) -> ConvenienceReport:
 # ---------------------------------------------------------------------------
 # theta
 
-@dataclass(frozen=True)
+@record
 class ThetaResult:
     value: Fraction | None
     reason: str | None
@@ -172,7 +172,7 @@ def theta(
 # ---------------------------------------------------------------------------
 # alpha
 
-@dataclass(frozen=True)
+@record
 class AlphaResult:
     value: Fraction | None
     reason: str | None
@@ -208,7 +208,7 @@ def alpha_exponent(
 # ---------------------------------------------------------------------------
 # transversal families
 
-@dataclass(frozen=True)
+@record
 class TransversalFamily:
     I_f: tuple[int, ...]
     supports: tuple[frozenset[int], ...]  # hat-vertex variable supports
@@ -253,7 +253,7 @@ def transversals(hat_poly: NewtonPolyhedron) -> TransversalFamily:
 # ---------------------------------------------------------------------------
 # the distance exponent
 
-@dataclass(frozen=True)
+@record
 class RankingData:
     order: tuple[int, ...]  # variables listed from smallest to largest magnitude
     i_rho: int
@@ -261,7 +261,7 @@ class RankingData:
     exponent: int
 
 
-@dataclass(frozen=True)
+@record
 class DistResult:
     value: int | None
     reason: str | None
@@ -310,7 +310,7 @@ def dist_exponent(
 # ---------------------------------------------------------------------------
 # combined special case and the convex vertex shape
 
-@dataclass(frozen=True)
+@record
 class CombinedResult:
     theta: Fraction
     alpha: Fraction
@@ -360,7 +360,7 @@ def convex_shape(poly: NewtonPolyhedron) -> bool:
 # ---------------------------------------------------------------------------
 # aggregate report
 
-@dataclass(frozen=True)
+@record
 class ExponentReport:
     kn: KNReport
     nondegeneracy_overall: str  # nondegenerate | degenerate | inconclusive

@@ -32,12 +32,12 @@ by the pivot rather than divided.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CapExceededError, InputError
 from .linalg import eliminate, mat_rank, solve_scaled
 from .polyhedron import NewtonPolyhedron, _bits, _join_walk, support_value
+from .record import record
 from .taylor import Exponent
 
 UNIMODULARIZE_MAX_DIM = 4
@@ -51,13 +51,13 @@ UNIMODULARIZE_MAX_DET_SUM = 200_000
 RayVec = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Cone:
     rays: tuple[int, ...]  # sorted indices into the owning fan's ray table
     attached_face: frozenset[Exponent] | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Fan:
     """A fan in the dual nonnegative orthant.  `dets` is the signed determinant
     of each maximal cone's generators in their listed order, in `maximal`
@@ -76,7 +76,7 @@ class Fan:
         return [self.cones[i] for i in self.maximal]
 
 
-@dataclass(frozen=True)
+@record
 class ConeExponents:
     cone_index: int  # index into fan.maximal order
     l_values: tuple[int, ...]
@@ -84,7 +84,7 @@ class ConeExponents:
     n_sigma: int
 
 
-@dataclass(frozen=True)
+@record
 class FanExponents:
     per_cone: tuple[ConeExponents, ...]
     L: int

@@ -45,13 +45,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import InputError
 from .linalg import dot, eliminate, primitive, solve_scaled
 from .polyhedron import FaceData, NewtonPolyhedron, compact_faces
+from .record import record
 from .taylor import (
     Exponent,
     PolyDict,
@@ -86,7 +86,7 @@ RELATIVE_TOL = 1e-6  # a multistart minimizer whose torus-invariant relative
                      # residual is larger is no torus witness
 
 
-@dataclass(frozen=True)
+@record
 class FacePolynomial:
     face: FaceData
     n: int
@@ -105,7 +105,7 @@ class FacePolynomial:
         return tuple(sorted(used))
 
 
-@dataclass(frozen=True)
+@record
 class DegeneracyVerdict:
     status: str  # nondegenerate-exact | nondegenerate-numeric | degenerate | inconclusive
     witness: tuple[float, ...] | None
@@ -392,7 +392,7 @@ def _normalized_float_poly(fp: FacePolynomial) -> PolyDict:
     return {exp: c / scale for exp, c in fp.terms}
 
 
-@dataclass(frozen=True)
+@record
 class _CompiledFace:
     """Gradient and Hessian of a face polynomial over its k active
     variables, on one monomial basis: [g | H] = monomials(x) @ coeffs."""

@@ -50,18 +50,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, InputError
 from .linalg import dot, eliminate, primitive, solve_scaled
+from .record import record
 from .taylor import MAX_DIM, Exponent, check_exponent
 
 MAX_SUPPORT = 10_000
 
 
-@dataclass(frozen=True)
+@record
 class Facet:
     """Supporting half-space <normal, x> >= offset with primitive integer normal."""
 
@@ -69,7 +69,7 @@ class Facet:
     offset: int
 
 
-@dataclass(frozen=True)
+@record(uncompared=("point_masks", "axis_masks"))
 class NewtonPolyhedron:
     """Vertices and facets, with the facet mask of each generator: bit k is
     set when facet k passes through the support point (`point_masks`, one
@@ -80,11 +80,11 @@ class NewtonPolyhedron:
     n: int
     vertices: frozenset[Exponent]
     facets: tuple[Facet, ...]
-    point_masks: tuple[tuple[Exponent, int], ...] = field(compare=False, repr=False)
-    axis_masks: tuple[int, ...] = field(compare=False, repr=False)
+    point_masks: tuple[tuple[Exponent, int], ...]
+    axis_masks: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class FaceData:
     """A face of the polyhedron, carried as its defining normal and lattice support.
 

@@ -20,11 +20,11 @@ Values are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceededError, InputError
+from .record import record
 
 Exponent = tuple[int, ...]
 PolyDict = dict[Exponent, Fraction]
@@ -50,7 +50,7 @@ def check_exponent(exp: Sequence[int], n: int | None = None) -> Exponent:
     return t
 
 
-@dataclass(frozen=True)
+@record
 class Term:
     coeff: Fraction
     exp: Exponent
@@ -62,7 +62,7 @@ class Term:
             raise InputError(f"term with exponent {self.exp} has zero coefficient")
 
 
-@dataclass(frozen=True)
+@record
 class RemainderDescriptor:
     """x^exp times a smooth factor, declared unit or flat in `flat_vars` (0-based)."""
 
@@ -86,7 +86,7 @@ class RemainderDescriptor:
             )
 
 
-@dataclass(frozen=True)
+@record
 class TaylorModel:
     """Polynomial Taylor part plus declared remainders, in dimension n."""
 

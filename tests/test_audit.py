@@ -389,6 +389,15 @@ def _slope_clouds():
     yield np.full(5, np.nan), np.zeros(5)
     # every sample at the two ends of the range, the bins between empty
     yield np.r_[np.zeros(50), np.ones(50)], np.random.default_rng(3).normal(size=100)
+    # every sample on a bin edge, in shuffled order, with and without
+    # non-finite samples among them
+    edges = np.linspace(-8.0, 0.0, audit.SLOPE_BINS + 1)
+    for _ in range(20):
+        x = rng.permutation(np.repeat(edges, 3))
+        y = 0.5 * x + rng.normal(size=x.size)
+        yield x, y
+        y[rng.integers(0, x.size, 4)] = (np.nan, np.inf, -np.inf, np.nan)
+        yield x, y
 
 
 def test_lower_envelope_slope_matches_per_bin_loop():

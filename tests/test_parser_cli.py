@@ -315,6 +315,24 @@ def test_exact_commands_never_import_numpy(tmp_path):
     assert report.read_bytes() == again.read_bytes()
 
 
+def test_import_and_exponents_load_neither_dataclasses_nor_inspect():
+    # a fresh interpreter; only the modules lojex adds count, so a site hook
+    # that loads either module before it cannot fail the test.  Records come
+    # from lojex.record, whose classes compile one __init__ each
+    code = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "import lojex\n"
+        "from lojex.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['exponents', 'x^3*y + y^3*z + z^3*x']) == 0\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_main_reuses_one_parser(monkeypatch):
     def no_new_parser():
         raise AssertionError("main built a new argument parser")
