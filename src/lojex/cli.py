@@ -405,8 +405,7 @@ def _emit(doc: dict, args, audits) -> None:
     if args.json_path:
         target = sys.stdout if args.json_path == "-" else open(args.json_path, "w", encoding="utf-8")
         try:
-            # the bytes of json.dump(doc, target, indent=2) and a newline,
-            # encoded in C and written in batches
+            # one line of compact JSON, so on stdout the report is the last line
             report_mod.write_json(doc, target)
         finally:
             if target is not sys.stdout:

@@ -18,7 +18,8 @@ Refinement happens in two deterministic stages:
       classes of Z^n modulo the cone's lattice.  That search is a stellar
       step's one elimination, and only the cones around the new ray are split.
       It grows with |det|, so a fan whose sum of |det| is over a budget is
-      refused before the first step.
+      refused before the first step, as is a 2D fan whose chains would
+      insert more rays than their budget.
 
 Rays live in a deduplicated table; cones reference ray indices.  Each
 builder records the signed determinant of every maximal cone it makes
@@ -47,6 +48,13 @@ UNIMODULARIZE_MAX_DIM = 4
 # supports, every fan under this sum refined in at most 10 s and 40 MB; over
 # it, one with 1.4e6 ran past 60 s
 UNIMODULARIZE_MAX_DET_SUM = 200_000
+# for n = 2 each Hirzebruch-Jung step inserts one ray, and the refined fan,
+# its report and its memory grow with the rays; their count is known before
+# any chain runs (hirzebruch_jung_length).  On seeded n = 2 supports and
+# two-term germs, `fan` cost about 30 us and 2 KB of peak RSS per inserted
+# ray (16 117 rays: 0.5 s, 47 MB; 336 064: 11.7 s, 661 MB); no n = 2 fan of
+# the tests or the benchmark inserts more than 5
+UNIMODULARIZE_MAX_CHAIN_RAYS = 20_000
 
 RayVec = tuple[int, ...]
 
@@ -245,6 +253,31 @@ def hirzebruch_jung_chain(u: RayVec, v: RayVec) -> list[RayVec]:
         cur = w
 
 
+def hirzebruch_jung_length(u: RayVec, v: RayVec) -> int:
+    """How many rays hirzebruch_jung_chain(u, v) inserts between u and v, in
+    O(log |det|) steps.
+
+    In a lattice basis (u, w) with det(u, w) = 1, v has coordinates
+    (det(v, w), d) with d = |det(u, v)|: the cone is of type (d, q) with
+    q = det(w, v) mod d.  The chain inserts as many rays as the
+    Hirzebruch-Jung continued fraction of d/q has terms (Fulton,
+    Introduction to Toric Varieties, 2.6): with the regular continued
+    fraction d/q = [a_1; a_2, ..., a_s], that is ceil(s/2) + sum(a_2i - 1).
+    """
+    d = _det2(u, v)
+    if d < 0:
+        u, v, d = v, u, -d
+    _, s, t = _xgcd(u[0], u[1])
+    a, b = d, _det2((-t, s), v) % d
+    terms = inserted = 0
+    while b:
+        quotient, (a, b) = a // b, (b, a % b)
+        terms += 1
+        if terms % 2 == 0:
+            inserted += quotient - 1
+    return (terms + 1) // 2 + inserted
+
+
 def _parallelepiped_point(vectors: list[RayVec]) -> tuple[RayVec, tuple[int, ...]]:
     """Primitive lattice point of {sum t_i g_i : 0 <= t_i < 1} with minimal
     coefficient sum, ties broken lexicographically, and its coefficients times
@@ -288,12 +321,14 @@ def check_unimodularize_dim(n: int) -> None:
 def unimodularize(fan: Fan, trace: list | None = None) -> Fan:
     """Refine a simplicial fan until every maximal cone has determinant +-1.
 
-    For n >= 3, raises CapExceededError before the first stellar step when
-    the sum of |det| over the maximal cones exceeds
-    UNIMODULARIZE_MAX_DET_SUM.  When a `trace` list is supplied, each
-    stellar step appends the pair (max |det| among non-unimodular cones, how
-    many cones attain it); the sequence decreases strictly in lexicographic
-    order, which is the termination witness.
+    Raises CapExceededError before any ray is inserted when the work is over
+    a budget: for n = 2, when the Hirzebruch-Jung chains would insert more
+    than UNIMODULARIZE_MAX_CHAIN_RAYS rays; for n >= 3, when the sum of
+    |det| over the maximal cones exceeds UNIMODULARIZE_MAX_DET_SUM.  When a
+    `trace` list is supplied, each stellar step appends the pair (max |det|
+    among non-unimodular cones, how many cones attain it); the sequence
+    decreases strictly in lexicographic order, which is the termination
+    witness.
     """
     n = fan.n
     for cone in fan.maximal_cones():
@@ -314,6 +349,12 @@ def unimodularize(fan: Fan, trace: list | None = None) -> Fan:
     ]
 
     if n == 2:
+        new_rays = sum(hirzebruch_jung_length(rays[i], rays[j]) for (i, j), _, _ in cones)
+        if new_rays > UNIMODULARIZE_MAX_CHAIN_RAYS:
+            raise CapExceededError(
+                f"unimodularization would insert {new_rays} rays by the Hirzebruch-Jung "
+                f"chains, over the budget {UNIMODULARIZE_MAX_CHAIN_RAYS}"
+            )
         out = []
         for idx, attached, _ in cones:
             chain = hirzebruch_jung_chain(rays[idx[0]], rays[idx[1]])

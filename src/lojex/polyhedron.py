@@ -16,9 +16,11 @@ The H-rep comes from a double-description run on the homogenization
 cone( {(e_i,0)} + {(p,1)} ) in dimension n+1, in integer arithmetic
 (Fukuda & Prodon, Double Description Method Revisited, 1996).  The axis
 directions go in first, then the distinct support points by degree and
-then lexicographically.  There is no dominance pre-pass: a point that
-another point dominates comes after it, already lies in the cone, and only
-marks active sets.  Each ray's active set is a bitmask over the
+then lexicographically.  The axes and the first point p0 are a unimodular
+basis, whose dual basis is written down (e_j - p0_j e_{n+1} and e_{n+1}), so
+the run starts without an elimination.  There is no dominance pre-pass: a
+point that another point dominates comes after it, already lies in the
+cone, and only marks active sets.  Each ray's active set is a bitmask over the
 generators; a pair of rays is adjacent iff their common set has at least
 n - 1 generators and no third ray's set contains it.
 
@@ -54,7 +56,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, InputError
-from .linalg import dot, eliminate, primitive, solve_scaled
+from .linalg import dot, primitive
 from .record import record
 from .taylor import MAX_DIM, Exponent, check_exponent
 
@@ -98,34 +100,30 @@ class FaceData:
 # ---------------------------------------------------------------------------
 # double description
 
-def dd_dual_rays(generators: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
+def dd_dual_rays(
+    generators: Sequence[tuple[int, ...]], start: Sequence[tuple[int, tuple[int, ...]]]
+) -> list[tuple[tuple[int, ...], int]]:
     """Extreme rays of the dual cone {z : <z, g> >= 0 for all g}, each with
     its active set.
 
-    Requires the generators to span the ambient space (so the dual is
-    pointed), which holds for all callers here.  Returns (ray, active)
-    pairs sorted by ray, the rays primitive integer vectors.  The active
-    set is the bitmask of the generators the ray vanishes on: bit k for
-    generators[k].  It is kept exact as the generators go in, since a new
-    ray, a positive combination of two rays, vanishes on a generator iff
-    both of them do.
+    `start` is a basis of the ambient space among the generators with its
+    dual basis: pairs (k, ray) with ray primitive, positive on generators[k]
+    and zero on the basis's other generators.  Those rays span the dual of
+    the basis's cone, and the other generators go in after them, in order.
+    Returns (ray, active) pairs sorted by ray, the rays primitive integer
+    vectors.  The active set is the bitmask of the generators the ray
+    vanishes on: bit k for generators[k].  It is kept exact as the
+    generators go in, since a new ray, a positive combination of two rays,
+    vanishes on a generator iff both of them do.
     """
     d = len(generators[0])
-    # starting basis: the first independent generators, in order
-    _, basis_idx = eliminate(list(zip(*generators)))
-    if len(basis_idx) < d:
-        raise InputError("generator set does not span the ambient space")
-    # ray j satisfies <ray_j, basis_i> = delta_ij, so the initial dual cone is
-    # simplicial: ray j is column j of the basis matrix's inverse, times det
-    unit = [[int(i == j) for i in range(d)] for j in range(d)]
-    det, cols = solve_scaled([generators[i] for i in basis_idx], unit)
-    rays: list[tuple[int, ...]] = [
-        primitive(x if det > 0 else -x for x in col) for col in cols
-    ]
-    active = [sum(1 << basis_idx[i] for i in range(d) if i != j) for j in range(d)]
+    basis = {k for k, _ in start}
+    rays = [ray for _, ray in start]
+    full = sum(1 << k for k in basis)
+    active = [full & ~(1 << k) for k, _ in start]
 
     for k, g in enumerate(generators):
-        if k in basis_idx:
+        if k in basis:
             continue
         vals = [dot(r, g) for r in rays]
         new_rays = [r for r, v in zip(rays, vals) if v >= 0]
@@ -184,7 +182,10 @@ def build_polyhedron(points: Iterable[Sequence[int]]) -> NewtonPolyhedron:
     # the rays come sorted and no two facets share a normal, so the facets
     # come sorted by (normal, offset); a zero normal is the inequality x_{n+1} >= 0
     facets, actives = [], []
-    for ray, active in dd_dual_rays(gens):
+    # the dual basis of the axes and (p0, 1): e_j - p0_j e_{n+1}, and e_{n+1}
+    p0 = pts[0]
+    start = [(j, gens[j][:n] + (-p0[j],)) for j in range(n)] + [(n, (0,) * n + (1,))]
+    for ray, active in dd_dual_rays(gens, start):
         if any(ray[:n]):
             facets.append(Facet(ray[:n], -ray[n]))
             actives.append(active)

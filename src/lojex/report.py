@@ -4,14 +4,17 @@ Schema conventions: exact rationals are emitted as {"num": int, "den": int};
 plain integers stay integers; floats appear only inside audit sections.
 Variable index sets (J, I_f, transversal members, flat variables, rankings)
 are emitted 1-based to match the x1..xn input syntax.
+
+A report is written as one line of compact JSON (no indent, no spaces
+after separators) and a newline, by one call of the C encoder.  NaN and
+Infinity are written as the json module writes them.  `python -m json.tool`
+pretty-prints a report.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from fractions import Fraction
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:
@@ -238,104 +241,12 @@ def audits_csv(results: list[AuditResult]) -> str:
 # ---------------------------------------------------------------------------
 # writing
 
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-_BATCH = 1024  # pieces held before a write
-
-
-def _is_leaf(value: Any) -> bool:
-    """A scalar, an empty container or a list, tuple or dict of scalars:
-    text that one encoder call writes."""
-    kind = type(value)
-    if kind in _SCALARS:
-        return True
-    if kind is list or kind is tuple:
-        return _SCALARS.issuperset(map(type, value))
-    if kind is dict:
-        return _SCALARS.issuperset(map(type, value.values()))
-    return not (isinstance(value, (dict, list, tuple)) and value)
-
-
-@functools.cache  # one entry per nesting depth
-def _layout(depth: int):
-    """The line break and indent of a value at `depth`, and the text of a
-    leaf at `depth` as indent=2 lays it out."""
-    line = "\n" + "  " * depth
-    inner = line + "  "  # a leaf's items sit one indent deeper
-    separators = ("," + inner, ": ")
-    if c_make_encoder is None:
-        slow = json.JSONEncoder(separators=separators).encode
-
-        def encode(value, _):
-            return (slow(value),)
-    else:
-        # the settings of json.dumps bar its cycle check (markers None): its
-        # default, ASCII strings, no indent, the separators, unsorted keys,
-        # no skipped keys, NaN and Infinity allowed
-        encode = c_make_encoder(
-            None, json.JSONEncoder().default, encode_basestring_ascii, None,
-            separators[1], separators[0], False, False, True,
-        )
-
-    def text(value: Any) -> str:
-        compact = "".join(encode(value, 0))
-        if len(compact) > 2 and compact[0] in "[{":
-            # a scalar's text never starts with a bracket
-            return f"{compact[0]}{inner}{compact[1:-1]}{line}{compact[-1]}"
-        return compact
-
-    return line, text
+# encode takes the C encoder in one shot; json.dump streams through
+# iterencode, which runs in pure Python up to CPython 3.12.  No report holds
+# a cycle, so the cycle check is off
+_ENCODER = json.JSONEncoder(check_circular=False, separators=(",", ":"))
 
 
 def write_json(doc: Any, fh) -> None:
-    """Write `doc` and a newline to `fh`, byte for byte as
-    json.dump(doc, fh, indent=2) does.
-
-    json with indent runs on the pure-Python encoder before CPython 3.13.
-    Here each leaf (a scalar or a container of scalars) is one call of the
-    C encoder, and only the containers that hold containers are walked.
-    Dict keys are strings, as in every report.  The text goes out in
-    batches of pieces, so memory does not grow with the report.
-    """
-    parts: list[str] = []
-    scalar = _layout(0)[1]  # a scalar's text is the same at every depth
-
-    def flush() -> None:
-        fh.write("".join(parts))
-        parts.clear()
-
-    def walk(value: Any, depth: int) -> None:
-        inner, text = _layout(depth + 1)
-        if isinstance(value, dict):
-            sep = "{" + inner
-            for key, item in value.items():
-                if len(parts) >= _BATCH:
-                    flush()
-                head = sep + encode_basestring_ascii(key) + ": "
-                if type(item) in _SCALARS:
-                    parts.append(head + scalar(item))
-                elif _is_leaf(item):
-                    parts.append(head + text(item))
-                else:
-                    parts.append(head)
-                    walk(item, depth + 1)
-                sep = "," + inner
-            parts.append(_layout(depth)[0] + "}")
-        else:
-            sep = "[" + inner
-            for item in value:
-                if len(parts) >= _BATCH:
-                    flush()
-                if _is_leaf(item):
-                    parts.append(sep + text(item))
-                else:
-                    parts.append(sep)
-                    walk(item, depth + 1)
-                sep = "," + inner
-            parts.append(_layout(depth)[0] + "]")
-
-    if _is_leaf(doc):
-        parts.append(_layout(0)[1](doc))
-    else:
-        walk(doc, 0)
-    parts.append("\n")
-    flush()
+    """Write `doc` to `fh` as one line of compact JSON and a newline."""
+    fh.write(_ENCODER.encode(doc) + "\n")

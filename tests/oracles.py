@@ -6,7 +6,9 @@ is a staircase walk, the zero-set oracle enumerates coordinate-zero
 patterns, the entry-parameter oracle bisects on membership, the distance
 oracle walks all s! rankings of the zero-set variables, cone facets and
 cone membership come from a fresh double-description run on the cone's
-generators (lojex reads cone facets off the fan's cones instead),
+generators, started from a basis and an inverse found by elimination
+(lojex reads cone facets off the fan's cones instead, and starts the
+polyhedron's run from a dual basis it writes down),
 simplicial-cone membership solves for a point's Fraction coordinates in
 the cone's generators, the fan validator checks the fan condition
 pairwise with exact cone algebra, the face-lattice oracle closes the
@@ -47,7 +49,7 @@ from lojex.fan import (
     _parallelepiped_point,
     cone_det,
 )
-from lojex.linalg import dot, eliminate, mat_rank, solve_scaled
+from lojex.linalg import dot, eliminate, mat_rank, primitive, solve_scaled
 from lojex.nondegeneracy import FacePolynomial
 from lojex.polyhedron import (
     FaceData,
@@ -332,6 +334,24 @@ def simplicial_cone_contains(vectors: Sequence[RayVec], v: Sequence) -> bool:
 # ---------------------------------------------------------------------------
 # cone facets and membership by a fresh double-description run
 
+def dd_dual_rays_eliminated(generators: Sequence[RayVec]) -> list[tuple[RayVec, int]]:
+    """`dd_dual_rays` started from the first independent generators, in
+    order, with their dual basis read off an inverse: for any generating set
+    that spans the ambient space (the dual is then pointed)."""
+    d = len(generators[0])
+    _, basis_idx = eliminate(list(zip(*generators)))
+    if len(basis_idx) < d:
+        raise InputError("generator set does not span the ambient space")
+    # ray j satisfies <ray_j, basis_i> = delta_ij: column j of the basis
+    # matrix's inverse, times det
+    unit = [[int(i == j) for i in range(d)] for j in range(d)]
+    det, cols = solve_scaled([generators[i] for i in basis_idx], unit)
+    start = [
+        (k, primitive(x if det > 0 else -x for x in col)) for k, col in zip(basis_idx, cols)
+    ]
+    return dd_dual_rays(generators, start)
+
+
 def cone_facet_sets(vectors: Sequence[RayVec]) -> list[frozenset[int]]:
     """Facets of cone(vectors) as sets of generator indices.
 
@@ -351,7 +371,7 @@ def cone_facet_sets(vectors: Sequence[RayVec]) -> list[frozenset[int]]:
     sign = 1 if work[rank - 1][pivots[-1]] > 0 else -1
     projected = [tuple(sign * row[k] for row in work[:rank]) for k in range(len(vectors))]
     facets = []
-    for z, _ in dd_dual_rays(projected):
+    for z, _ in dd_dual_rays_eliminated(projected):
         tight = frozenset(i for i, p in enumerate(projected) if dot(p, z) == 0)
         facets.append(tight)
     return facets
@@ -359,7 +379,7 @@ def cone_facet_sets(vectors: Sequence[RayVec]) -> list[frozenset[int]]:
 
 def fulldim_cone_contains(vectors: Sequence[RayVec], v: Sequence) -> bool:
     """Exact membership for a full-dimensional pointed cone."""
-    return all(dot(z, v) >= 0 for z, _ in dd_dual_rays(list(vectors)))
+    return all(dot(z, v) >= 0 for z, _ in dd_dual_rays_eliminated(list(vectors)))
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +392,10 @@ def validate_fan(fan: Fan) -> None:
     rays, and the common ray set must be a face of both cones.
     """
     maxc = fan.maximal_cones()
-    duals = [[z for z, _ in dd_dual_rays(fan.generators(c))] for c in maxc]
+    duals = [[z for z, _ in dd_dual_rays_eliminated(fan.generators(c))] for c in maxc]
     for i, j in itertools.combinations(range(len(maxc)), 2):
         common = sorted(set(maxc[i].rays) & set(maxc[j].rays))
-        inter_rays = dd_dual_rays(duals[i] + duals[j])
+        inter_rays = dd_dual_rays_eliminated(duals[i] + duals[j])
         common_vecs = [fan.rays[r] for r in common]
         for r, _ in inter_rays:
             if not (
@@ -427,7 +447,7 @@ def fulldim_cone_contains_lower(vectors: list[RayVec], v: Sequence) -> bool:
         # a positive multiple generates the same ray, and DD takes integers
         den = math.lcm(*(x.denominator for x in c))
         projected.append(tuple(int(x * den) for x in c))
-    return all(dot(z, vc) >= 0 for z, _ in dd_dual_rays(projected))
+    return all(dot(z, vc) >= 0 for z, _ in dd_dual_rays_eliminated(projected))
 
 
 def cone_all_face_sets(vectors: Sequence[RayVec]) -> set[frozenset[int]]:

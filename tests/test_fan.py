@@ -10,12 +10,14 @@ from lojex import report
 from lojex.cli import main
 from lojex.errors import CapExceededError, InputError
 from lojex.fan import (
+    UNIMODULARIZE_MAX_CHAIN_RAYS,
     Cone,
     Fan,
     _parallelepiped_point,
     cone_det,
     fan_exponents,
     hirzebruch_jung_chain,
+    hirzebruch_jung_length,
     normal_fan,
     simplicialize,
     unimodularize,
@@ -128,6 +130,21 @@ def test_hj_chain_dets_random():
             assert simplicial_cone_contains([u, v], w) or simplicial_cone_contains(
                 [v, u], w
             )
+
+
+def test_hj_length_is_the_chains_inserted_rays():
+    rng = random.Random(17)
+    from math import gcd
+
+    for hi in (9, 300, 10**6):
+        for _ in range(300):
+            u = v = (0, 0)
+            while gcd(*u) != 1 or gcd(*v) != 1 or u[0] * v[1] == u[1] * v[0]:
+                u = (rng.randint(0, hi), rng.randint(0, hi))
+                v = (rng.randint(0, hi), rng.randint(0, hi))
+            assert hirzebruch_jung_length(u, v) == len(hirzebruch_jung_chain(u, v)) - 2, (u, v)
+    # a long chain: every (1, k) for k = 1..9999 lies between (1, 0) and (1, 10000)
+    assert hirzebruch_jung_length((1, 0), (1, 10000)) == 9999
 
 
 def test_simplicial_cone_contains_rational_point():
@@ -306,6 +323,27 @@ def test_fan_over_the_det_budget_exits_before_refining(tmp_path):
     exps = doc["exponents"]
     assert [f.split(":")[0] for f in exps["flags"]] == ["fan-unavailable"]
     assert exps["theta"]["value"] == {"num": 79, "den": 80}
+
+
+def test_2d_fan_over_the_chain_budget_exits_before_refining(tmp_path):
+    # the chains would insert 999 999 rays: fan ran for 39 s at 1.7 GB and
+    # wrote a 488 MB report, analyze for 25 s
+    text = "x^1000000 + y^999999"
+    start = time.perf_counter()
+    proc = run_lojex("fan", text)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 4, proc.stderr
+    assert "insert 999999 rays" in proc.stderr
+    proc = run_lojex("analyze", text, "--json", str(tmp_path / "a.json"))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((tmp_path / "a.json").read_text())
+    assert "fan" not in doc
+    flags = [f.split(":")[0] for f in doc["exponents"]["flags"]]
+    assert "fan-unavailable" in flags
+    # a fan whose chains insert exactly the budget is still built
+    budget = UNIMODULARIZE_MAX_CHAIN_RAYS
+    proc = run_lojex("fan", f"x^{budget + 1} + y^{budget}")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_large_supports_build_polyhedron_in_time(tmp_path, monkeypatch, capsys):

@@ -197,6 +197,29 @@ def test_cli_fan_dump(tmp_path):
         assert abs(cone["det"]) == 1
 
 
+def _compact(doc) -> str:
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def _plain(value):
+    """`value` as json.loads gives it back: tuples as lists, and NaN, which
+    equals nothing, as a marker."""
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, float) and math.isnan(value):
+        return "NaN marker"
+    return value
+
+
+def _check_report(text: str, doc) -> None:
+    """`text` is `doc` written as one line of compact JSON and a newline."""
+    assert text == _compact(doc) + "\n"
+    assert "\n" not in text[:-1]
+    assert _plain(json.loads(text)) == _plain(doc)
+
+
 def test_fan_command_is_the_analyze_fan_section(tmp_path):
     from .conftest import CATALOG
 
@@ -206,7 +229,7 @@ def test_fan_command_is_the_analyze_fan_section(tmp_path):
         assert main(["fan", text, "--json", str(fan_out)]) == 0, text
         analyzed = json.loads(analyze_out.read_text())
         expected = {"polyhedron": analyzed["polyhedron"], **analyzed["fan"]}
-        assert fan_out.read_text() == json.dumps(expected, indent=2) + "\n", text
+        _check_report(fan_out.read_text(), expected)
 
 
 # a germ with no polynomial part: f = 0 on every sample, so its audits
@@ -214,22 +237,19 @@ def test_fan_command_is_the_analyze_fan_section(tmp_path):
 REMAINDERS_ONLY = "@remainder exp=(2,0) unit\n@remainder exp=(0,2) unit"
 
 
-def test_report_bytes_are_those_of_a_streamed_dump(tmp_path, capsys, monkeypatch):
-    # the writer sends each container of scalars to the C encoder and puts
-    # its brackets on their own lines; the file must hold the bytes of
-    # json.dumps(doc, indent=2) and a newline for the document the command
-    # built, on every command, with and without --force
+def test_report_is_one_compact_line_of_the_built_document(tmp_path, capsys, monkeypatch):
+    # the file holds the compact encoding of the document the command
+    # built and a newline, on one line, and parses back to that document,
+    # on every command, with and without --force
     from .conftest import CATALOG
     from .test_nondegeneracy import NUMERIC_PINS
 
-    written = []
+    built = []
     write_json = lojex.report.write_json
 
     def recording(doc, fh):
-        text = io.StringIO()
-        write_json(doc, text)
-        written.append((doc, text.getvalue()))
-        fh.write(text.getvalue())
+        built.append(doc)
+        write_json(doc, fh)
 
     monkeypatch.setattr(lojex.report, "write_json", recording)
     out = tmp_path / "report.json"
@@ -237,44 +257,42 @@ def test_report_bytes_are_those_of_a_streamed_dump(tmp_path, capsys, monkeypatch
     for text in germs:
         for argv in (["analyze"], ["analyze", "--force"], ["exponents"], ["fan"], ["nondegen"],
                      ["verify", "--theta", "1/2", "--alpha", "2", "--dist", "2"]):
-            written.clear()
+            built.clear()
             main([argv[0], text, *argv[1:], "--json", str(out)])
             capsys.readouterr()
-            if argv[0] == "fan" and not written:
+            if argv[0] == "fan" and not built:
                 continue  # above the fan's dimension cap: no report
-            (doc, report), = written
-            assert report == json.dumps(doc, indent=2) + "\n", (argv, text)
-            assert out.read_bytes() == report.encode(), (argv, text)
-    written.clear()
+            doc, = built
+            _check_report(out.read_text(encoding="utf-8"), doc)
+    # on stdout the report is the last line, after the summary
+    built.clear()
     main(["analyze", REMAINDERS_ONLY, "--force", "--json", "-"])
-    (doc, report), = written
-    assert capsys.readouterr().out.endswith("\n" + json.dumps(doc, indent=2) + "\n")
-    assert "NaN" in report
+    doc, = built
+    printed = capsys.readouterr().out
+    assert printed.count("\n") > 1
+    _check_report(printed.splitlines(keepends=True)[-1], doc)
+    assert "NaN" in printed.splitlines()[-1]
 
 
 @pytest.mark.parametrize("c_encoder", [True, False])
 def test_report_writer_matches_json_dumps(monkeypatch, c_encoder):
     if not c_encoder:
-        # the public encoder, as on an interpreter built without _json
-        monkeypatch.setattr(lojex.report, "c_make_encoder", None)
-    lojex.report._layout.cache_clear()
+        # the pure-Python encoder, as on an interpreter built without _json
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
     docs = [
         {}, [], (), 0, "x", None, True, -1.5, math.nan,
         [math.inf, -math.inf, -0.0, 5e-324, 1e300],
         {"a": [], "b": {}, "c": [[], {}, [[]], [{}]], "d": ({"e": ()},)},
-        {"\u00e9\u2603": "\u00fc \x00\t\"\\", "big": 10**300 + 1, "neg": -(2**64)},
+        {"\u00e9\u2603": "\u00fc \x00\t\"\\\n", "big": 10**300 + 1, "neg": -(2**64)},
         {"leaf": [True, False, None, 1, -2, 0.1, "s", 2**70]},
         [[1, 2], [3, [4, {"k": (5, 6)}]], {"x": {"y": {"z": [None]}}}],
         (1, (2, 3), "t", {"u": (True, [])}),
         [list(range(3000)), [[k, -k] for k in range(3000)]],
     ]
-    try:
-        for doc in docs:
-            out = io.StringIO()
-            lojex.report.write_json(doc, out)
-            assert out.getvalue() == json.dumps(doc, indent=2) + "\n", doc
-    finally:
-        lojex.report._layout.cache_clear()
+    for doc in docs:
+        out = io.StringIO()
+        lojex.report.write_json(doc, out)
+        _check_report(out.getvalue(), doc)
 
 
 def test_exact_commands_never_import_numpy(tmp_path):

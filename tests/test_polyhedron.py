@@ -1,11 +1,13 @@
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import lojex.polyhedron
 from lojex.errors import InputError
 from lojex.fan import normal_fan
 from lojex.linalg import dot
@@ -22,6 +24,7 @@ from .conftest import random_support, run_lojex
 from .oracles import (
     affine_rank,
     compact_faces_from_lattice,
+    dd_dual_rays_eliminated,
     entry_parameter_bisect,
     face_lattice,
     face_of_normal,
@@ -235,6 +238,41 @@ def test_stored_facet_masks_are_the_incidences():
             sum(1 << k for k, f in enumerate(poly.facets) if f.normal[i] == 0)
             for i in range(poly.n)
         ), supp
+
+
+def test_written_start_gives_the_eliminated_starts_rays(monkeypatch):
+    # build_polyhedron writes down the dual basis of the axes and its first
+    # point; started from the first independent generators and an inverse,
+    # the same run keeps every state and returns the same (ray, active) pairs
+    runs = []
+    dd = lojex.polyhedron.dd_dual_rays
+
+    def recording(generators, start):
+        pairs = dd(generators, start)
+        runs.append((generators, pairs))
+        return pairs
+
+    monkeypatch.setattr(lojex.polyhedron, "dd_dual_rays", recording)
+    supports = list(_seeded_incidence_supports())
+    assert len(supports) == 168
+    for supp in supports:
+        runs.clear()
+        build_polyhedron(supp)
+        (generators, pairs), = runs
+        assert pairs == dd_dual_rays_eliminated(generators), supp
+
+
+def test_build_polyhedron_runs_no_elimination(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("build_polyhedron eliminated")
+
+    for name, module in list(sys.modules.items()):
+        if name == "lojex" or name.startswith("lojex."):
+            for attr in ("eliminate", "solve_scaled"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, forbidden)
+    for supp in list(_seeded_incidence_supports())[:21]:
+        build_polyhedron(supp)
 
 
 def test_vertices_match_staircase_2d():
