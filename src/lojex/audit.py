@@ -8,20 +8,24 @@ PCG64, drawn by `Generator.uniform`), computed here by an exact port, so the
 audits never load `numpy.random` and their sample does not follow stream
 changes between numpy versions; each (seed, rows, n) is drawn once per
 process.  A `Sample` is that pool through every radius of a `SamplePlan`,
-with log|f| and the vertex sum log g_Gamma computed at most once, when an
-audit first reads them; the audits of one run read the same sample, and
-only the distance audit L2 draws a pool of its own, whose probes are the
-tight section of every ranking (one per distinct upper set, found among the
-subsets of the zero-set variables).  That pool begins with the same random
-and axis rows, so log|f| on them is evaluated once per run and L2 evaluates
-only its ranking rows.  Reusing one pool across levels
+with log|f|, the gradient log|df/dx_i| and the vertex sum log g_Gamma
+computed at most once, when an audit first reads them: L1 reads the
+gradient, and the Euler audit takes log|x_i df/dx_i| from it as
+log|df/dx_i| + log r + log|d_i|.  The audits of one run read the same
+sample, and only the distance audit L2 draws a pool of its own, whose
+probes are the tight section of every ranking (one per distinct upper set,
+found among the subsets of the zero-set variables).  That pool begins with
+the same random and axis rows, so log|f| on them is evaluated once per run
+and L2 evaluates only its ranking rows.  Reusing one pool across levels
 makes the per-level envelope minima directly comparable, so the pass/fail
 call is a trend test, not an absolute-constant test: the inequalities only
 claim "there exist c, eps", so the audit checks that the per-level minima of
 the ratio LHS/RHS do not decay as the radius shrinks (Kendall tau on the
 level minima; nan on an envelope that is flat up to rounding).  The
 comparison audits additionally require the maxima not to grow.  An
-exactly-zero envelope minimum is an outright violation.
+exactly-zero envelope minimum is an outright violation.  The reported
+slope is the least-squares slope of the binned lower envelope of the
+log-log cloud, in closed form; each sample's bin is found by arithmetic.
 
 Every audit is one engine, `_ratio_audit`, fed log|LHS| and log|RHS| at
 every (radius level, direction).  Values are computed in log space: a
@@ -31,8 +35,9 @@ r = 1e-4) neither underflow nor raise floating-point warnings.  The terms of
 a polynomial are laid out term-major, as a (terms, levels, rows) array, and
 the log-sum-exp reduces over that leading axis; a polynomial has few terms
 and a pool has hundreds of rows, so each step of the reduction is one whole
-(levels, rows) slice.  Samples where RHS = 0 are left out of their level and
-counted (`excluded`).
+(levels, rows) slice.  A polynomial of one term is that term, with no
+reduction.  Samples where RHS = 0 are left out of their level and counted
+(`excluded`).
 
 Verdicts are heuristic evidence, not certificates.
 """
@@ -250,12 +255,16 @@ def _tau(series: list[float]) -> float:
         return math.nan
     # Kendall tau-b against the level index, which has no ties (Knight 1966):
     # S over sqrt(pairs) * sqrt(pairs untied in the values), clipped as scipy does
-    v = np.array(vals)
-    signs = np.sign(v[None, :] - v[:, None])[np.triu_indices(len(v), 1)]
-    tot, ties = signs.size, int(np.count_nonzero(signs == 0))
+    up = ties = 0
+    for k, a in enumerate(vals):
+        for b in vals[k + 1:]:
+            up += b > a
+            ties += b == a
+    tot = len(vals) * (len(vals) - 1) // 2
     if ties == tot:
         return math.nan
-    return min(1.0, max(-1.0, int(signs.sum()) / math.sqrt(tot) / math.sqrt(tot - ties)))
+    s = 2 * up + ties - tot  # concordant minus discordant pairs
+    return min(1.0, max(-1.0, s / math.sqrt(tot) / math.sqrt(tot - ties)))
 
 
 def _one_sided_verdict(minima: list[float]) -> tuple[str, float]:
@@ -293,13 +302,32 @@ def _two_sided_verdict(minima: list[float], maxima: list[float]) -> tuple[str, f
     return verdict, tau_lo, tau_hi
 
 
-def lower_envelope_slope(predictor: np.ndarray, response: np.ndarray) -> float | None:
-    """Least-squares slope through per-bin minima of a log-log cloud.
+def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The bin of each sample between the `SLOPE_BINS + 1` increasing `edges`,
+    numbered as `np.digitize` numbers it, the last bin closed.
 
-    Only the lower part of the predictor range enters the fit: the
-    inequalities constrain the envelope asymptotically, and for germs with
-    unequal axis degrees the large-|f| bins belong to a different regime.
+    The bin is first read off the scaled offset (x - lo)·SLOPE_BINS/(hi - lo).
+    That estimate and the `linspace` edges differ by rounding only, far less
+    than a bin while the span is well above the rounding of the edges, so
+    one step each way against the edges gives the exact index.  Spans near
+    that rounding, or beyond the float range, are searched instead.
     """
+    lo, hi = edges[0], edges[-1]
+    span = hi - lo
+    if not 2.0**-40 * max(-lo, hi, 2.0**-960) < span < math.inf:
+        return np.clip(edges.searchsorted(x, side="right") - 1, 0, SLOPE_BINS - 1)
+    which = np.minimum(((x - lo) * (SLOPE_BINS / span)).astype(np.intp), SLOPE_BINS - 1)
+    which -= x < edges[which]
+    which += (x >= edges[which + 1]) & (which < SLOPE_BINS - 1)
+    return which
+
+
+def _envelope_points(
+    predictor: np.ndarray, response: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(bin centres, envelope) of a log-log cloud: per-bin minima, replaced by
+    their suffix minima, on the lower part of the predictor range; None when
+    fewer than two bins are filled."""
     mask = np.isfinite(predictor) & np.isfinite(response)
     x, y = (predictor, response) if mask.all() else (predictor[mask], response[mask])
     if x.size < 2:
@@ -308,11 +336,9 @@ def lower_envelope_slope(predictor: np.ndarray, response: np.ndarray) -> float |
     if hi == lo:
         return None
     edges = np.linspace(lo, hi, SLOPE_BINS + 1)
-    # np.digitize on increasing edges
-    which = np.clip(edges.searchsorted(x, side="right") - 1, 0, SLOPE_BINS - 1)
     mins = np.full(SLOPE_BINS, np.inf)
-    np.minimum.at(mins, which, y)
-    filled = np.bincount(which, minlength=SLOPE_BINS) > 0
+    np.minimum.at(mins, _bin_index(x, edges), y)
+    filled = mins < np.inf  # the samples are finite
     if np.count_nonzero(filled) < 2:
         return None
     centers = (0.5 * (edges[:-1] + edges[1:]))[filled]
@@ -324,8 +350,24 @@ def lower_envelope_slope(predictor: np.ndarray, response: np.ndarray) -> float |
     lower = centers <= cutoff
     if np.count_nonzero(lower) >= 2:
         centers, mins = centers[lower], mins[lower]
-    coeffs = np.polyfit(centers, mins, 1)
-    return float(coeffs[0])
+    return centers, mins
+
+
+def lower_envelope_slope(predictor: np.ndarray, response: np.ndarray) -> float | None:
+    """Least-squares slope through per-bin minima of a log-log cloud.
+
+    Only the lower part of the predictor range enters the fit: the
+    inequalities constrain the envelope asymptotically, and for germs with
+    unequal axis degrees the large-|f| bins belong to a different regime.
+    The slope of at most `SLOPE_BINS` points is the closed form
+    sum((x - mean x)(y - mean y)) / sum((x - mean x)^2).
+    """
+    points = _envelope_points(predictor, response)
+    if points is None:
+        return None
+    centers, mins = points
+    dx = centers - centers.mean()
+    return float(dx @ (mins - mins.mean()) / (dx @ dx))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +376,8 @@ def lower_envelope_slope(predictor: np.ndarray, response: np.ndarray) -> float |
 
 def _log_abs(a: np.ndarray) -> np.ndarray:
     """log|a| elementwise, -inf at zeros (without a divide-by-zero warning)."""
-    return np.log(np.abs(a), out=np.full(np.shape(a), -np.inf), where=a != 0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(a))
 
 
 def _logsumexp(a: np.ndarray, sign: np.ndarray | None = None) -> np.ndarray:
@@ -377,6 +420,8 @@ def _log_poly(
     base = exps @ table.log_d.T + _log_abs(coeffs)[:, None]  # (terms, rows)
     base[(exps > 0) @ table.zero.T] = -np.inf
     terms = base[:, None, :] + (exps.sum(axis=1)[:, None] * log_r)[:, :, None]
+    if len(terms) == 1:
+        return terms[0]  # the log-sum-exp of one term, bit for bit
     sign = np.sign(coeffs)[:, None]
     if table.negative is not None:
         sign = sign * (1.0 - 2.0 * ((exps % 2) @ table.negative.T % 2))
@@ -401,11 +446,15 @@ def _ratio_audit(
     audit is indeterminate, with nan ratios and a note.
     """
     kept = np.isfinite(log_rhs)
-    log_ratio = log_lhs - scale * np.where(kept, log_rhs, 0.0)
+    if kept.all():
+        log_ratio = log_lhs - scale * log_rhs
+        lo, hi = np.exp(log_ratio.min(axis=1)), np.exp(log_ratio.max(axis=1))
+    else:
+        log_ratio = log_lhs - scale * np.where(kept, log_rhs, 0.0)
+        lo = np.exp(np.where(kept, log_ratio, np.inf).min(axis=1))
+        hi = np.exp(np.where(kept, log_ratio, -np.inf).max(axis=1))
     excluded = np.count_nonzero(~kept, axis=1)
     empty = excluded == kept.shape[1]
-    lo = np.exp(np.where(kept, log_ratio, np.inf).min(axis=1))
-    hi = np.exp(np.where(kept, log_ratio, -np.inf).max(axis=1))
     minima = np.where(empty, np.nan, lo).tolist()
     maxima = np.where(empty, np.nan, hi).tolist()
     if two_sided:
@@ -466,11 +515,14 @@ class Sample:
         return direction_pool(self.plan, self.model.n, self.probes)
 
     @cached_property
+    def log_dirs(self) -> np.ndarray:
+        """log|d| of every pool coordinate, -inf where d = 0."""
+        return _log_abs(self.dirs)
+
+    @cached_property
     def table(self) -> _PoolTable:
-        log_d = _log_abs(self.dirs)
-        zero = np.isneginf(log_d)
-        log_d[zero] = 0.0
-        return _PoolTable(log_d, zero, self.dirs < 0)
+        zero = np.isneginf(self.log_dirs)
+        return _PoolTable(np.where(zero, 0.0, self.log_dirs), zero, self.dirs < 0)
 
     @cached_property
     def log_f(self) -> np.ndarray:
@@ -483,6 +535,12 @@ class Sample:
         log_f = self.log_poly(poly)
         self._lead["log_f"] = log_f[:, :lead]
         return log_f
+
+    @cached_property
+    def log_grad(self) -> np.ndarray:
+        """log|df/dx_i(r·d)| for every variable i, as (n, levels, rows)."""
+        poly = self.model.poly()
+        return np.stack([self.log_poly(poly_diff(poly, i)) for i in range(self.model.n)])
 
     def log_poly(self, poly: dict[Exponent, Fraction | int]) -> np.ndarray:
         return _log_poly(poly, self.table, self.log_r)
@@ -502,9 +560,7 @@ def audit_L1(sample: Sample, theta: Fraction | float, forced: bool = False) -> A
     th = float(theta)
     if not 0.0 < th < 1.0:
         raise InputError(f"gradient exponent must be in (0, 1), got {th}")
-    poly = sample.model.poly()
-    log_grad = np.stack([sample.log_poly(poly_diff(poly, i)) for i in range(sample.model.n)])
-    log_norm = 0.5 * _logsumexp(2.0 * log_grad)
+    log_norm = 0.5 * _logsumexp(2.0 * sample.log_grad)
     return _ratio_audit("L1", th, sample.plan, log_norm, sample.log_f, th, False, forced)
 
 
@@ -535,9 +591,8 @@ def audit_L2(
     ld = float(loj_dist)
     n = sample.model.n
     own = sample.with_probes(ranking_probes(family, n))
-    log_d = _log_abs(own.dirs)
     members = family.lambda_hitting or (range(n),)
-    log_dist = np.min([log_d[:, sorted(j)].max(axis=1) for j in members], axis=0)
+    log_dist = np.min([own.log_dirs[:, sorted(j)].max(axis=1) for j in members], axis=0)
     return _ratio_audit(
         "L2", ld, own.plan, own.log_f, log_dist + own.log_r[:, None], ld, False, forced
     )
@@ -547,12 +602,8 @@ def audit_euler_comparison(
     sample: Sample, poly_hull: NewtonPolyhedron, forced: bool = False
 ) -> AuditResult:
     """Two-sided comparison of sum_i |x_i df/dx_i| with the vertex-monomial sum."""
-    poly = sample.model.poly()
-    # x_i df/dx_i has the terms of f, each weighted by its exponent of x_i
-    log_parts = np.stack([
-        sample.log_poly({e: c * e[i] for e, c in poly.items() if e[i]})
-        for i in range(sample.model.n)
-    ])
+    # log|x_i df/dx_i| at x = r·d, from the sample's gradient: -inf where d_i = 0
+    log_parts = sample.log_grad + sample.log_r[:, None] + sample.log_dirs.T[:, None, :]
     return _ratio_audit(
         "euler-comparison", None, sample.plan, _logsumexp(log_parts),
         sample.log_g(poly_hull.vertices), 1.0, True, forced,

@@ -17,8 +17,11 @@ both the compact faces and the normal fan's cones are checked against it,
 the parallelepiped oracle walks the bounding box of the cone with a
 Fraction inverse, the stellar-step oracle solves for the new ray in
 every maximal cone instead of splitting only the cones around its face,
-and the envelope-slope oracle takes each bin's minimum with its own
-boolean mask and the suffix minimum in a Python loop.  The pointwise
+the envelope-slope oracle bins with `np.digitize`, takes each bin's
+minimum with its own boolean mask and the suffix minimum in a Python loop,
+and fits the exact least-squares slope in Fractions.  Kendall's tau is
+also counted from a numpy sign matrix, and a polynomial of one term is
+also taken through the general signed log-sum-exp.  The pointwise
 references at the end evaluate f, its gradient, the Euler field, g_Gamma
 and the distance to the zero set one point at a time in plain floats,
 where the audits take logs over whole batches of directions; the face of
@@ -40,7 +43,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from lojex.audit import SLOPE_BINS, SLOPE_LOWER_FRACTION
+from lojex.audit import FLAT_RELATIVE_RANGE, SLOPE_BINS, SLOPE_LOWER_FRACTION
 from lojex.errors import InputError
 from lojex.fan import (
     Fan,
@@ -564,8 +567,11 @@ def unimodularize_every_cone(fan: Fan, trace: list | None = None) -> Fan:
 # ---------------------------------------------------------------------------
 # envelope slope, one bin at a time
 
-def lower_envelope_slope_per_bin(predictor: np.ndarray, response: np.ndarray) -> float | None:
-    """`audit.lower_envelope_slope` with one mask per bin and a Python suffix loop."""
+def lower_envelope_points_per_bin(
+    predictor: np.ndarray, response: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (bin centres, envelope) that `audit.lower_envelope_slope` fits,
+    with `np.digitize`, one mask per bin and a Python suffix loop."""
     mask = np.isfinite(predictor) & np.isfinite(response)
     x, y = predictor[mask], response[mask]
     if x.size < 2 or x.max() == x.min():
@@ -586,8 +592,52 @@ def lower_envelope_slope_per_bin(predictor: np.ndarray, response: np.ndarray) ->
     lower = [(c, m) for c, m in zip(centers, mins) if c <= cutoff]
     if len(lower) >= 2:
         centers, mins = zip(*lower)
-    coeffs = np.polyfit(np.array(centers), np.array(mins), 1)
-    return float(coeffs[0])
+    return np.array(centers), np.array(mins)
+
+
+def least_squares_slope(xs: Sequence[float], ys: Sequence[float]) -> Fraction:
+    """The exact least-squares slope of the points, in Fractions."""
+    xs, ys = [Fraction(v) for v in xs], [Fraction(v) for v in ys]
+    x_bar, y_bar = sum(xs) / len(xs), sum(ys) / len(ys)
+    return sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys)) / sum(
+        (x - x_bar) ** 2 for x in xs
+    )
+
+
+# ---------------------------------------------------------------------------
+# audit arithmetic in its general form
+
+def kendall_tau_sign_matrix(series: list[float]) -> float:
+    """`audit._tau` with the pair signs from one numpy sign matrix."""
+    vals = [m for m in series if math.isfinite(m)]
+    if len(vals) < 2:
+        return math.nan
+    if max(vals) - min(vals) <= FLAT_RELATIVE_RANGE * max(abs(v) for v in vals):
+        return math.nan
+    v = np.array(vals)
+    signs = np.sign(v[None, :] - v[:, None])[np.triu_indices(len(v), 1)]
+    tot, ties = signs.size, int(np.count_nonzero(signs == 0))
+    if ties == tot:
+        return math.nan
+    return min(1.0, max(-1.0, int(signs.sum()) / math.sqrt(tot) / math.sqrt(tot - ties)))
+
+
+def log_poly_logsumexp(poly: dict, table, log_r: np.ndarray) -> np.ndarray:
+    """`audit._log_poly` through the signed log-sum-exp for every term count."""
+    exps = np.array(list(poly))
+    coeffs = np.array([float(c) for c in poly.values()])
+    with np.errstate(divide="ignore"):
+        base = exps @ table.log_d.T + np.log(np.abs(coeffs))[:, None]
+    base[(exps > 0) @ table.zero.T] = -np.inf
+    terms = base[:, None, :] + (exps.sum(axis=1)[:, None] * log_r)[:, :, None]
+    sign = np.sign(coeffs)[:, None]
+    if table.negative is not None:
+        sign = sign * (1.0 - 2.0 * ((exps % 2) @ table.negative.T % 2))
+    top = np.max(terms, axis=0)
+    top[np.isneginf(top)] = 0.0
+    total = np.sum(np.exp(terms - top) * sign[:, None, :], axis=0)
+    with np.errstate(divide="ignore"):
+        return top + np.log(np.abs(total))
 
 
 # ---------------------------------------------------------------------------
