@@ -446,13 +446,15 @@ def _ratio_audit(
     audit is indeterminate, with nan ratios and a note.
     """
     kept = np.isfinite(log_rhs)
-    if kept.all():
-        log_ratio = log_lhs - scale * log_rhs
-        lo, hi = np.exp(log_ratio.min(axis=1)), np.exp(log_ratio.max(axis=1))
-    else:
-        log_ratio = log_lhs - scale * np.where(kept, log_rhs, 0.0)
-        lo = np.exp(np.where(kept, log_ratio, np.inf).min(axis=1))
-        hi = np.exp(np.where(kept, log_ratio, -np.inf).max(axis=1))
+    # a ratio past the float range is reported as inf, without a warning
+    with np.errstate(over="ignore"):
+        if kept.all():
+            log_ratio = log_lhs - scale * log_rhs
+            lo, hi = np.exp(log_ratio.min(axis=1)), np.exp(log_ratio.max(axis=1))
+        else:
+            log_ratio = log_lhs - scale * np.where(kept, log_rhs, 0.0)
+            lo = np.exp(np.where(kept, log_ratio, np.inf).min(axis=1))
+            hi = np.exp(np.where(kept, log_ratio, -np.inf).max(axis=1))
     excluded = np.count_nonzero(~kept, axis=1)
     empty = excluded == kept.shape[1]
     minima = np.where(empty, np.nan, lo).tolist()

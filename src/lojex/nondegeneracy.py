@@ -31,6 +31,13 @@ route minimizes ||grad f_gamma||^2 over the slice max|x_i| = 1 of every
 sign orthant and labels the face 'nondegenerate-numeric': not a
 certificate.
 
+A face is sign-definite even exactly when its terms share one nonzero sign
+class (`_sign_class`: the coefficient's sign for a term with all exponents
+even, 0 otherwise).  `check_model` gives each term of the germ its class
+once, and class 0 to each unit remainder's exponent, so it decides those
+faces without building their face polynomials; only the other faces reach
+`check_face`.
+
 The multistart compiles the face polynomial once into a monomial basis for
 its gradient and Hessian and runs projected Levenberg-Marquardt on every
 start of every orthant together, in numpy blocks.  A point counts as a
@@ -116,12 +123,24 @@ class DegeneracyVerdict:
 # ---------------------------------------------------------------------------
 # exact routes
 
+def _sign_class(exp: Exponent, coeff: Fraction) -> int:
+    """+1 or -1, the coefficient's sign, for a term whose exponents are all
+    even; 0 for any other term."""
+    # an exponent is even iff the gcd of its entries is, and a Fraction's
+    # sign is its numerator's
+    if math.gcd(*exp) % 2:
+        return 0
+    return 1 if coeff.numerator > 0 else -1
+
+
+def _one_definite_class(classes: set[int]) -> bool:
+    """Do the terms' sign classes agree on one nonzero class?"""
+    return len(classes) == 1 and 0 not in classes
+
+
 def _sign_definite_even(fp: FacePolynomial) -> bool:
     """All coefficients of one sign and all exponents even."""
-    # a Fraction's sign is its numerator's, and an exponent is even iff the
-    # gcd of its entries is
-    signs = {c.numerator > 0 for _, c in fp.terms}
-    return len(signs) == 1 and all(math.gcd(*exp) % 2 == 0 for exp, _ in fp.terms)
+    return _one_definite_class({_sign_class(exp, c) for exp, c in fp.terms})
 
 
 def _exponent_kernel(fp: FacePolynomial) -> list[tuple[int, ...]]:
@@ -562,16 +581,21 @@ _SIGN_DEFINITE = DegeneracyVerdict(
 )
 
 
+def _check_options(tol: float, starts: int) -> None:
+    """Reject a tolerance that is not positive and finite, or no starts."""
+    if not 0 < tol < math.inf:
+        raise InputError(f"tolerance must be positive and finite, got {tol}")
+    if starts < 1:
+        raise InputError(f"starts must be >= 1, got {starts}")
+
+
 def check_face(
     fp: FacePolynomial,
     tol: float = DEFAULT_TOL,
     starts: int = DEFAULT_STARTS,
     seed: int = 0,
 ) -> DegeneracyVerdict:
-    if not 0 < tol < math.inf:
-        raise InputError(f"tolerance must be positive and finite, got {tol}")
-    if starts < 1:
-        raise InputError(f"starts must be >= 1, got {starts}")
+    _check_options(tol, starts)
     if fp.underdetermined:
         return DegeneracyVerdict(
             "inconclusive", None, math.inf,
@@ -608,17 +632,31 @@ def check_model(
     """Verdict for every compact face, plus the overall flag.
 
     Overall non-degenerate iff no face is degenerate and none inconclusive.
-    Keys are the sorted lattice-point tuples of the faces.  The face
-    polynomial of each compact face keeps the terms on it in exponent
-    order, which is the order of its key, and is underdetermined when a
-    unit remainder's exponent lies on it.
+    Keys are the sorted lattice-point tuples of the faces, in the order of
+    `compact_faces`.  The face polynomial of each compact face keeps the
+    terms on it in exponent order, which is the order of its key, and is
+    underdetermined when a unit remainder's exponent lies on it.
+
+    Each term's sign class (`_sign_class`) is computed once per germ, and a
+    unit remainder's exponent gets class 0.  A face whose terms all share
+    one nonzero class is sign-definite even and gets `_SIGN_DEFINITE`
+    without a face polynomial; every other face goes through `check_face`,
+    with seed + k for the k-th compact face.
     """
+    _check_options(tol, starts)
     faces = compact_faces(poly)
     coeffs = {t.exp: t.coeff for t in model.terms}
     units = {r.exp for r in model.remainders if r.is_unit}
+    classes = {exp: _sign_class(exp, c) for exp, c in coeffs.items()}
+    classes.update(dict.fromkeys(units, 0))
     verdicts: dict[tuple[Exponent, ...], DegeneracyVerdict] = {}
     for k, face in enumerate(faces):
         key = tuple(sorted(face.lattice_points))
+        shared = set(map(classes.get, key))
+        shared.discard(None)  # a lattice point that is neither term nor unit
+        if _one_definite_class(shared):
+            verdicts[key] = _SIGN_DEFINITE
+            continue
         fp = FacePolynomial(
             face, model.n, tuple((p, coeffs[p]) for p in key if p in coeffs),
             underdetermined=not units.isdisjoint(key),

@@ -53,6 +53,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, InputError
@@ -270,19 +271,46 @@ def compact_faces(poly: NewtonPolyhedron) -> list[FaceData]:
     points are the support points whose mask covers its facet set fs, and
     its defining normal is the sum of the normals of the facets in fs,
     strictly positive exactly for compact faces.  The faces come sorted by
-    their sorted lattice points.
+    their sorted lattice points, and are built only once sorted.
+
+    The sum over fs is the normal of fs's lowest facet plus the sum over
+    the rest of fs, and each such rest is summed once for all the faces
+    that share it.
     """
     inc = [m for p, m in poly.point_masks if p in poly.vertices]
     rays = poly.axis_masks
+
+    def unbounded(fs: int) -> bool:
+        for r in rays:
+            if r & fs == fs:
+                return True
+        return False
+
+    # the points come in sorted order, so they are the face's sort key; no
+    # two faces share their points, so the masks are never compared
+    found = sorted(
+        (tuple(p for p, m in poly.point_masks if m & fs == fs), fs)
+        for fs in _join_walk(inc, inc, unbounded)
+    )
+    # the empty set's sum ends every chain of rests below
+    sums = {0: (0,) * poly.n}
+    sums.update((1 << k, f.normal) for k, f in enumerate(poly.facets))
+
+    def normal_sum(fs: int) -> tuple[int, ...]:
+        rests = []
+        while (normal := sums.get(fs)) is None:
+            rests.append(fs)
+            fs &= fs - 1
+        for fs in reversed(rests):
+            normal = sums[fs] = tuple(map(add, sums[fs & -fs], normal))
+        return normal
+
     out = []
-    for fs in _join_walk(inc, inc, lambda fs: any(r & fs == fs for r in rays)):
-        normal = tuple(map(sum, zip(*(poly.facets[k].normal for k in _bits(fs)))))
+    for points, fs in found:
+        normal = normal_sum(fs)
         assert all(x > 0 for x in normal)
-        # the points come in sorted order, so they are the face's sort key
-        points = tuple(p for p, m in poly.point_masks if m & fs == fs)
-        out.append((points, FaceData(normal, frozenset(points))))
-    out.sort(key=lambda entry: entry[0])
-    return [face for _, face in out]
+        out.append(FaceData(normal, frozenset(points)))
+    return out
 
 
 # ---------------------------------------------------------------------------

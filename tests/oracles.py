@@ -389,12 +389,30 @@ def fulldim_cone_contains(vectors: Sequence[RayVec], v: Sequence) -> bool:
 # fan validation: the fan condition checked pairwise with exact cone algebra
 
 def validate_fan(fan: Fan) -> None:
-    """Check the fan condition pairwise on maximal cones.
+    """Check the fan condition pairwise on maximal cones, and that the
+    maximal cones cover the orthant.
 
     For each pair, the exact intersection cone must be spanned by the common
-    rays, and the common ray set must be a face of both cones.
+    rays, and the common ray set must be a face of both cones.  For the
+    covering, each facet of a maximal cone either lies in a coordinate
+    hyperplane, on the orthant's boundary, or is a facet of exactly one
+    other maximal cone.
     """
     maxc = fan.maximal_cones()
+    facets = [
+        {frozenset(c.rays[k] for k in f) for f in cone_facet_sets(fan.generators(c))}
+        for c in maxc
+    ]
+    for i, cone_facets in enumerate(facets):
+        for facet in cone_facets:
+            if any(all(fan.rays[r][x] == 0 for r in facet) for x in range(fan.n)):
+                continue
+            others = sum(facet in facets[j] for j in range(len(maxc)) if j != i)
+            if others != 1:
+                raise AssertionError(
+                    f"facet {sorted(facet)} of cone {maxc[i].rays} is a facet of "
+                    f"{others} other maximal cones, not 1"
+                )
     duals = [[z for z, _ in dd_dual_rays_eliminated(fan.generators(c))] for c in maxc]
     for i, j in itertools.combinations(range(len(maxc)), 2):
         common = sorted(set(maxc[i].rays) & set(maxc[j].rays))

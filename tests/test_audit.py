@@ -4,6 +4,7 @@ import math
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -263,6 +264,18 @@ def test_high_degree_germs_pass_every_audit(text, theta):
     for a in outcome.audits:
         assert a.verdict == "pass", (a.inequality, a.level_minima)
         assert all(math.isfinite(m) and m > 0 for m in a.level_minima), a.inequality
+
+
+@pytest.mark.parametrize("text", ["x^90 + y^90", "x^40*y^40 + x^100 + y^100"])
+def test_ratio_past_the_float_range_is_inf_without_a_warning(text):
+    # with 1024 samples L0's largest ratio exp(log_ratio) overflows; the
+    # report reads inf and no audit raises or changes its verdict
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcome = analyze_germ(parse_germ(text), AnalysisOptions(samples=1024))
+    l0 = next(a for a in outcome.audits if a.inequality == "L0")
+    assert l0.max_ratio == math.inf
+    assert [a.verdict for a in outcome.audits] == ["pass"] * 5
 
 
 def _pointwise_sides(result, model, report, hull):

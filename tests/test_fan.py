@@ -457,6 +457,20 @@ def test_fan_condition_catalog():
             validate_fan(_refined(poly))
 
 
+def test_fan_missing_cones_fails_validation():
+    # the refinement less the maximal cones holding the diagonal still meets
+    # the fan condition pairwise, but no longer covers the orthant
+    fan = _refined(build_polyhedron(support(germ("quartic_xyz"))))
+    diagonal = (1,) * fan.n
+    kept = [
+        (i, det) for i, det in zip(fan.maximal, fan.dets)
+        if not simplicial_cone_contains(fan.generators(fan.cones[i]), diagonal)
+    ]
+    assert (len(kept), len(fan.maximal)) == (6, 9)
+    with pytest.raises(AssertionError, match="is a facet of 0 other maximal cones"):
+        validate_fan(Fan(fan.n, fan.rays, fan.cones, *zip(*kept)))
+
+
 def test_determinant_monotonicity_witness():
     # each stellar step strictly decreases (max |det|, count attaining it)
     rng = random.Random(29)

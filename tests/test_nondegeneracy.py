@@ -163,22 +163,73 @@ def _seeded_germs_with_remainders(rng, count):
         yield TaylorModel.from_dict(n, coeffs, rems)
 
 
-def test_check_model_matches_face_by_face_oracle():
+def test_check_model_validation():
+    # the options are checked before any face: x^2 + y^2 has only
+    # sign-definite faces, which never reach check_face, and the other germ
+    # has a circuit face, which reaches the pencil route
+    for text in ("x^2 + y^2", "x^4 + y^4 + z^4 + x^2*y*z"):
+        model = parse_text(text)
+        poly = build_polyhedron(support(model))
+        for tol in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(InputError, match="tolerance must be positive and finite"):
+                check_model(model, poly, tol=tol)
+        with pytest.raises(InputError, match="starts must be >= 1"):
+            check_model(model, poly, starts=0)
+
+
+def _positive_or_negative_even(fp):
+    """Are the face's terms all of one sign with every exponent even?"""
+    return bool(fp.terms) and all(all(e % 2 == 0 for e in exp) for exp, _ in fp.terms) and (
+        len({c > 0 for _, c in fp.terms}) == 1
+    )
+
+
+# one face of each germ is sign-definite even and a neighbouring face is not;
+# the last puts a unit remainder on an otherwise positive-even edge
+ROUTE_GERMS = [
+    parse_text("x^6 + x^2*y^2 - y^5"),
+    parse_text("-x^4 - x^2*y^2 - y^6 + x*y^3*z + z^4"),
+    parse_text("x^4 + y^4 + z^4 - x^2*y^2 + x*y*z^2"),
+    TaylorModel.from_dict(2, {(4, 0): 1, (0, 4): 1}, [RemainderDescriptor((2, 2), is_unit=True)]),
+]
+
+
+def test_check_model_matches_face_by_face_oracle(monkeypatch):
     # check_model prepares the germ once for all its faces; each verdict
     # must be the one check_face gives on the face polynomial restricted
     # face by face.  The germs reach every route: sign-definite, kernel,
-    # two-variable, pencil, multistart, degenerate and unit-remainder faces
+    # two-variable, pencil, multistart, degenerate and unit-remainder faces.
+    # check_face sees exactly the faces that are not sign-definite even or
+    # that hold a unit remainder, each with the seed of its index
+    called = []
+
+    def counted(fp, **kwargs):
+        called.append((tuple(sorted(fp.face.lattice_points)), kwargs["seed"]))
+        return check_face(fp, **kwargs)
+
+    monkeypatch.setattr(nondegeneracy, "check_face", counted)
     statuses = set()
-    for model in _seeded_germs_with_remainders(random.Random(17), 80):
+    models = [*_seeded_germs_with_remainders(random.Random(17), 80), *ROUTE_GERMS]
+    for m, model in enumerate(models):
         poly = build_polyhedron(support(model))
+        called.clear()
         verdicts, ok = check_model(model, poly, starts=4, seed=5)
+        faces = compact_faces(poly)
+        keys = [tuple(sorted(face.lattice_points)) for face in faces]
+        assert list(verdicts) == keys, model
+        polys = [face_polynomial(model, face) for face in faces]
         want = {
-            tuple(sorted(face.lattice_points)): check_face(
-                face_polynomial(model, face), starts=4, seed=5 + k
-            )
-            for k, face in enumerate(compact_faces(poly))
+            key: check_face(fp, starts=4, seed=5 + k)
+            for k, (key, fp) in enumerate(zip(keys, polys))
         }
         assert list(verdicts.items()) == list(want.items()), model
+        reached = [
+            (key, 5 + k) for k, (key, fp) in enumerate(zip(keys, polys))
+            if fp.underdetermined or not _positive_or_negative_even(fp)
+        ]
+        assert called == reached, model
+        if m >= len(models) - len(ROUTE_GERMS):
+            assert 0 < len(reached) < len(keys), model
         assert ok == all(v.status.startswith("nondegenerate") for v in want.values())
         statuses.update(v.status for v in verdicts.values())
         # verdicts are frozen, so every sign-definite face shares one
@@ -188,6 +239,8 @@ def test_check_model_matches_face_by_face_oracle():
     assert statuses == {
         "nondegenerate-exact", "nondegenerate-numeric", "degenerate", "inconclusive"
     }
+    # the last germ's edge holds the unit remainder
+    assert verdicts[((0, 4), (2, 2), (4, 0))].status == "inconclusive"
 
 
 def test_exponent_kernel_rule():
