@@ -2,9 +2,11 @@
 
 The polyhedron, its compact faces, the normal fan, the simplicial fan and,
 for n <= 3, the unimodular fan of 60 seeded supports are written as
-canonical JSON and hashed.  A change to how any of them is computed must
-leave every bit of them as it was; the digest was recorded before the face
-lattice took over the facet incidences.
+canonical JSON and hashed, each fan with the determinants its builder
+records.  A change to how any of them is computed must leave every bit of
+them as it was.  The digest was recorded on the code that still
+eliminated every simplicial normal cone again in `simplicialize`, so it
+pins those determinants too.
 """
 
 import hashlib
@@ -17,7 +19,7 @@ from lojex.polyhedron import build_polyhedron, compact_faces
 from .conftest import random_support
 from .oracles import affine_rank
 
-GEOMETRY_DIGEST = "2c5139f5282d16aeb990b0a1c3350080a67a8bae8a344267cb962ce10fec354c"
+GEOMETRY_DIGEST = "bcf3d7ddc7e1ebfe44b1b6e8d5cb2503d6a44bd0de8db2bb5e450e78703698ee"
 
 
 def _fan_doc(fan: Fan) -> dict:
@@ -29,6 +31,7 @@ def _fan_doc(fan: Fan) -> dict:
             for c in fan.cones
         ],
         "maximal": fan.maximal,
+        "dets": fan.dets,
     }
 
 
