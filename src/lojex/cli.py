@@ -45,7 +45,7 @@ from .fan import (
 )
 from .nondegeneracy import DEFAULT_STARTS, DEFAULT_TOL, check_model
 from .parser import model_to_text, parse_germ
-from .polyhedron import build_polyhedron, hat_polyhedron, support_value
+from .polyhedron import build_polyhedron, hat_polyhedron
 from .record import record
 from .taylor import TaylorModel, support
 
@@ -99,8 +99,9 @@ def _fan_section(poly) -> tuple[dict, FanExponents]:
     sigma0 = normal_fan(poly)
     sigma = unimodularize(simplicialize(sigma0))
     fanexp = fan_exponents(sigma, poly)
+    # the refinement's ray table begins with the normal fan's
     section = {
-        "normal": report_mod.fan_json(sigma0, [support_value(poly, r) for r in sigma0.rays]),
+        "normal": report_mod.fan_json(sigma0, fanexp.ray_values),
         "unimodular": report_mod.fan_json(sigma, fanexp.ray_values),
     }
     section["exponents"] = report_mod.fan_exponents_json(fanexp)
@@ -446,11 +447,11 @@ def run(args) -> int:
         verdicts, ok = check_model(model, poly, tol=opts.tol, starts=opts.starts, seed=opts.seed)
         doc = {
             "polyhedron": report_mod.polyhedron_json(poly),
-            "faces": [report_mod._verdict_json(k, v) for k, v in sorted(verdicts.items())],
+            "faces": [report_mod._verdict_json(k, v) for k, v in verdicts.items()],
             "overall_nondegenerate": ok,
         }
-        for key, v in sorted(verdicts.items()):
-            print(f"face {sorted(key)}: {v.status}")
+        for key, v in verdicts.items():
+            print(f"face {list(key)}: {v.status}")
         print(f"overall: {'nondegenerate' if ok else 'NOT certified nondegenerate'}")
         _emit(doc, args, [])
         return 0 if ok else 2

@@ -9,9 +9,10 @@ each carried as the mask of the facets through it; no cone is handed to
 double description again.
 Refinement happens in two deterministic stages:
 
-  simplicialize: pulling triangulation (apex = lexicographically smallest
-      ray of each cone, recursively), introducing no new rays; a cone's
-      facets are its maximal proper sub-cones among the fan's cones;
+  simplicialize: keeps each simplicial maximal cone and splits the others
+      by a pulling triangulation (apex = lexicographically smallest ray of
+      each cone, recursively), introducing no new rays; a cone's facets are
+      its maximal proper sub-cones among the fan's cones;
   unimodularize: 2D cones via the Hirzebruch-Jung chain, 3D/4D cones via
       stellar subdivision at the minimal-coefficient-sum primitive lattice
       point of the fundamental parallelepiped, found among the |det|
@@ -21,13 +22,13 @@ Refinement happens in two deterministic stages:
       refused before the first step, as is a 2D fan whose chains would
       insert more rays than their budget.
 
-Rays live in a deduplicated table; cones reference ray indices.  Each
-builder records the signed determinant of every maximal cone it makes
-(`Fan.dets`): the normal fan's and the triangles' by an elimination, the
-refinement's carried through each stellar step; no reader computes one.  All
-arithmetic is exact and runs on integers: determinants, ranks, span
-coordinates and inverses come from the one elimination in `linalg`, scaled
-by the pivot rather than divided.
+Rays live in a deduplicated table, which each refinement extends; cones
+reference ray indices.  Each builder records the signed determinant of every
+maximal cone it makes (`Fan.dets`): the normal fan's by an elimination, kept
+for a simplicial cone and eliminated only for a new triangle, then carried
+through each stellar step; no reader computes one.  All arithmetic is exact
+and runs on integers: determinants, span coordinates and inverses come from
+the one elimination in `linalg`, scaled by the pivot rather than divided.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import itertools
 from typing import Sequence
 
 from .errors import CapExceededError, InputError
-from .linalg import eliminate, mat_rank, solve_scaled
+from .linalg import eliminate, solve_scaled
 from .polyhedron import NewtonPolyhedron, _bits, _join_walk, support_value
 from .record import record
 from .taylor import Exponent
@@ -148,14 +149,16 @@ def normal_fan(poly: NewtonPolyhedron) -> Fan:
 # ---------------------------------------------------------------------------
 # simplicialization (pulling triangulation)
 
-def _pull_triangulate(fan: Fan, idx: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Pulling triangulation of the fan cone with rays idx.
+def _pull_triangulate(fan: Fan, idx: tuple[int, ...], dim: int) -> list[tuple[int, ...]]:
+    """Pulling triangulation of the fan cone of dimension dim with rays idx.
 
-    The facets of a cone of a fan are its maximal proper sub-cones, and
-    the fan lists every one of them, so they are read off `fan.cones`.
+    The cones are pointed, so a cone is simplicial when it has dim rays.
+    Its facets, of dimension dim - 1, are its maximal proper sub-cones, and
+    the fan lists every one of them, so they are read off `fan.cones`.  Only
+    non-simplicial normal cones come here, and only their triangles' dets
+    are eliminated; a simplicial one keeps the det `normal_fan` recorded.
     """
-    vectors = [fan.rays[i] for i in idx]
-    if len(idx) == mat_rank(vectors):
+    if len(idx) == dim:
         return [idx]
     apex = min(idx, key=lambda i: fan.rays[i])
     inside = set(idx)
@@ -164,7 +167,7 @@ def _pull_triangulate(fan: Fan, idx: tuple[int, ...]) -> list[tuple[int, ...]]:
     for face in faces:
         if apex in face or any(face < other for other in faces):
             continue
-        for tri in _pull_triangulate(fan, tuple(sorted(face))):
+        for tri in _pull_triangulate(fan, tuple(sorted(face)), dim - 1):
             out.append(tuple(sorted(tri + (apex,))))
     return out
 
@@ -196,10 +199,14 @@ def _assemble_simplicial(
 
 
 def simplicialize(fan: Fan) -> Fan:
-    """Refine every maximal cone to simplicial cones without adding rays."""
+    """Refine every maximal cone to simplicial cones without adding rays; a
+    simplicial one keeps its det, and only new triangles are eliminated."""
     new_max = []
-    for cone in fan.maximal_cones():
-        for tri in _pull_triangulate(fan, cone.rays):
+    for cone, det in zip(fan.maximal_cones(), fan.dets):
+        if det is not None:
+            new_max.append((cone.rays, cone.attached_face, det))
+            continue
+        for tri in _pull_triangulate(fan, cone.rays, fan.n):
             new_max.append((tri, cone.attached_face, cone_det([fan.rays[i] for i in tri])))
     return _assemble_simplicial(fan.n, fan.rays, new_max)
 
@@ -407,7 +414,8 @@ def unimodularize(fan: Fan, trace: list | None = None) -> Fan:
 
 def fan_exponents(fan: Fan, poly: NewtonPolyhedron) -> FanExponents:
     """Per-cone ray support values and the aggregated bounds L and N, with
-    the support value of every ray, which the fan's report reads."""
+    the support value of every ray, which the fan's report reads.  That the
+    fan covers the orthant is the refinement's construction, not checked."""
     n = fan.n
     ray_values = tuple(support_value(poly, r) for r in fan.rays)
     per = []
@@ -420,18 +428,6 @@ def fan_exponents(fan: Fan, poly: NewtonPolyhedron) -> FanExponents:
         per.append(ConeExponents(pos, l_values, max(l_values), sum(l_values)))
     if not per:
         raise InputError("fan has no maximal cones")
-    # covering spot-check: the coordinate rays and the diagonal must be covered.
-    # One elimination per cone solves for every probe still uncovered; it gives
-    # p*x for a probe's coordinates x, so the probe is in the cone iff p*(p*x) >= 0
-    probes = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    probes.append((1,) * n)
-    for cone in fan.maximal_cones():
-        if not probes:
-            break
-        p, cols = solve_scaled(list(zip(*fan.generators(cone))), probes)
-        probes = [q for q, x in zip(probes, cols) if any(p * c < 0 for c in x)]
-    if probes:
-        raise InputError("fan does not cover the dual nonnegative orthant")
     return FanExponents(
         tuple(per),
         L=max(c.l_sigma for c in per),

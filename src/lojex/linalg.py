@@ -68,10 +68,6 @@ def eliminate(
     return work, pivots
 
 
-def mat_rank(rows: Iterable[Sequence[int]]) -> int:
-    return len(eliminate(rows)[1])
-
-
 def solve_scaled(
     matrix: Sequence[Sequence[int]], rhs_cols: Sequence[Sequence[int]]
 ) -> tuple[int, list[list[int]]] | None:

@@ -632,7 +632,7 @@ def check_model(
     """Verdict for every compact face, plus the overall flag.
 
     Overall non-degenerate iff no face is degenerate and none inconclusive.
-    Keys are the sorted lattice-point tuples of the faces, in the order of
+    Keys are the faces' sorted lattice points, in the ascending order of
     `compact_faces`.  The face polynomial of each compact face keeps the
     terms on it in exponent order, which is the order of its key, and is
     underdetermined when a unit remainder's exponent lies on it.
@@ -651,7 +651,7 @@ def check_model(
     classes.update(dict.fromkeys(units, 0))
     verdicts: dict[tuple[Exponent, ...], DegeneracyVerdict] = {}
     for k, face in enumerate(faces):
-        key = tuple(sorted(face.lattice_points))
+        key = face.lattice_points
         shared = set(map(classes.get, key))
         shared.discard(None)  # a lattice point that is neither term nor unit
         if _one_definite_class(shared):

@@ -92,10 +92,11 @@ class FaceData:
     """A face of the polyhedron, carried as its defining normal and lattice support.
 
     The face is compact exactly when the defining normal is strictly positive.
+    The lattice points are the support points on the face, in ascending order.
     """
 
     defining_normal: tuple[int, ...]
-    lattice_points: frozenset[Exponent]
+    lattice_points: tuple[Exponent, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +310,7 @@ def compact_faces(poly: NewtonPolyhedron) -> list[FaceData]:
     for points, fs in found:
         normal = normal_sum(fs)
         assert all(x > 0 for x in normal)
-        out.append(FaceData(normal, frozenset(points)))
+        out.append(FaceData(normal, points))
     return out
 
 

@@ -129,7 +129,7 @@ def exponent_report_json(rep: ExponentReport) -> dict:
         "nondegeneracy": {
             "overall": rep.nondegeneracy_overall,
             "faces": [
-                _verdict_json(key, v) for key, v in sorted(rep.face_verdicts.items())
+                _verdict_json(key, v) for key, v in rep.face_verdicts.items()
             ],
         },
         "convenience": {

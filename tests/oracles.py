@@ -14,6 +14,9 @@ the cone's generators, the fan validator checks the fan condition
 pairwise with exact cone algebra, the face-lattice oracle closes the
 facet masks under AND instead of growing faces from the vertices, and
 both the compact faces and the normal fan's cones are checked against it,
+the pulling-triangulation oracle tests the rank of every cone it visits
+and eliminates every triangle's determinant (lojex counts a cone's rays
+against its dimension and keeps the normal fan's determinants),
 the parallelepiped oracle walks the bounding box of the cone with a
 Fraction inverse, the stellar-step oracle solves for the new ray in
 every maximal cone instead of splitting only the cones around its face,
@@ -52,7 +55,7 @@ from lojex.fan import (
     _parallelepiped_point,
     cone_det,
 )
-from lojex.linalg import dot, eliminate, mat_rank, primitive, solve_scaled
+from lojex.linalg import dot, eliminate, primitive, solve_scaled
 from lojex.nondegeneracy import FacePolynomial
 from lojex.polyhedron import (
     FaceData,
@@ -199,8 +202,8 @@ def compact_faces_from_lattice(poly: NewtonPolyhedron, support) -> list[FaceData
             continue
         normal = tuple(sum(poly.facets[k].normal[i] for k in tight) for i in range(poly.n))
         level = dot(normal, next(iter(verts)))
-        out.append(FaceData(normal, frozenset(p for p in support if dot(normal, p) == level)))
-    return sorted(out, key=lambda fd: sorted(fd.lattice_points))
+        out.append(FaceData(normal, tuple(sorted(p for p in support if dot(normal, p) == level))))
+    return sorted(out, key=lambda fd: fd.lattice_points)
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +535,33 @@ def parallelepiped_point_box_walk(vectors: list[RayVec]) -> RayVec:
 
 
 # ---------------------------------------------------------------------------
+# pulling triangulation by rank
+
+def simplicialize_by_rank(fan: Fan) -> Fan:
+    """`simplicialize` that tests whether each cone the recursion visits is
+    simplicial by the rank of its generators, and eliminates the determinant
+    of every triangle, the simplicial normal cones included."""
+
+    def pull(idx: tuple[int, ...]) -> list[tuple[int, ...]]:
+        if len(idx) == mat_rank([fan.rays[i] for i in idx]):
+            return [idx]
+        apex = min(idx, key=lambda i: fan.rays[i])
+        inside = set(idx)
+        faces = [face for face in (set(c.rays) for c in fan.cones) if face < inside]
+        out = []
+        for face in faces:
+            if apex in face or any(face < other for other in faces):
+                continue
+            out += [tuple(sorted(tri + (apex,))) for tri in pull(tuple(sorted(face)))]
+        return out
+
+    return _assemble_simplicial(fan.n, fan.rays, [
+        (tri, cone.attached_face, cone_det([fan.rays[i] for i in tri]))
+        for cone in fan.maximal_cones() for tri in pull(cone.rays)
+    ])
+
+
+# ---------------------------------------------------------------------------
 # unimodular refinement solving for the new ray in every cone
 
 def unimodularize_every_cone(fan: Fan, trace: list | None = None) -> Fan:
@@ -724,9 +754,9 @@ def dist_to_zero_set(point: Sequence[float], family) -> float:
 def face_of_normal(
     poly: NewtonPolyhedron, support: Iterable[Exponent], a: Sequence[int]
 ) -> FaceData:
-    """Lattice support points attaining l(a)."""
+    """Lattice support points attaining l(a), in ascending order."""
     level = support_value(poly, a)
-    pts = frozenset(p for p in support if dot(a, p) == level)
+    pts = tuple(sorted(p for p in support if dot(a, p) == level))
     return FaceData(tuple(int(x) for x in a), pts)
 
 
@@ -746,6 +776,11 @@ def face_polynomial(model: TaylorModel, face: FaceData) -> FacePolynomial:
         r.is_unit and r.exp in face.lattice_points for r in model.remainders
     )
     return FacePolynomial(face, model.n, terms, underdetermined=unknown)
+
+
+def mat_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of an integer matrix: the pivot count of its elimination."""
+    return len(eliminate(rows)[1])
 
 
 def affine_rank(points: Sequence[Sequence[int]]) -> int:

@@ -34,6 +34,7 @@ from .oracles import (
     fulldim_cone_contains,
     parallelepiped_point_box_walk,
     simplicial_cone_contains,
+    simplicialize_by_rank,
     unimodularize_every_cone,
     validate_fan,
 )
@@ -212,8 +213,9 @@ def _catalog_and_digest_polyhedra():
 
 def test_fans_carry_their_cone_determinants():
     # each builder's det is the determinant of the cone's generators in their
-    # listed order: the normal fan's and the triangles' from an elimination,
-    # the refinement's carried through every stellar step with its sign
+    # listed order: the normal fan's from an elimination, the simplicial
+    # fan's taken from it or eliminated for a new triangle, the refinement's
+    # carried through every stellar step with its sign
     for poly in _catalog_and_digest_polyhedra():
         fans = [normal_fan(poly)]
         fans.append(simplicialize(fans[0]))
@@ -224,6 +226,43 @@ def test_fans_carry_their_cone_determinants():
             for cone, det in zip(fan.maximal_cones(), fan.dets):
                 gens = fan.generators(cone)
                 assert det == (cone_det(gens) if len(gens) == fan.n else None), gens
+
+
+def _seeded_normal_fans() -> list[Fan]:
+    rng = random.Random(43)
+    shape = {2: (10, 9), 3: (10, 6), 4: (8, 4)}
+    return [
+        normal_fan(build_polyhedron(random_support(rng, n, *shape[n])))
+        for n in (2, 3, 4) for _ in range(20)
+    ]
+
+
+def test_simplicialize_matches_the_rank_oracle():
+    # the oracle tests each visited cone's rank and eliminates every
+    # triangle; simplicialize counts rays against the dimension and keeps
+    # the normal fan's determinants.  Equal fans have equal dets
+    fans = [normal_fan(poly) for poly in _catalog_and_digest_polyhedra()]
+    fans += _seeded_normal_fans()
+    pulled = 0
+    for fan in fans:
+        assert simplicialize(fan) == simplicialize_by_rank(fan), fan.rays
+        pulled += fan.dets.count(None)
+    assert pulled > 50  # many maximal cones needed the pulling triangulation
+
+
+def test_simplicialize_eliminates_nothing_on_a_simplicial_fan(monkeypatch):
+    import lojex.fan
+
+    def refused(*args, **kwargs):
+        raise AssertionError("simplicialize eliminated a simplicial normal cone")
+
+    fans = [normal_fan(poly) for poly in _catalog_and_digest_polyhedra()]
+    fans = [fan for fan in fans + _seeded_normal_fans() if None not in fan.dets]
+    want = [simplicialize_by_rank(fan) for fan in fans]
+    assert len(fans) > 20 and {fan.n for fan in fans} >= {2, 3, 4}
+    monkeypatch.setattr(lojex.fan, "eliminate", refused)
+    monkeypatch.setattr(lojex.fan, "cone_det", refused)
+    assert [simplicialize(fan) for fan in fans] == want
 
 
 def test_fan_readers_compute_no_determinant(monkeypatch):
@@ -238,11 +277,14 @@ def test_fan_readers_compute_no_determinant(monkeypatch):
         want, _ = lojex.cli._fan_section(poly)
         sigma0 = normal_fan(poly)
         sigma = unimodularize(simplicialize(sigma0))
+        # the refinement's ray table begins with the normal fan's, so the
+        # refinement's support values serve both fans
+        assert sigma.rays[:len(sigma0.rays)] == sigma0.rays
         with monkeypatch.context() as patch:
             patch.setattr(lojex.fan, "cone_det", refused)
             fx = fan_exponents(sigma, poly)
             got = {
-                "normal": report.fan_json(sigma0, [support_value(poly, r) for r in sigma0.rays]),
+                "normal": report.fan_json(sigma0, fx.ray_values),
                 "unimodular": report.fan_json(sigma, fx.ray_values),
                 "exponents": report.fan_exponents_json(fx),
             }
@@ -250,8 +292,8 @@ def test_fan_readers_compute_no_determinant(monkeypatch):
 
 
 def test_fan_section_takes_each_support_value_once(monkeypatch):
-    # fan_exponents computes the refinement's support values and fan_json
-    # reads them; only the rays of the refinement are counted
+    # fan_exponents computes the refinement's support values, and both fans'
+    # fan_json read them; only the rays of the refinement are counted
     import lojex.fan
 
     calls = []
@@ -260,8 +302,8 @@ def test_fan_section_takes_each_support_value_once(monkeypatch):
         calls.append(a)
         return support_value(poly, a)
 
-    monkeypatch.setattr(lojex.fan, "support_value", counted)
-    monkeypatch.setattr(report, "support_value", counted, raising=False)
+    for owner in (lojex.fan, report, lojex.cli):
+        monkeypatch.setattr(owner, "support_value", counted, raising=False)
     for poly in _catalog_and_digest_polyhedra():
         if poly.n > 4:
             continue
@@ -548,17 +590,6 @@ def test_fan_exponents_input_checks():
     fan = simplicialize(normal_fan(cusp))  # still has determinant 2 and 3 cones
     with pytest.raises(InputError, match="unimodular fan"):
         fan_exponents(fan, cusp)
-
-    # the refinement less every maximal cone holding the diagonal
-    fan = _refined(poly)
-    diagonal = (1,) * fan.n
-    kept = [
-        (i, det) for i, det in zip(fan.maximal, fan.dets)
-        if not simplicial_cone_contains(fan.generators(fan.cones[i]), diagonal)
-    ]
-    assert len(kept) < len(fan.maximal)
-    with pytest.raises(InputError, match="does not cover"):
-        fan_exponents(Fan(fan.n, fan.rays, fan.cones, *zip(*kept)), poly)
 
 
 def _listed_facets(fan, cone):

@@ -72,27 +72,24 @@ def test_face_of_normal_examples():
     supp = {(2, 0), (0, 2)}
     poly = build_polyhedron(supp)
     f = face_of_normal(poly, supp, (1, 1))
-    assert f.lattice_points == frozenset(supp) and affine_rank(f.lattice_points) == 1
+    assert f.lattice_points == ((0, 2), (2, 0)) and affine_rank(f.lattice_points) == 1
     f = face_of_normal(poly, supp, (1, 2))
-    assert f.lattice_points == frozenset({(2, 0)}) and affine_rank(f.lattice_points) == 0
+    assert f.lattice_points == ((2, 0),) and affine_rank(f.lattice_points) == 0
     supp2 = {(4, 0), (1, 1), (0, 4)}
     f = face_of_normal(build_polyhedron(supp2), supp2, (1, 1))
-    assert f.lattice_points == frozenset({(1, 1)}) and affine_rank(f.lattice_points) == 0
+    assert f.lattice_points == ((1, 1),) and affine_rank(f.lattice_points) == 0
 
 
 def test_compact_faces_examples():
     supp = {(2, 0), (0, 2)}
+    # each face's points ascend, and so do the faces, by their points
     faces = compact_faces(build_polyhedron(supp))
-    assert {frozenset(f.lattice_points) for f in faces} == {
-        frozenset({(2, 0)}), frozenset({(0, 2)}), frozenset({(2, 0), (0, 2)})
-    }
+    assert [f.lattice_points for f in faces] == [((0, 2),), ((0, 2), (2, 0)), ((2, 0),)]
     faces = compact_faces(build_polyhedron({(2, 2)}))
-    assert len(faces) == 1 and faces[0].lattice_points == frozenset({(2, 2)})
+    assert len(faces) == 1 and faces[0].lattice_points == ((2, 2),)
     supp3 = {(3, 0), (0, 2)}
     faces = compact_faces(build_polyhedron(supp3))
-    assert {frozenset(f.lattice_points) for f in faces} == {
-        frozenset({(3, 0)}), frozenset({(0, 2)}), frozenset({(3, 0), (0, 2)})
-    }
+    assert [f.lattice_points for f in faces] == [((0, 2),), ((0, 2), (3, 0)), ((3, 0),)]
     for f in faces:
         assert all(a > 0 for a in f.defining_normal)
 
