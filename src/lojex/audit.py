@@ -15,8 +15,11 @@ log|df/dx_i| + log r + log|d_i|.  The audits of one run read the same
 sample, and only the distance audit L2 draws a pool of its own, whose
 probes are the tight section of every ranking (one per distinct upper set,
 found among the subsets of the zero-set variables).  That pool begins with
-the same random and axis rows, so log|f| on them is evaluated once per run
-and L2 evaluates only its ranking rows.  Reusing one pool across levels
+the same random and axis rows, so log|d| and log|f| on them are evaluated
+once per run and L2 evaluates only its ranking rows, whose table it builds
+alone.  Each
+row's zero and negative coordinates are bitmasks (n <= 8), so a term's
+zero and sign masks are a byte AND per row.  Reusing one pool across levels
 makes the per-level envelope minima directly comparable, so the pass/fail
 call is a trend test, not an absolute-constant test: the inequalities only
 claim "there exist c, eps", so the audit checks that the per-level minima of
@@ -49,7 +52,7 @@ import math
 import operator
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,7 +60,7 @@ from .errors import InputError
 from .exponents import TransversalFamily
 from .polyhedron import NewtonPolyhedron
 from .record import record
-from .taylor import Exponent, TaylorModel, poly_diff
+from .taylor import MAX_DIM, Exponent, TaylorModel, poly_diff
 
 TAU_FAIL = -0.8
 DECAY_FACTOR = 0.8  # envelope must drop materially, not just drift in rank
@@ -179,7 +182,7 @@ def _random_directions(seed: int, count: int, n: int) -> np.ndarray:
 
 
 def _normalize_rows(dirs: np.ndarray) -> np.ndarray:
-    scale = np.max(np.abs(dirs), axis=1)
+    scale = np.abs(dirs).max(axis=1)
     keep = scale > 1e-9
     return dirs[keep] / scale[keep, None]
 
@@ -245,22 +248,27 @@ def _sampled_negative(model: TaylorModel, seed: int, radius: float) -> tuple[flo
 # ---------------------------------------------------------------------------
 # envelope machinery
 
+@lru_cache(maxsize=32)
+def _pairs(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (i, j), i < j, of `count` values, as two arrays."""
+    return np.triu_indices(count, 1)
+
+
 def _tau(series: list[float]) -> float:
-    pairs = [(i, m) for i, m in enumerate(series) if math.isfinite(m)]
-    if len(pairs) < 2:
+    vals = [m for m in series if math.isfinite(m)]
+    if len(vals) < 2:
         return math.nan
-    idx, vals = zip(*pairs)
     # an envelope flat up to rounding has no trend; its ranks are float noise
-    if max(vals) - min(vals) <= FLAT_RELATIVE_RANGE * max(abs(v) for v in vals):
+    top, bottom = max(vals), min(vals)
+    if top - bottom <= FLAT_RELATIVE_RANGE * max(top, -bottom):
         return math.nan
     # Kendall tau-b against the level index, which has no ties (Knight 1966):
     # S over sqrt(pairs) * sqrt(pairs untied in the values), clipped as scipy does
-    up = ties = 0
-    for k, a in enumerate(vals):
-        for b in vals[k + 1:]:
-            up += b > a
-            ties += b == a
-    tot = len(vals) * (len(vals) - 1) // 2
+    first, second = _pairs(len(vals))
+    v = np.array(vals)
+    a, b = v[first], v[second]
+    up, ties = int(np.count_nonzero(b > a)), int(np.count_nonzero(b == a))
+    tot = len(first)
     if ties == tot:
         return math.nan
     s = 2 * up + ties - tot  # concordant minus discordant pairs
@@ -279,7 +287,7 @@ def _one_sided_verdict(minima: list[float]) -> tuple[str, float]:
     tau = _tau(minima)
     if len(valid) < MIN_TREND_LEVELS:
         return "indeterminate", tau
-    if any(m <= ZERO_FLOOR for m in valid):
+    if min(valid) <= ZERO_FLOOR:
         return "fail", tau
     drop = valid[-1] / valid[0]
     if not math.isnan(tau) and tau <= TAU_FAIL and drop < DECAY_FACTOR:
@@ -322,20 +330,31 @@ def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return which
 
 
-def _envelope_points(
-    predictor: np.ndarray, response: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """(bin centres, envelope) of a log-log cloud: per-bin minima, replaced by
-    their suffix minima, on the lower part of the predictor range; None when
-    fewer than two bins are filled."""
-    mask = np.isfinite(predictor) & np.isfinite(response)
-    x, y = (predictor, response) if mask.all() else (predictor[mask], response[mask])
+_EDGE_STEPS = np.arange(SLOPE_BINS + 1, dtype=float)
+_EDGE_STEPS.setflags(write=False)
+
+
+def _bin_edges(lo: float, hi: float) -> np.ndarray:
+    """`np.linspace(lo, hi, SLOPE_BINS + 1)`, bit for bit: k·step + lo with
+    the last edge set to hi, or (k/SLOPE_BINS)·span + lo where the step of a
+    subnormal span rounds to 0."""
+    span = hi - lo
+    step = span / SLOPE_BINS
+    edges = (_EDGE_STEPS * step if step else _EDGE_STEPS / SLOPE_BINS * span) + lo
+    edges[-1] = hi
+    return edges
+
+
+def _envelope_points(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(bin centres, envelope) of the finite samples of a log-log cloud:
+    per-bin minima, replaced by their suffix minima, on the lower part of the
+    predictor range; None when fewer than two bins are filled."""
     if x.size < 2:
         return None
-    lo, hi = x.min(), x.max()
+    lo, hi = float(x.min()), float(x.max())
     if hi == lo:
         return None
-    edges = np.linspace(lo, hi, SLOPE_BINS + 1)
+    edges = _bin_edges(lo, hi)
     mins = np.full(SLOPE_BINS, np.inf)
     np.minimum.at(mins, _bin_index(x, edges), y)
     filled = mins < np.inf  # the samples are finite
@@ -353,8 +372,12 @@ def _envelope_points(
     return centers, mins
 
 
-def lower_envelope_slope(predictor: np.ndarray, response: np.ndarray) -> float | None:
-    """Least-squares slope through per-bin minima of a log-log cloud.
+def lower_envelope_slope(
+    predictor: np.ndarray, response: np.ndarray, finite: np.ndarray
+) -> float | None:
+    """Least-squares slope through per-bin minima of a log-log cloud, on the
+    samples where `finite` holds: those whose predictor and response are both
+    finite.
 
     Only the lower part of the predictor range enters the fit: the
     inequalities constrain the envelope asymptotically, and for germs with
@@ -362,12 +385,16 @@ def lower_envelope_slope(predictor: np.ndarray, response: np.ndarray) -> float |
     The slope of at most `SLOPE_BINS` points is the closed form
     sum((x - mean x)(y - mean y)) / sum((x - mean x)^2).
     """
-    points = _envelope_points(predictor, response)
+    if finite.all():
+        points = _envelope_points(predictor, response)
+    else:
+        points = _envelope_points(predictor[finite], response[finite])
     if points is None:
         return None
     centers, mins = points
-    dx = centers - centers.mean()
-    return float(dx @ (mins - mins.mean()) / (dx @ dx))
+    # a mean is the sum over the count, as ndarray.mean takes it
+    dx = centers - centers.sum() / centers.size
+    return float(dx @ (mins - mins.sum() / mins.size) / (dx @ dx))
 
 
 # ---------------------------------------------------------------------------
@@ -385,21 +412,42 @@ def _logsumexp(a: np.ndarray, sign: np.ndarray | None = None) -> np.ndarray:
 
     Overwrites `a`, which every caller builds for this call alone.
     """
-    top = np.max(a, axis=0)
-    top[np.isneginf(top)] = 0.0  # every term is zero: exp(a - top) stays 0
+    top = a.max(axis=0)
+    top[top == -np.inf] = 0.0  # every term is zero: exp(a - top) stays 0
     a -= top
     np.exp(a, out=a)
     if sign is not None:
         a *= sign
-    return top + _log_abs(np.sum(a, axis=0))
+    return top + _log_abs(a.sum(axis=0))
+
+
+# (-1)^(number of set bits) of every byte: the sign a term takes from the
+# negative coordinates its odd exponents meet (a table, as np.bitwise_count
+# needs numpy 2 and lojex runs on numpy 1.23)
+_PARITY_SIGN = np.array([1.0 - 2.0 * (bin(k).count("1") & 1) for k in range(256)])
+_PARITY_SIGN.setflags(write=False)
+_BIT_VALUES = np.array([1 << i for i in range(MAX_DIM)], dtype=np.uint8)
+_BIT_VALUES.setflags(write=False)
+
+
+def _row_bits(mask: np.ndarray) -> np.ndarray:
+    """Each row of a boolean (rows, n) mask as one byte, bit i for column i
+    (n <= MAX_DIM = 8)."""
+    return mask @ _BIT_VALUES[: mask.shape[1]]
 
 
 class _PoolTable(NamedTuple):
     """What the monomials of every polynomial read off a pool's rows."""
 
     log_d: np.ndarray  # log|d|, 0 where d = 0
-    zero: np.ndarray  # d = 0
-    negative: np.ndarray | None  # d < 0; None for the pool of |d|
+    zero: np.ndarray  # the coordinates where d = 0, one bitmask a row
+    negative: np.ndarray | None  # the coordinates where d < 0; None for the pool of |d|
+
+
+def _pool_table(dirs: np.ndarray, log_dirs: np.ndarray) -> _PoolTable:
+    """The table of the rows `dirs`, whose log|d| is `log_dirs`."""
+    zero = log_dirs == -np.inf
+    return _PoolTable(np.where(zero, 0.0, log_dirs), _row_bits(zero), _row_bits(dirs < 0))
 
 
 def _log_poly(
@@ -408,24 +456,37 @@ def _log_poly(
     """log|p(r·d)| at every radius r and pool direction d, as (levels, rows).
 
     A term c·x^e is log|c| + e·log|d| + |e|·log r, so no power underflows.  Its
-    sign is that of c times the parity of e on the negative coordinates.  A
+    sign is that of c times the parity of e on the negative coordinates: the
+    set bits of the row's negative mask and the term's odd-exponent mask.  A
     zero coordinate with a positive exponent makes the term -inf (never
-    0·(-inf)).  The terms are laid out as (terms, levels, rows), so the
-    log-sum-exp reduces over the short leading axis in whole contiguous slices.
+    0·(-inf)): the row's zero mask meets the term's positive-exponent mask.
+    The terms are laid out as (terms, levels, rows), so the log-sum-exp
+    reduces over the short leading axis in whole contiguous slices.
     """
     if not poly:
         return np.full((len(log_r), len(table.log_d)), -np.inf)
     exps = np.array(list(poly))  # (terms, n), integers
-    coeffs = np.array([float(c) for c in poly.values()])
+    floats = [float(c) for c in poly.values()]
+    coeffs = np.array(floats)
     base = exps @ table.log_d.T + _log_abs(coeffs)[:, None]  # (terms, rows)
-    base[(exps > 0) @ table.zero.T] = -np.inf
+    base[(_row_bits(exps > 0)[:, None] & table.zero) != 0] = -np.inf
     terms = base[:, None, :] + (exps.sum(axis=1)[:, None] * log_r)[:, :, None]
     if len(terms) == 1:
         return terms[0]  # the log-sum-exp of one term, bit for bit
+    odd = None if table.negative is None else _row_bits(exps % 2 == 1)[:, None]
+    if min(floats) > 0 and (odd is None or not odd.any()):
+        return _logsumexp(terms)  # every term is positive at every row
     sign = np.sign(coeffs)[:, None]
-    if table.negative is not None:
-        sign = sign * (1.0 - 2.0 * ((exps % 2) @ table.negative.T % 2))
+    if odd is not None:
+        sign = sign * _PARITY_SIGN[odd & table.negative]
     return _logsumexp(terms, sign[:, None, :])
+
+
+@lru_cache(maxsize=8)
+def _near_levels(radii: tuple[float, ...]) -> slice:
+    """The levels inside the slope's radius cap: a suffix, as the radii
+    strictly decrease."""
+    return slice(sum(r > SLOPE_RADIUS_CAP for r in radii), None)
 
 
 def _ratio_audit(
@@ -446,36 +507,50 @@ def _ratio_audit(
     audit is indeterminate, with nan ratios and a note.
     """
     kept = np.isfinite(log_rhs)
+    levels, rows = kept.shape
+    # row 0 the log of each level's minimum ratio, row 1 of its maximum
+    bounds = np.empty((2, levels))
     # a ratio past the float range is reported as inf, without a warning
     with np.errstate(over="ignore"):
         if kept.all():
             log_ratio = log_lhs - scale * log_rhs
-            lo, hi = np.exp(log_ratio.min(axis=1)), np.exp(log_ratio.max(axis=1))
+            log_ratio.min(axis=1, out=bounds[0])
+            log_ratio.max(axis=1, out=bounds[1])
+            excluded = (0,) * levels
         else:
             log_ratio = log_lhs - scale * np.where(kept, log_rhs, 0.0)
-            lo = np.exp(np.where(kept, log_ratio, np.inf).min(axis=1))
-            hi = np.exp(np.where(kept, log_ratio, -np.inf).max(axis=1))
-    excluded = np.count_nonzero(~kept, axis=1)
-    empty = excluded == kept.shape[1]
-    minima = np.where(empty, np.nan, lo).tolist()
-    maxima = np.where(empty, np.nan, hi).tolist()
+            log_ratio.min(axis=1, initial=np.inf, where=kept, out=bounds[0])
+            log_ratio.max(axis=1, initial=-np.inf, where=kept, out=bounds[1])
+            excluded = tuple(np.count_nonzero(~kept, axis=1).tolist())
+        minima, maxima = np.exp(bounds, out=bounds).tolist()
+    # a level whose every row is left out has no ratio; every other level has
+    # a finite log|RHS| and a log|LHS| that is never nan, so no nan ratio
+    empty = [k for k, count in enumerate(excluded) if count == rows]
+    for k in empty:
+        minima[k] = maxima[k] = math.nan
     if two_sided:
         verdict, tau, tau_upper = _two_sided_verdict(minima, maxima)
     else:
         (verdict, tau), tau_upper = _one_sided_verdict(minima), math.nan
-    # the radii strictly decrease, so the levels inside the cap are a suffix
-    near = slice(sum(r > SLOPE_RADIUS_CAP for r in plan.radii), None)
-    slope = lower_envelope_slope(log_rhs[near].ravel(), log_lhs[near].ravel())
-    if empty.all():
+    near = _near_levels(plan.radii)
+    response = log_lhs[near].ravel()
+    finite = np.isfinite(response)
+    if any(excluded):
+        finite &= kept[near].ravel()  # log|RHS|, the predictor, is finite where kept
+    slope = lower_envelope_slope(log_rhs[near].ravel(), response, finite)
+    if len(empty) == levels:
         min_ratio = max_ratio = math.nan
         note = f"every {name} sample has a zero right-hand side: no ratio to audit"
     else:
-        min_ratio, max_ratio, note = float(lo[~empty].min()), float(hi[~empty].max()), ""
+        lows, highs = minima, maxima
+        if empty:
+            lows, highs = ([m for m in v if not math.isnan(m)] for v in (minima, maxima))
+        min_ratio, max_ratio, note = min(lows), max(highs), ""
     return AuditResult(
         name, exponent, verdict, min_ratio=min_ratio, max_ratio=max_ratio,
         empirical_slope=slope, kendall_tau=tau, kendall_tau_upper=tau_upper,
         radii=plan.radii, level_minima=tuple(minima), level_maxima=tuple(maxima),
-        forced=forced, note=note, excluded=tuple(int(k) for k in excluded),
+        forced=forced, note=note, excluded=excluded,
     )
 
 
@@ -491,8 +566,9 @@ class Sample:
     drawn, log|f| evaluated and log g_Gamma evaluated per vertex set at most
     once, each when an audit first reads it: a run whose only audit is L2,
     which draws a pool of its own, draws no other.  L2's pool comes from
-    `with_probes`: it shares the random and axis rows, and log|f| on those
-    rows is evaluated by whichever of the two samples reads log|f| first.
+    `with_probes`: it begins with the same random and axis rows, and log|d|
+    and log|f| on those rows are evaluated by whichever of the two samples
+    reads them first; the other evaluates them on its own probe rows alone.
     """
 
     def __init__(
@@ -503,7 +579,8 @@ class Sample:
         self.probes = list(probes)
         self.log_r = np.log(plan.radii)
         self._log_g: dict[frozenset[Exponent], np.ndarray] = {}
-        # log|f| on the random and axis rows, shared with `with_probes` samples
+        # log|d| and log|f| on the random and axis rows, shared with
+        # `with_probes` samples
         self._lead: dict[str, np.ndarray] = {}
 
     def with_probes(self, probes: Iterable[Sequence[float]]) -> Sample:
@@ -512,6 +589,24 @@ class Sample:
         other._lead = self._lead
         return other
 
+    def _shared(
+        self,
+        key: str,
+        whole: Callable[[], np.ndarray],
+        own: Callable[[int], np.ndarray],
+        axis: int = 0,
+    ) -> np.ndarray:
+        """A per-row array of the pool, rows along `axis`: the lead rows'
+        part that a sample of the plan has evaluated, joined with `own(k)` on
+        the rows from k on, or else `whole()`, whose lead part is kept."""
+        n = self.model.n
+        k = len(_random_directions(self.plan.seed, self.plan.directions_per_radius, n)) + 2 * n
+        if key in self._lead:
+            return np.concatenate([self._lead[key], own(k)], axis=axis)
+        value = whole()
+        self._lead[key] = value[:, :k] if axis else value[:k]
+        return value
+
     @cached_property
     def dirs(self) -> np.ndarray:
         return direction_pool(self.plan, self.model.n, self.probes)
@@ -519,24 +614,23 @@ class Sample:
     @cached_property
     def log_dirs(self) -> np.ndarray:
         """log|d| of every pool coordinate, -inf where d = 0."""
-        return _log_abs(self.dirs)
+        return self._shared(
+            "log_dirs", lambda: _log_abs(self.dirs), lambda k: _log_abs(self.dirs[k:])
+        )
 
     @cached_property
     def table(self) -> _PoolTable:
-        zero = np.isneginf(self.log_dirs)
-        return _PoolTable(np.where(zero, 0.0, self.log_dirs), zero, self.dirs < 0)
+        return _pool_table(self.dirs, self.log_dirs)
 
     @cached_property
     def log_f(self) -> np.ndarray:
         poly = self.model.poly()
-        n = self.model.n
-        lead = len(_random_directions(self.plan.seed, self.plan.directions_per_radius, n)) + 2 * n
-        if "log_f" in self._lead:
-            own = _log_poly(poly, _PoolTable(*(t[lead:] for t in self.table)), self.log_r)
-            return np.concatenate([self._lead["log_f"], own], axis=1)
-        log_f = self.log_poly(poly)
-        self._lead["log_f"] = log_f[:, :lead]
-        return log_f
+
+        def own(k: int) -> np.ndarray:
+            table = _pool_table(self.dirs[k:], self.log_dirs[k:])
+            return _log_poly(poly, table, self.log_r)
+
+        return self._shared("log_f", lambda: self.log_poly(poly), own, axis=1)
 
     @cached_property
     def log_grad(self) -> np.ndarray:
@@ -575,8 +669,10 @@ def audit_L0(
     carries the tightness witness.
     """
     al = float(alpha)
-    for row in diagonal_probe(g_exp):
-        if not (sample.dirs == row).all(axis=1).any():
+    rows = diagonal_probe(g_exp)
+    held = (sample.dirs == np.array(rows)[:, None, :]).all(axis=2).any(axis=1)
+    for row, found in zip(rows, held):
+        if not found:
             raise InputError(f"the L0 sample lacks the diagonal probe {row} of its hat vertex")
     log_g = sample.log_poly({tuple(g_exp): 1})
     return _ratio_audit("L0", al, sample.plan, sample.log_f, log_g, al, False, forced)

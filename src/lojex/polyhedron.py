@@ -170,7 +170,8 @@ def build_polyhedron(points: Iterable[Sequence[int]]) -> NewtonPolyhedron:
         raise InputError("support is empty: the Newton polyhedron is undefined")
     n = len(pts[0])
     for p in pts:
-        check_exponent(p, n)
+        if len(p) != n:
+            check_exponent(p, n)  # raises the length error
     if n > MAX_DIM:
         raise CapExceededError(f"dimension {n} exceeds cap {MAX_DIM}")
     if len(pts) > MAX_SUPPORT:
@@ -338,12 +339,14 @@ def diagonal_exponent(poly: NewtonPolyhedron, alpha_star: Sequence[int]) -> Frac
         raise InputError(f"diagonal exponent needs a 0/1 vector, got {a_star}")
     if all(x == 0 for x in a_star):
         raise InputError("diagonal exponent of the zero vector is undefined")
-    best = Fraction(0)
+    # the best offset / s so far as num / den; s > 0, so the comparison
+    # multiplies out
+    num, den = 0, 1
     for f in poly.facets:
         s = dot(f.normal, a_star)
         if s == 0:
             if f.offset > 0:
                 return math.inf
-        else:
-            best = max(best, Fraction(f.offset, s))
-    return best
+        elif f.offset * den > num * s:
+            num, den = f.offset, s
+    return Fraction(num, den)

@@ -23,8 +23,12 @@ every maximal cone instead of splitting only the cones around its face,
 the envelope-slope oracle bins with `np.digitize`, takes each bin's
 minimum with its own boolean mask and the suffix minimum in a Python loop,
 and fits the exact least-squares slope in Fractions.  Kendall's tau is
-also counted from a numpy sign matrix, and a polynomial of one term is
-also taken through the general signed log-sum-exp.  The pointwise
+also counted from a numpy sign matrix, and a polynomial is also taken
+through the general signed log-sum-exp for every term count, with boolean
+masks of the zero and negative coordinates reduced by matrix products
+where lojex ANDs per-row bitmasks.  The whole ratio-audit tail is also kept
+as it was when Kendall pairs were counted in a Python loop and the bin
+edges came from `np.linspace`.  The pointwise
 references at the end evaluate f, its gradient, the Euler field, g_Gamma
 and the distance to the zero set one point at a time in plain floats,
 where the audits take logs over whole batches of directions; the face of
@@ -46,7 +50,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from lojex.audit import FLAT_RELATIVE_RANGE, SLOPE_BINS, SLOPE_LOWER_FRACTION
+from lojex.audit import (
+    DECAY_FACTOR,
+    FLAT_RELATIVE_RANGE,
+    MIN_TREND_LEVELS,
+    SLOPE_BINS,
+    SLOPE_LOWER_FRACTION,
+    SLOPE_RADIUS_CAP,
+    TAU_FAIL,
+    ZERO_FLOOR,
+    AuditResult,
+    SamplePlan,
+)
 from lojex.errors import InputError
 from lojex.fan import (
     Fan,
@@ -670,22 +685,216 @@ def kendall_tau_sign_matrix(series: list[float]) -> float:
     return min(1.0, max(-1.0, int(signs.sum()) / math.sqrt(tot) / math.sqrt(tot - ties)))
 
 
-def log_poly_logsumexp(poly: dict, table, log_r: np.ndarray) -> np.ndarray:
-    """`audit._log_poly` through the signed log-sum-exp for every term count."""
+def log_poly_logsumexp(
+    poly: dict, dirs: np.ndarray, log_r: np.ndarray, absolute: bool = False
+) -> np.ndarray:
+    """`audit._log_poly` on the pool rows `dirs` (on |d| if `absolute`),
+    through the signed log-sum-exp for every term count, with boolean masks
+    of the zero and negative coordinates taken from the rows and reduced by
+    matrix products."""
     exps = np.array(list(poly))
     coeffs = np.array([float(c) for c in poly.values()])
+    zero = dirs == 0
     with np.errstate(divide="ignore"):
-        base = exps @ table.log_d.T + np.log(np.abs(coeffs))[:, None]
-    base[(exps > 0) @ table.zero.T] = -np.inf
+        log_d = np.where(zero, 0.0, np.log(np.abs(dirs)))
+        base = exps @ log_d.T + np.log(np.abs(coeffs))[:, None]
+    base[(exps > 0) @ zero.T] = -np.inf
     terms = base[:, None, :] + (exps.sum(axis=1)[:, None] * log_r)[:, :, None]
     sign = np.sign(coeffs)[:, None]
-    if table.negative is not None:
-        sign = sign * (1.0 - 2.0 * ((exps % 2) @ table.negative.T % 2))
+    if not absolute:
+        sign = sign * (1.0 - 2.0 * ((exps % 2) @ (dirs < 0).T % 2))
     top = np.max(terms, axis=0)
     top[np.isneginf(top)] = 0.0
     total = np.sum(np.exp(terms - top) * sign[:, None, :], axis=0)
     with np.errstate(divide="ignore"):
         return top + np.log(np.abs(total))
+
+
+
+# ---------------------------------------------------------------------------
+# the audit tail with Python pair loops and linspace edges
+
+# `audit._ratio_audit` and the trend and envelope code under it, copied
+# verbatim from the version that counted Kendall pairs in a Python loop, took
+# every level's exclusions from masks, built the bin edges with np.linspace and
+# tested the predictor's finiteness again; only `_ratio_audit` and
+# `lower_envelope_slope` are renamed.  The audits must give the same
+# AuditResult, bit for bit.
+
+def _tau(series: list[float]) -> float:
+    pairs = [(i, m) for i, m in enumerate(series) if math.isfinite(m)]
+    if len(pairs) < 2:
+        return math.nan
+    idx, vals = zip(*pairs)
+    # an envelope flat up to rounding has no trend; its ranks are float noise
+    if max(vals) - min(vals) <= FLAT_RELATIVE_RANGE * max(abs(v) for v in vals):
+        return math.nan
+    # Kendall tau-b against the level index, which has no ties (Knight 1966):
+    # S over sqrt(pairs) * sqrt(pairs untied in the values), clipped as scipy does
+    up = ties = 0
+    for k, a in enumerate(vals):
+        for b in vals[k + 1:]:
+            up += b > a
+            ties += b == a
+    tot = len(vals) * (len(vals) - 1) // 2
+    if ties == tot:
+        return math.nan
+    s = 2 * up + ties - tot  # concordant minus discordant pairs
+    return min(1.0, max(-1.0, s / math.sqrt(tot) / math.sqrt(tot - ties)))
+
+
+def _one_sided_verdict(minima: list[float]) -> tuple[str, float]:
+    """Trend call on the lower envelope.
+
+    Failure needs agreement of a rank test (Kendall tau on the level minima)
+    and a magnitude test (the envelope actually drops), so float noise on an
+    exactly constant envelope cannot flip the call.  An exact zero is an
+    outright violation.
+    """
+    valid = [m for m in minima if math.isfinite(m)]
+    tau = _tau(minima)
+    if len(valid) < MIN_TREND_LEVELS:
+        return "indeterminate", tau
+    if any(m <= ZERO_FLOOR for m in valid):
+        return "fail", tau
+    drop = valid[-1] / valid[0]
+    if not math.isnan(tau) and tau <= TAU_FAIL and drop < DECAY_FACTOR:
+        return "fail", tau
+    return "pass", tau
+
+
+def _two_sided_verdict(minima: list[float], maxima: list[float]) -> tuple[str, float, float]:
+    verdict, tau_lo = _one_sided_verdict(minima)
+    tau_hi = _tau(maxima)
+    valid = [m for m in maxima if math.isfinite(m)]
+    if (
+        verdict == "pass"
+        and len(valid) >= MIN_TREND_LEVELS
+        and not math.isnan(tau_hi)
+        and tau_hi >= -TAU_FAIL
+        and valid[-1] / valid[0] > 1.0 / DECAY_FACTOR
+    ):
+        verdict = "fail"
+    return verdict, tau_lo, tau_hi
+
+
+def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The bin of each sample between the `SLOPE_BINS + 1` increasing `edges`,
+    numbered as `np.digitize` numbers it, the last bin closed.
+
+    The bin is first read off the scaled offset (x - lo)·SLOPE_BINS/(hi - lo).
+    That estimate and the `linspace` edges differ by rounding only, far less
+    than a bin while the span is well above the rounding of the edges, so
+    one step each way against the edges gives the exact index.  Spans near
+    that rounding, or beyond the float range, are searched instead.
+    """
+    lo, hi = edges[0], edges[-1]
+    span = hi - lo
+    if not 2.0**-40 * max(-lo, hi, 2.0**-960) < span < math.inf:
+        return np.clip(edges.searchsorted(x, side="right") - 1, 0, SLOPE_BINS - 1)
+    which = np.minimum(((x - lo) * (SLOPE_BINS / span)).astype(np.intp), SLOPE_BINS - 1)
+    which -= x < edges[which]
+    which += (x >= edges[which + 1]) & (which < SLOPE_BINS - 1)
+    return which
+
+
+def _envelope_points(
+    predictor: np.ndarray, response: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(bin centres, envelope) of a log-log cloud: per-bin minima, replaced by
+    their suffix minima, on the lower part of the predictor range; None when
+    fewer than two bins are filled."""
+    mask = np.isfinite(predictor) & np.isfinite(response)
+    x, y = (predictor, response) if mask.all() else (predictor[mask], response[mask])
+    if x.size < 2:
+        return None
+    lo, hi = x.min(), x.max()
+    if hi == lo:
+        return None
+    edges = np.linspace(lo, hi, SLOPE_BINS + 1)
+    mins = np.full(SLOPE_BINS, np.inf)
+    np.minimum.at(mins, _bin_index(x, edges), y)
+    filled = mins < np.inf  # the samples are finite
+    if np.count_nonzero(filled) < 2:
+        return None
+    centers = (0.5 * (edges[:-1] + edges[1:]))[filled]
+    # the envelope is nondecreasing in the predictor near the origin, so a
+    # bin is bounded by every sample to its right; the suffix minimum removes
+    # spikes in sparsely sampled bins
+    mins = np.minimum.accumulate(mins[filled][::-1])[::-1]
+    cutoff = lo + SLOPE_LOWER_FRACTION * (hi - lo)
+    lower = centers <= cutoff
+    if np.count_nonzero(lower) >= 2:
+        centers, mins = centers[lower], mins[lower]
+    return centers, mins
+
+
+def _lower_envelope_slope(predictor: np.ndarray, response: np.ndarray) -> float | None:
+    """Least-squares slope through per-bin minima of a log-log cloud.
+
+    Only the lower part of the predictor range enters the fit: the
+    inequalities constrain the envelope asymptotically, and for germs with
+    unequal axis degrees the large-|f| bins belong to a different regime.
+    The slope of at most `SLOPE_BINS` points is the closed form
+    sum((x - mean x)(y - mean y)) / sum((x - mean x)^2).
+    """
+    points = _envelope_points(predictor, response)
+    if points is None:
+        return None
+    centers, mins = points
+    dx = centers - centers.mean()
+    return float(dx @ (mins - mins.mean()) / (dx @ dx))
+
+
+def ratio_audit_reference(
+    name: str,
+    exponent: float | None,
+    plan: SamplePlan,
+    log_lhs: np.ndarray,
+    log_rhs: np.ndarray,
+    scale: float,
+    two_sided: bool,
+    forced: bool,
+) -> AuditResult:
+    """Audit LHS >= c·RHS^scale (and LHS <= C·RHS^scale if two-sided).
+
+    Takes log|LHS| and log|RHS| as (levels, rows) arrays.  Rows where RHS = 0
+    are left out of their level and counted in `excluded`; when that leaves
+    every level empty (RHS = |f| = 0 on a germ of remainders only) the
+    audit is indeterminate, with nan ratios and a note.
+    """
+    kept = np.isfinite(log_rhs)
+    # a ratio past the float range is reported as inf, without a warning
+    with np.errstate(over="ignore"):
+        if kept.all():
+            log_ratio = log_lhs - scale * log_rhs
+            lo, hi = np.exp(log_ratio.min(axis=1)), np.exp(log_ratio.max(axis=1))
+        else:
+            log_ratio = log_lhs - scale * np.where(kept, log_rhs, 0.0)
+            lo = np.exp(np.where(kept, log_ratio, np.inf).min(axis=1))
+            hi = np.exp(np.where(kept, log_ratio, -np.inf).max(axis=1))
+    excluded = np.count_nonzero(~kept, axis=1)
+    empty = excluded == kept.shape[1]
+    minima = np.where(empty, np.nan, lo).tolist()
+    maxima = np.where(empty, np.nan, hi).tolist()
+    if two_sided:
+        verdict, tau, tau_upper = _two_sided_verdict(minima, maxima)
+    else:
+        (verdict, tau), tau_upper = _one_sided_verdict(minima), math.nan
+    # the radii strictly decrease, so the levels inside the cap are a suffix
+    near = slice(sum(r > SLOPE_RADIUS_CAP for r in plan.radii), None)
+    slope = _lower_envelope_slope(log_rhs[near].ravel(), log_lhs[near].ravel())
+    if empty.all():
+        min_ratio = max_ratio = math.nan
+        note = f"every {name} sample has a zero right-hand side: no ratio to audit"
+    else:
+        min_ratio, max_ratio, note = float(lo[~empty].min()), float(hi[~empty].max()), ""
+    return AuditResult(
+        name, exponent, verdict, min_ratio=min_ratio, max_ratio=max_ratio,
+        empirical_slope=slope, kendall_tau=tau, kendall_tau_upper=tau_upper,
+        radii=plan.radii, level_minima=tuple(minima), level_maxima=tuple(maxima),
+        forced=forced, note=note, excluded=tuple(int(k) for k in excluded),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .conftest import CATALOG, GATED_NONNEG, germ, run_python, subprocess_env
 from .oracles import (
     dist_to_zero_set, euler_field_value, evaluate, g_gamma_eval, gradient,
     kendall_tau_sign_matrix, least_squares_slope, log_poly_logsumexp,
-    lower_envelope_points_per_bin, ranking_i_rho,
+    lower_envelope_points_per_bin, ranking_i_rho, ratio_audit_reference,
 )
 
 PLAN = SamplePlan(seed=5)
@@ -378,6 +378,31 @@ def test_audits_of_a_run_share_one_sample(monkeypatch):
     assert in_euler == [vertex_sum]
 
 
+def test_probe_samples_share_log_d_and_log_f_on_the_lead_rows(monkeypatch):
+    # whichever of a sample and its `with_probes` sample reads log|d| and
+    # log|f| first evaluates them on every row; the other evaluates them on
+    # its own probe rows alone, and gets the arrays of a sample of its own
+    model = germ("quartic_mix")
+    plan = SamplePlan(seed=9, directions_per_radius=64)
+    diagonal, ranking = diagonal_probe((1, 3)), [(1.0, 0.0), (-1.0, 0.0), (0.5, -1.0)]
+    lead = len(audit._random_directions(9, 64, 2)) + 4
+    logged = []
+    original = audit._log_abs
+    monkeypatch.setattr(audit, "_log_abs", lambda a: logged.append(a.shape) or original(a))
+    for first_probes, second_probes in ((diagonal, ranking), (ranking, diagonal)):
+        first = Sample(model, plan, first_probes)
+        second = first.with_probes(second_probes)
+        for sample, probes in ((first, first_probes), (second, second_probes)):
+            logged.clear()
+            alone = Sample(model, plan, probes)
+            log_dirs, log_f = sample.log_dirs, sample.log_f
+            rows = lead if sample is second else 0
+            assert logged[0] == (len(alone.dirs) - rows, 2)
+            assert log_dirs.tobytes() == alone.log_dirs.tobytes()
+            assert log_f.tobytes() == alone.log_f.tobytes()
+        assert np.shares_memory(first.log_f, second._lead["log_f"])
+
+
 def test_verify_draws_only_the_pools_its_audits_read(monkeypatch, capsys):
     # L2 draws a pool of its own; the shared one is drawn only for L1 or L0,
     # and L2 alone evaluates log|f| on its own pool, no diagonal row
@@ -436,9 +461,11 @@ def _audit_clouds(monkeypatch) -> list:
     clouds = []
     original = audit.lower_envelope_slope
 
-    def recording(predictor, response):
+    def recording(predictor, response, finite):
+        # the audit reads the predictor's finiteness off its kept rows
+        assert np.array_equal(finite, np.isfinite(predictor) & np.isfinite(response))
         clouds.append((predictor, response))
-        return original(predictor, response)
+        return original(predictor, response, finite)
 
     monkeypatch.setattr(audit, "lower_envelope_slope", recording)
     for text in [*CATALOG.values(), "x^90 + y^90", "x^40*y^40 + x^100 + y^100"]:
@@ -448,9 +475,13 @@ def _audit_clouds(monkeypatch) -> list:
 
 
 def test_lower_envelope_slope_matches_per_bin_loop(monkeypatch):
-    for x, y in [*_slope_clouds(), *_audit_clouds(monkeypatch)]:
-        got, want = audit._envelope_points(x, y), lower_envelope_points_per_bin(x, y)
-        slope = lower_envelope_slope(x, y)
+    audit_clouds = _audit_clouds(monkeypatch)
+    assert len(audit_clouds) >= 40
+    for x, y in [*_slope_clouds(), *audit_clouds]:
+        finite = np.isfinite(x) & np.isfinite(y)
+        got = audit._envelope_points(x[finite], y[finite])
+        want = lower_envelope_points_per_bin(x, y)
+        slope = lower_envelope_slope(x, y, finite)
         assert (got is None) == (want is None) == (slope is None), (x, y)
         if got is None:
             continue
@@ -493,15 +524,14 @@ def test_bin_index_is_the_searched_index():
 
 
 def _tables():
-    """Pool tables with random rows, axis rows and zero coordinates."""
+    """(n, rows, table of the rows, whether the table is that of |d|), with
+    random rows, axis rows and zero coordinates."""
     for n in (1, 2, 3):
         dirs = np.vstack([audit._random_directions(3, 40, n), audit.axis_probes(n)])
         dirs[::7, 0] = 0.0
-        log_d = audit._log_abs(dirs)
-        zero = np.isneginf(log_d)
-        table = audit._PoolTable(np.where(zero, 0.0, log_d), zero, dirs < 0)
-        yield n, table
-        yield n, table._replace(negative=None)
+        table = audit._pool_table(dirs, audit._log_abs(dirs))
+        yield n, dirs, table, False
+        yield n, dirs, table._replace(negative=None), True
 
 
 def test_one_term_log_poly_is_the_log_sum_exp_route():
@@ -510,18 +540,56 @@ def test_one_term_log_poly_is_the_log_sum_exp_route():
     monomials = {
         (e, c) for text in CATALOG.values() for e, c in parse_text(text).poly().items()
     }
-    for n, table in _tables():
+    for n, dirs, table, absolute in _tables():
         cases = [({e: c}, log_r) for e, c in monomials if len(e) == n]
         cases += [({(90,) + (0,) * (n - 1): 1}, deep), ({(1,) * n: Fraction(-3, 7)}, log_r)]
         cases += [({(0,) * n: 2}, log_r), ({(2,) * n: -1}, log_r)]
         for poly, radii in cases:
             got = audit._log_poly(poly, table, radii)
-            assert got.tobytes() == log_poly_logsumexp(poly, table, radii).tobytes(), poly
+            want = log_poly_logsumexp(poly, dirs, radii, absolute)
+            assert got.tobytes() == want.tobytes(), poly
         # and the general route is the oracle's on several terms
         many = {e: c for e, c in monomials if len(e) == n}
         if len(many) > 1:
             got = audit._log_poly(many, table, log_r)
-            assert got.tobytes() == log_poly_logsumexp(many, table, log_r).tobytes()
+            assert got.tobytes() == log_poly_logsumexp(many, dirs, log_r, absolute).tobytes()
+
+
+def test_bitmask_masks_match_the_boolean_products():
+    # the zero and sign masks come from one byte a row and a term; the oracle
+    # takes boolean masks of the rows and reduces them by matrix products.
+    # Every coordinate position is zero on some rows and negative on others,
+    # and the polynomials mix odd and even exponents and coefficient signs
+    rng = np.random.default_rng(23)
+    log_r = np.log(_default_radii())
+    compared = {True: 0, False: 0}
+    for n in range(1, 9):
+        dirs = rng.uniform(-1.0, 1.0, (120, n))
+        dirs[rng.random(dirs.shape) < 0.2] = 0.0
+        for i in range(n):
+            dirs[i, :] = -0.5
+            dirs[i, i] = 0.0
+            dirs[n + i, :] = 0.0
+            dirs[n + i, i] = -1.0
+        dirs = np.vstack([dirs, audit.axis_probes(n)])
+        table = audit._pool_table(dirs, audit._log_abs(dirs))
+        assert all(((table.zero >> i) & 1).any() and ((table.negative >> i) & 1).any()
+                   for i in range(n))
+        for k in range(30):
+            terms = int(rng.integers(2, 8))
+            exps = {tuple(int(e) for e in rng.integers(0, 6, n)) for _ in range(terms)}
+            if k % 3 == 0:  # every exponent even: no term takes a sign from d
+                exps = {tuple(2 * (e // 2) for e in exp) for exp in exps}
+            signed = k % 2 == 1
+            poly = {e: Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 5)))
+                    * (-1 if signed and rng.random() < 0.5 else 1) for e in exps}
+            for absolute in (False, True):
+                t = table._replace(negative=None) if absolute else table
+                got = audit._log_poly(poly, t, log_r)
+                want = log_poly_logsumexp(poly, dirs, log_r, absolute)
+                assert got.tobytes() == want.tobytes(), (n, poly, absolute)
+                compared[len(poly) > 1] += 1
+    assert compared[True] > 400
 
 
 def test_tau_counts_pairs_as_the_sign_matrix_does():
@@ -560,6 +628,93 @@ def test_ratio_audit_without_exclusions_is_the_masked_path():
                           "empirical_slope", "kendall_tau", "kendall_tau_upper", "note"):
                 # repr round-trips every float, so equal reprs are equal bits
                 assert repr(getattr(plain, field)) == repr(getattr(masked, field)), field
+
+
+def _same_result(got, want) -> bool:
+    """Every field equal bit for bit, nan equal to nan: repr round-trips every
+    float and names a numpy scalar type, so equal reprs are equal values."""
+    return all(repr(getattr(got, f)) == repr(getattr(want, f)) for f in got._record_fields)
+
+
+def _seeded_ratio_inputs():
+    """(name, exponent, plan, log|LHS|, log|RHS|, scale, two_sided, forced)
+    with every kind of left-out sample and extreme ratio, one kind per draw."""
+    rng = np.random.default_rng(37)
+    for k in range(200):
+        levels, rows = int(rng.integers(1, 20)), int(rng.integers(1, 90))
+        outer = float(rng.uniform(1e-2, 0.5))
+        plan = SamplePlan(radii=tuple(np.geomspace(outer, outer * 10.0 ** -rng.uniform(1, 5),
+                                                   levels).tolist()), seed=k)
+        log_r = np.log(plan.radii)[:, None]
+        log_lhs = rng.normal(-5.0, 4.0, (levels, rows)) + log_r
+        log_rhs = rng.normal(-5.0, 4.0, (levels, rows)) + 2.0 * log_r
+        kind = k % 8
+        if kind == 1:  # some columns have RHS = 0 at every level
+            log_rhs[:, rng.integers(0, rows, int(rng.integers(1, 4)))] = -np.inf
+        elif kind == 2:  # one level and scattered samples are left out
+            log_rhs[int(rng.integers(0, levels))] = -np.inf
+            log_rhs[rng.random((levels, rows)) < 0.05] = -np.inf
+        elif kind == 3:  # every sample is left out
+            log_rhs[:] = -np.inf
+        elif kind == 4:  # LHS = 0 on scattered samples, a column and a level
+            log_lhs[rng.random((levels, rows)) < 0.1] = -np.inf
+            log_lhs[:, int(rng.integers(0, rows))] = -np.inf
+            log_lhs[int(rng.integers(0, levels))] = -np.inf
+        elif kind == 5:  # ratios past the float range, both ways
+            log_lhs[rng.random((levels, rows)) < 0.3] += 900.0
+            log_lhs[rng.random((levels, rows)) < 0.3] -= 900.0
+        elif kind == 6:  # an envelope flat up to rounding
+            log_lhs = log_rhs + 0.25 + rng.normal(0.0, 1e-14, (levels, rows))
+        elif kind == 7:  # a ratio that decays with the radius
+            log_lhs = log_rhs + 3.0 * log_r + rng.exponential(1.0, (levels, rows))
+        scale = (1.0, 0.5, 0.75, 0.9)[k % 4]
+        yield "L1", scale, plan, log_lhs, log_rhs, scale, k % 3 == 0, k % 5 == 0
+
+
+def test_ratio_audit_is_the_loop_tail_bit_for_bit(monkeypatch):
+    # the array Kendall tau, the lean level bounds, the arange bin edges and
+    # the predictor's finiteness read off the kept rows give the AuditResult
+    # of the tail that counted pairs in Python and masked every level
+    results = []
+    for args in _seeded_ratio_inputs():
+        results.append(audit._ratio_audit(*args))
+        assert _same_result(results[-1], ratio_audit_reference(*args)), results[-1]
+    # the draws reach an empty audit, ratios past the float range and failures
+    assert sum(math.isnan(r.min_ratio) for r in results) >= 25
+    assert sum(math.inf in r.level_maxima for r in results) >= 10
+    assert sum(r.verdict == "fail" for r in results) >= 10
+    # and every audit of the catalog and the high-degree germs
+    calls = []
+    original = audit._ratio_audit
+
+    def recording(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(audit, "_ratio_audit", recording)
+    for text in [*CATALOG.values(), "x^90 + y^90", "x^40*y^40 + x^100 + y^100"]:
+        for force in (False, True):
+            analyze_germ(parse_germ(text), AnalysisOptions(force=force))
+    monkeypatch.undo()
+    assert len(calls) >= 80
+    for args, got in calls:
+        assert _same_result(got, ratio_audit_reference(*args)), (args[0], got)
+
+
+def test_bin_edges_are_linspace():
+    rng = np.random.default_rng(43)
+    spans = [(0.0, 5e-324), (0.0, 1e-310), (-1e-320, 1e-320), (1.0, np.nextafter(1.0, 2.0)),
+             (-1e308, 1e308), (-3.0, 0.0)]
+    for _ in range(20_000):
+        lo = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-12, 12)
+        spans.append((lo, lo + 10.0 ** rng.uniform(-14, 14)))
+    for lo, hi in spans:
+        if hi > lo:
+            # a span past the float range makes inf and nan edges either way
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.linspace(lo, hi, audit.SLOPE_BINS + 1)
+                got = audit._bin_edges(lo, hi)
+            assert got.tobytes() == want.tobytes(), (lo, hi)
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import lojex.polyhedron
-from lojex.errors import InputError
+from lojex.errors import CapExceededError, InputError
 from lojex.fan import normal_fan
 from lojex.linalg import dot
 from lojex.polyhedron import (
@@ -54,10 +55,22 @@ def test_single_point_gives_shifted_orthant():
 
 
 def test_build_errors():
-    with pytest.raises(InputError):
-        build_polyhedron(set())
-    with pytest.raises(InputError):
-        build_polyhedron({(2, -1)})
+    # one pass checks the entries of every point, in order, then the lengths
+    # against the first point's
+    cases = [
+        (set(), InputError, "support is empty"),
+        ({(2, -1)}, InputError, r"must be nonnegative, got \(2, -1\)"),
+        ([(1, 2), (3,)], InputError, r"exponent \(3,\) has length 1, expected 2"),
+        ([(1,), (1, 2)], InputError, r"exponent \(1, 2\) has length 2, expected 1"),
+        ([(1, 2), (3,), (2, -1)], InputError, r"must be nonnegative, got \(2, -1\)"),
+        ([(1, 2), ()], InputError, "dimension >= 1"),
+        ([(1, 2), (1.0, 2)], InputError, "must be integers, got 1.0"),
+        ([(1, 2), (3,), (10**7, 0)], CapExceededError, "exceeds cap"),
+        ([(1,) * 9], CapExceededError, "dimension 9 exceeds cap 8"),
+    ]
+    for points, error, message in cases:
+        with pytest.raises(error, match=message):
+            build_polyhedron(points)
 
 
 def test_support_value_examples():
@@ -337,6 +350,23 @@ def test_diagonal_exponent_matches_bisection():
         eps = Fraction(1, 10**9)
         if d > 0:
             assert not contains(poly, [(d - eps) * x for x in alpha_star])
+
+
+def test_diagonal_exponent_is_the_largest_facet_ratio():
+    rng = random.Random(53)
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        poly = build_polyhedron(random_support(rng, n))
+        for alpha_star in itertools.product((0, 1), repeat=n):
+            if not any(alpha_star):
+                continue
+            ratios = [(dot(f.normal, alpha_star), f.offset) for f in poly.facets]
+            if any(s == 0 and offset > 0 for s, offset in ratios):
+                want = math.inf
+            else:
+                want = max([Fraction(0)] + [Fraction(offset, s) for s, offset in ratios if s])
+            got = diagonal_exponent(poly, alpha_star)
+            assert got == want and type(got) is type(want), (poly, alpha_star)
 
 
 def test_facets_are_supporting_with_enough_incidence():
