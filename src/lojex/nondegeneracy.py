@@ -8,7 +8,9 @@ partial.  The exponent-kernel route: x_i d_i f_gamma = sum alpha_i c_alpha
 x^alpha, so a torus critical point gives a kernel vector (c_alpha
 x^alpha)_alpha of the exponent matrix A with no zero entry; when some term's
 entry is 0 on the whole kernel (vertex faces, affinely independent
-supports, a single-monomial partial) there is none, even over C.  Faces
+supports, a single-monomial partial) there is none, even over C.  The test
+reads the echelon rows of one elimination of A (`_exponent_kernel`); a
+kernel basis is built only when dim ker A <= 2, for the pencil route.  Faces
 supported on two variables reduce to a univariate gcd plus Sturm root
 counting after normalizing the second variable to +-1, legitimate because
 the critical set of a quasi-homogeneous polynomial is invariant under the
@@ -143,38 +145,35 @@ def _sign_definite_even(fp: FacePolynomial) -> bool:
     return _one_definite_class({_sign_class(exp, c) for exp, c in fp.terms})
 
 
-def _exponent_kernel(fp: FacePolynomial) -> list[tuple[int, ...]]:
-    """A primitive integer basis of ker A, one vector per free column.
+def _exponent_kernel(fp: FacePolynomial) -> tuple[bool, list[tuple[int, ...]]]:
+    """(pinned, basis): is some term's entry 0 on all of ker A, and a
+    primitive integer basis of ker A when no term is pinned and at most two
+    columns are free (the pencil route's faces), else [].
 
-    A is the n x m matrix whose columns are the face's exponents.  Its one
-    elimination leaves every pivot row with the same pivot p, so the free
-    column f gives the kernel vector with p at f and minus the pivot rows'
-    entries of column f at their pivot columns, signed so its entry at f is
-    positive.
+    A is the n x m matrix whose columns are the face's exponents.
+    x_i d_i f_gamma = sum_alpha alpha_i c_alpha x^alpha, so at a critical
+    point on the complex torus u = (c_alpha x^alpha)_alpha is a kernel
+    vector of A with no zero entry, which a pinned term rules out.  A's one
+    elimination leaves every pivot row with the same pivot p, so free column
+    f spans the kernel vector with p at f and -row[f] at each pivot row's
+    column, signed so its entry at f is positive.  Hence a free column is
+    never pinned, a pivot column is pinned iff its row is 0 on every free
+    column, and with no free column (ker A = 0) every term is.
     """
     rows, pivots = eliminate([[exp[i] for exp, _ in fp.terms] for i in range(fp.n)])
+    free = sorted(set(range(len(fp.terms))).difference(pivots))
+    pinned = not free or not all(any(row[f] for f in free) for row in rows[: len(pivots)])
+    if pinned or len(free) > 2:
+        return pinned, []
     p = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
     basis = []
-    for f in range(len(fp.terms)):
-        if f in pivots:
-            continue
+    for f in free:
         v = [0] * len(fp.terms)
         v[f] = p
         for row, col in zip(rows, pivots):
             v[col] = -row[f]
         basis.append(primitive(x if p > 0 else -x for x in v))
-    return basis
-
-
-def _kernel_pins_a_term(kernel: list[tuple[int, ...]]) -> bool:
-    """Is some term's entry 0 on every vector of the exponent kernel?
-
-    x_i d_i f_gamma = sum_alpha alpha_i c_alpha x^alpha, so at a critical
-    point on the complex torus u = (c_alpha x^alpha)_alpha is a kernel vector
-    of the exponent matrix A with no zero entry.  A term whose entry is 0 on
-    the whole basis is pinned to 0; with ker A = 0 every term is.
-    """
-    return not kernel or not all(any(entries) for entries in zip(*kernel))
+    return False, basis
 
 
 def _univariate_in(poly: PolyDict, var: int, values: dict[int, int]) -> UPoly:
@@ -608,8 +607,8 @@ def check_face(
         )
     if _sign_definite_even(fp):
         return _SIGN_DEFINITE
-    kernel = _exponent_kernel(fp)
-    if _kernel_pins_a_term(kernel):
+    pinned, kernel = _exponent_kernel(fp)
+    if pinned:
         return DegeneracyVerdict(
             "nondegenerate-exact", None, math.inf,
             detail="exponent kernel: a term's entry is 0 on every kernel vector",

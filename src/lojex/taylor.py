@@ -137,13 +137,13 @@ class TaylorModel:
 # dict-based polynomial helpers (shared with face polynomials downstream)
 
 def poly_diff(poly: PolyDict, i: int) -> PolyDict:
-    """Exact partial derivative of a polynomial dict with respect to variable i."""
-    out: PolyDict = {}
-    for exp, c in poly.items():
-        if exp[i] > 0:
-            new = exp[:i] + (exp[i] - 1,) + exp[i + 1 :]
-            out[new] = out.get(new, Fraction(0)) + c * exp[i]
-    return {e: c for e, c in out.items() if c != 0}
+    """Exact partial derivative of a polynomial dict with respect to variable i.
+
+    Lowering exponent i by one is injective, so no two terms merge, and a
+    nonzero coefficient times a positive exponent stays nonzero."""
+    return {
+        exp[:i] + (exp[i] - 1,) + exp[i + 1 :]: c * exp[i] for exp, c in poly.items() if exp[i]
+    }
 
 
 def poly_eval_float(poly: PolyDict, point: Sequence[float]) -> float:

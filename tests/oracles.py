@@ -35,10 +35,13 @@ where the audits take logs over whole batches of directions; the face of
 a normal is read off the support values point by point.  A degenerate
 face's torus witness is placed by numpy's floating-point least-squares
 solve, where lojex solves the Gram system of the exponent rows exactly.
-The rank vertex certificate asks for n independent facet normals through
-a point, where lojex meets the active sets of the double description, and
-the face polynomial is restricted face by face from the model's terms,
-where `check_model` prepares the germ once for all its faces.
+The exponent kernel's primitive basis is built for every free column, and
+a term counts as pinned when its entry is 0 on every basis vector, where
+lojex reads that test off the echelon rows and builds a basis only for the
+pencil route.  The rank vertex certificate asks for n independent facet
+normals through a point, where lojex meets the active sets of the double
+description, and the face polynomial is restricted face by face from the
+model's terms, where `check_model` prepares the germ once for all its faces.
 """
 
 from __future__ import annotations
@@ -985,6 +988,34 @@ def face_polynomial(model: TaylorModel, face: FaceData) -> FacePolynomial:
         r.is_unit and r.exp in face.lattice_points for r in model.remainders
     )
     return FacePolynomial(face, model.n, terms, underdetermined=unknown)
+
+
+def exponent_kernel_basis(fp: FacePolynomial) -> list[tuple[int, ...]]:
+    """A primitive integer basis of ker A, one vector per free column.
+
+    A is the n x m matrix whose columns are the face's exponents.  Its one
+    elimination leaves every pivot row with the same pivot p, so the free
+    column f gives the kernel vector with p at f and minus the pivot rows'
+    entries of column f at their pivot columns, signed so its entry at f is
+    positive.
+    """
+    rows, pivots = eliminate([[exp[i] for exp, _ in fp.terms] for i in range(fp.n)])
+    p = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+    basis = []
+    for f in range(len(fp.terms)):
+        if f in pivots:
+            continue
+        v = [0] * len(fp.terms)
+        v[f] = p
+        for row, col in zip(rows, pivots):
+            v[col] = -row[f]
+        basis.append(primitive(x if p > 0 else -x for x in v))
+    return basis
+
+
+def kernel_pins_a_term(basis: list[tuple[int, ...]]) -> bool:
+    """Is some term's entry 0 on every vector of the basis (ker A = 0 pins all)?"""
+    return not basis or not all(any(entries) for entries in zip(*basis))
 
 
 def mat_rank(rows: Iterable[Sequence[int]]) -> int:

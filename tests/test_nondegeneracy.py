@@ -24,7 +24,6 @@ from lojex.nondegeneracy import (
     _check_two_variable,
     _exponent_kernel,
     _gf2_solve,
-    _kernel_pins_a_term,
     _normalized_float_poly,
     _pencil_degree,
     _relative_residual,
@@ -33,11 +32,18 @@ from lojex.nondegeneracy import (
     check_model,
 )
 from lojex.parser import parse_text
-from lojex.polyhedron import build_polyhedron, compact_faces
+from lojex.polyhedron import FaceData, build_polyhedron, compact_faces
 from lojex.taylor import RemainderDescriptor, TaylorModel, poly_diff, poly_eval_float, support
 
 from .conftest import germ, random_support, subprocess_env
-from .oracles import face_of_normal, face_polynomial, torus_point_lstsq
+from .oracles import (
+    exponent_kernel_basis,
+    face_of_normal,
+    face_polynomial,
+    kernel_pins_a_term,
+    mat_rank,
+    torus_point_lstsq,
+)
 
 
 def _face_poly(text, normal):
@@ -270,7 +276,8 @@ def test_numeric_route_on_three_variable_face():
     supp = support(model)
     face = face_of_normal(poly, supp, (1, 1, 1))
     fp = face_polynomial(model, face)
-    assert len(fp.terms) == 6 and len(_exponent_kernel(fp)) == 3
+    assert len(fp.terms) == 6 and len(exponent_kernel_basis(fp)) == 3
+    assert _exponent_kernel(fp) == (False, [])
     v = check_face(fp, starts=8, seed=1)
     assert v.status == "nondegenerate-numeric"
     assert v.residual == pytest.approx(9.365231707587823, rel=1e-6)
@@ -296,7 +303,8 @@ def test_numeric_route_on_three_variable_face():
     _, fpn = _face_poly(
         "3*z^5*x^3 + 2*z^7*x - 2*y*z^5*x^2 + 2*y^2*z^5*x - y^6*x^2 - y^6*z*x + y^6*z^2", (1, 1, 1)
     )
-    assert len(_exponent_kernel(fpn)) == 4
+    assert len(exponent_kernel_basis(fpn)) == 4
+    assert _exponent_kernel(fpn) == (False, [])
     vn = check_face(fpn)
     assert vn.status == "inconclusive" and vn.residual <= DEFAULT_TOL, vn
     assert _relative_residual(fpn, vn.witness) > 0.9
@@ -429,7 +437,7 @@ def test_kernel_rule_covers_monomial_faces_and_partials(signed_faces):
         faces += [face_polynomial(model, face) for face in compact_faces(poly)]
     covered = [fp for fp in faces if _monomial_face_or_partial(fp)]
     assert len(covered) > 500
-    assert all(_kernel_pins_a_term(_exponent_kernel(fp)) for fp in covered)
+    assert all(_exponent_kernel(fp)[0] for fp in covered)
 
 
 def test_exact_routes_agree_on_signed_corpus(signed_faces):
@@ -448,7 +456,7 @@ def test_kernel_rule_faces_have_no_complex_torus_critical_point(signed_faces):
     # the Groebner bases to about 2 s
     moved = [
         fp for fp in signed_faces
-        if _kernel_pins_a_term(_exponent_kernel(fp)) and _elementary_status(fp) is None
+        if _exponent_kernel(fp)[0] and _elementary_status(fp) is None
     ]
     assert len(moved) > 100
     for fp in moved[::3]:
@@ -457,8 +465,76 @@ def test_kernel_rule_faces_have_no_complex_torus_critical_point(signed_faces):
     for text, normal in (("x^2 - 2*x*y + y^2", (1, 1)),
                          ("x^2*y^2 - 2*x*y*z^2 + z^4 + x^6 + y^6 + z^6", (1, 1, 1))):
         _, fp = _face_poly(text, normal)
-        assert not _kernel_pins_a_term(_exponent_kernel(fp))
+        assert not _exponent_kernel(fp)[0]
         assert _torus_critical_basis(sympy, fp) != [1], text
+
+
+def _lattice_points_on(w, d):
+    """The points alpha >= 0 with w.alpha = d, in ascending order."""
+    if len(w) == 1:
+        return [(d // w[0],)] if d % w[0] == 0 else []
+    return [
+        (a, *rest) for a in range(d // w[0] + 1) for rest in _lattice_points_on(w[1:], d - a * w[0])
+    ]
+
+
+def test_pinned_terms_read_off_the_echelon_rows():
+    # the pinned-term answer and the pencil's basis against the dense basis
+    # of every free column, on seeded faces of 1 to 9 points on w.alpha = d
+    # in n = 1..5, and on a planted face
+    rng = random.Random(29)
+    faces = []
+    while len(faces) < 3000:
+        n = 1 + len(faces) % 5
+        w = [rng.randint(1, 3) for _ in range(n)]
+        d = rng.randint(2, 8)
+        points = _lattice_points_on(w, d)
+        if points:
+            pts = sorted(rng.sample(points, min(len(points), rng.randint(1, 9))))
+            faces.append(_face_of(n, dict.fromkeys(pts, 1), FaceData(tuple(w), tuple(pts))))
+    # x + y + z = 4: the column of (3, 0, 1) is the only one off z = 0, so it
+    # is pinned, and it is a pivot column between the free columns of
+    # (2, 2, 0) and (4, 0, 0)
+    pts = [(0, 4, 0), (1, 3, 0), (2, 2, 0), (3, 0, 1), (4, 0, 0)]
+    planted = _face_of(3, dict.fromkeys(pts, 1), FaceData((1, 1, 1), tuple(pts)))
+    assert [exp for exp, _ in planted.terms] == pts
+    assert eliminate(list(zip(*pts)))[1] == [0, 1, 3]
+    assert _exponent_kernel(planted) == (True, [])
+    assert check_face(planted).detail == KERNEL
+    seen = Counter()
+    for fp in [*faces, planted]:
+        a = [[exp[i] for exp, _ in fp.terms] for i in range(fp.n)]
+        basis = exponent_kernel_basis(fp)
+        assert len(basis) == len(fp.terms) - mat_rank(a), fp.terms
+        assert all(dot(row, v) == 0 for row in a for v in basis), fp.terms
+        pinned, kernel = _exponent_kernel(fp)
+        assert pinned == kernel_pins_a_term(basis), fp.terms
+        assert kernel == ([] if pinned or len(basis) > 2 else basis), fp.terms
+        seen[pinned, min(len(basis), 3)] += 1
+    # ker A = 0, and a pinned and an unpinned term among one, two and more
+    # kernel vectors
+    assert len(seen) == 7 and min(seen.values()) >= 20, seen
+
+
+def test_simplex_face_kernel_step_builds_no_kernel_vector(monkeypatch):
+    # every monomial of degree 90 in n = 3 on one face, 4186 terms: the
+    # dense basis of its 4183 free columns took 6.2 s on a 2-core machine.
+    # No term is pinned and dim ker A > 2, so the face goes to the
+    # multistart, which is patched out
+    pts = tuple(_lattice_points_on((1, 1, 1), 90))
+    assert len(pts) == 4186
+    fp = _face_of(3, dict.fromkeys(pts, 1), FaceData((1, 1, 1), pts))
+
+    def no_vector(vec):
+        raise AssertionError("a kernel vector was built")
+
+    sentinel = nondegeneracy.DegeneracyVerdict("inconclusive", None, math.inf, "patched")
+    monkeypatch.setattr(nondegeneracy, "primitive", no_vector)
+    monkeypatch.setattr(nondegeneracy, "_multistart", lambda *args: sentinel)
+    start = time.perf_counter()
+    assert check_face(fp) is sentinel
+    assert _exponent_kernel(fp) == (False, [])
+    assert time.perf_counter() - start < 0.5
 
 
 # Face verdicts of germs with faces of three or more active variables, at
@@ -570,8 +646,8 @@ def test_circuit_faces_certified_nondegenerate(text):
 def _is_circuit(fp) -> bool:
     """At least three active variables and an exponent kernel of one vector
     with no zero entry: a face the pencil route decides with constant lines."""
-    kernel = _exponent_kernel(fp)
-    return len(fp.active_vars()) >= 3 and len(kernel) == 1 and all(kernel[0])
+    pinned, kernel = _exponent_kernel(fp)
+    return len(fp.active_vars()) >= 3 and not pinned and len(kernel) == 1
 
 
 def _planted_circuits(sympy, count):
@@ -693,8 +769,8 @@ def _pencil_faces(count, planted):
         coeffs = {p: rng.choice((-3, -2, -1, 1, 2, 3)) for p in pts}
         face = face_of_normal(build_polyhedron(set(pts)), pts, w)
         fp = _face_of(n, coeffs, face)
-        kernel = _exponent_kernel(fp)
-        if len(fp.active_vars()) < n or len(kernel) != 2 or _kernel_pins_a_term(kernel):
+        pinned, kernel = _exponent_kernel(fp)
+        if len(fp.active_vars()) < n or pinned or len(kernel) != 2:
             continue
         if max(abs(e) for b in kernel for e in b) > 12:
             continue
@@ -831,13 +907,14 @@ def test_pencil_route_on_the_multistart_faces_it_replaced():
         ("x^4 + y^4 + z^4 + x^2*y*z + x*y^2*z", (1, 1, 1)),
     ):
         _, fp = _face_poly(text, normal)
-        assert len(_exponent_kernel(fp)) == 2 and len(fp.active_vars()) >= 3
+        pinned, kernel = _exponent_kernel(fp)
+        assert not pinned and len(kernel) == 2 and len(fp.active_vars()) >= 3
         v = check_face(fp)
         assert (v.status, v.detail) == ("nondegenerate-exact", PENCIL_ROOT), text
     # the kernel of this face is spanned by b1 = (1, 3, -8, 4, 0) and b2 =
     # (1, 2, -4, 0, 1); c = b1 + b2 makes (1, 1, 1) critical
     _, fp = _face_poly("2*z^4 + 5*y^4 - 12*x*y^2*z + 4*x^2*y*z + x^4", (1, 1, 1))
-    assert _exponent_kernel(fp) == [(1, 3, -8, 4, 0), (1, 2, -4, 0, 1)]
+    assert _exponent_kernel(fp) == (False, [(1, 3, -8, 4, 0), (1, 2, -4, 0, 1)])
     v = check_face(fp)
     assert v.status == "degenerate" and v.detail.startswith(PENCIL_POINT), v
     assert v.witness == pytest.approx((1.0, 1.0, 1.0))
@@ -848,8 +925,9 @@ def test_high_degree_pencil_faces_stay_on_the_multistart():
     # the identities of this face have degree 145 in s; their exact gcd
     # took 13 s, the multistart takes a fraction of a second
     _, fp = _face_poly("x^60 + y^60 + z^60 + x^7*y^11*z^42 - x^29*y^13*z^18", (1, 1, 1))
-    kernel = _exponent_kernel(fp)
-    assert len(kernel) == 2 and _pencil_degree(*kernel) == 145 > PENCIL_MAX_DEGREE
+    pinned, kernel = _exponent_kernel(fp)
+    assert not pinned and len(kernel) == 2
+    assert _pencil_degree(*kernel) == 145 > PENCIL_MAX_DEGREE
     start = time.perf_counter()
     v = check_face(fp)
     assert time.perf_counter() - start < 5
@@ -862,7 +940,7 @@ def test_large_kernel_entries_decided_in_time():
     # takes about 0.05 s.  The facet is checked alone, because the germ's
     # two-variable edges have degree 30000.
     _, fp = _face_poly("x^30000 + y^30000 + z^30000 - 5*x^9131*y^10773*z^10096", (1, 1, 1))
-    assert _exponent_kernel(fp) == [(10096, 10773, -30000, 9131)]
+    assert _exponent_kernel(fp) == (False, [(10096, 10773, -30000, 9131)])
     start = time.perf_counter()
     v = check_face(fp)
     assert time.perf_counter() - start < 2

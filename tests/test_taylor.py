@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from lojex.errors import InputError
 from lojex.parser import parse_text
-from lojex.taylor import RemainderDescriptor, TaylorModel, support
+from lojex.taylor import RemainderDescriptor, TaylorModel, poly_diff, support
 
 from .oracles import euler_field_value, evaluate, gradient
 
@@ -47,6 +48,35 @@ def test_support_with_remainders():
     )
     assert support(mu) == frozenset({(2, 2), (3, 1)})
     assert support(parse_text("x^2 + y^2")) == frozenset({(2, 0), (0, 2)})
+
+
+def _merged_diff(poly, i):
+    """The partial derivative with like terms merged and zero terms dropped."""
+    out = {}
+    for exp, c in poly.items():
+        if exp[i] > 0:
+            new = exp[:i] + (exp[i] - 1,) + exp[i + 1 :]
+            out[new] = out.get(new, Fraction(0)) + c * exp[i]
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def test_poly_diff_needs_no_merge():
+    # lowering one exponent is injective and keeps every coefficient
+    # nonzero, so the derivative equals the merged one in keys, values and
+    # order, first and second partials alike, in n = 1..8
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        poly = {
+            tuple(rng.randint(0, 4) for _ in range(n)):
+                Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+            for _ in range(rng.randint(1, 12))
+        }
+        for i in range(n):
+            first = poly_diff(poly, i)
+            assert list(first.items()) == list(_merged_diff(poly, i).items())
+            for j in range(n):
+                assert list(poly_diff(first, j).items()) == list(_merged_diff(first, j).items())
 
 
 def test_gradient_matches_finite_differences():
