@@ -12,14 +12,12 @@ with log|f|, the gradient log|df/dx_i| and the vertex sum log g_Gamma
 computed at most once, when an audit first reads them: L1 reads the
 gradient, and the Euler audit takes log|x_i df/dx_i| from it as
 log|df/dx_i| + log r + log|d_i|.  The audits of one run read the same
-sample, and only the distance audit L2 draws a pool of its own, whose
-probes are the tight section of every ranking (one per distinct upper set,
-found among the subsets of the zero-set variables).  That pool begins with
-the same random and axis rows, so log|d| and log|f| on them are evaluated
-once per run and L2 evaluates only its ranking rows, whose table it builds
-alone.  Each
-row's zero and negative coordinates are bitmasks (n <= 8), so a term's
-zero and sign masks are a byte AND per row.  Reusing one pool across levels
+sample.  The distance audit L2 reads its random and axis rows, with log|d|
+and log|f| on them, and appends the tight section of every ranking (one per
+distinct upper set, found among the subsets of the zero-set variables):
+the only rows it evaluates itself.  Each row's zero and negative
+coordinates are bitmasks (n <= 8), so a term's zero and sign masks are a
+byte AND per row.  Reusing one pool across levels
 makes the per-level envelope minima directly comparable, so the pass/fail
 call is a trend test, not an absolute-constant test: the inequalities only
 claim "there exist c, eps", so the audit checks that the per-level minima of
@@ -52,7 +50,7 @@ import math
 import operator
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -564,11 +562,9 @@ class Sample:
     is log|f(r·d)| as (levels, rows), and `log_g` the vertex sum g_Gamma on
     the same rows.  The audits of one run read one sample, so its pool is
     drawn, log|f| evaluated and log g_Gamma evaluated per vertex set at most
-    once, each when an audit first reads it: a run whose only audit is L2,
-    which draws a pool of its own, draws no other.  L2's pool comes from
-    `with_probes`: it begins with the same random and axis rows, and log|d|
-    and log|f| on those rows are evaluated by whichever of the two samples
-    reads them first; the other evaluates them on its own probe rows alone.
+    once, each when an audit first reads it.  L2 reads log|d| and log|f| of
+    the random and axis rows from here, and evaluates its ranking rows
+    itself.
     """
 
     def __init__(
@@ -579,33 +575,6 @@ class Sample:
         self.probes = list(probes)
         self.log_r = np.log(plan.radii)
         self._log_g: dict[frozenset[Exponent], np.ndarray] = {}
-        # log|d| and log|f| on the random and axis rows, shared with
-        # `with_probes` samples
-        self._lead: dict[str, np.ndarray] = {}
-
-    def with_probes(self, probes: Iterable[Sequence[float]]) -> Sample:
-        """This sample's model and plan, with `probes` in place of its own."""
-        other = Sample(self.model, self.plan, probes)
-        other._lead = self._lead
-        return other
-
-    def _shared(
-        self,
-        key: str,
-        whole: Callable[[], np.ndarray],
-        own: Callable[[int], np.ndarray],
-        axis: int = 0,
-    ) -> np.ndarray:
-        """A per-row array of the pool, rows along `axis`: the lead rows'
-        part that a sample of the plan has evaluated, joined with `own(k)` on
-        the rows from k on, or else `whole()`, whose lead part is kept."""
-        n = self.model.n
-        k = len(_random_directions(self.plan.seed, self.plan.directions_per_radius, n)) + 2 * n
-        if key in self._lead:
-            return np.concatenate([self._lead[key], own(k)], axis=axis)
-        value = whole()
-        self._lead[key] = value[:, :k] if axis else value[:k]
-        return value
 
     @cached_property
     def dirs(self) -> np.ndarray:
@@ -614,9 +583,7 @@ class Sample:
     @cached_property
     def log_dirs(self) -> np.ndarray:
         """log|d| of every pool coordinate, -inf where d = 0."""
-        return self._shared(
-            "log_dirs", lambda: _log_abs(self.dirs), lambda k: _log_abs(self.dirs[k:])
-        )
+        return _log_abs(self.dirs)
 
     @cached_property
     def table(self) -> _PoolTable:
@@ -624,13 +591,7 @@ class Sample:
 
     @cached_property
     def log_f(self) -> np.ndarray:
-        poly = self.model.poly()
-
-        def own(k: int) -> np.ndarray:
-            table = _pool_table(self.dirs[k:], self.log_dirs[k:])
-            return _log_poly(poly, table, self.log_r)
-
-        return self._shared("log_f", lambda: self.log_poly(poly), own, axis=1)
+        return self.log_poly(self.model.poly())
 
     @cached_property
     def log_grad(self) -> np.ndarray:
@@ -683,16 +644,24 @@ def audit_L2(
 ) -> AuditResult:
     """Distance inequality: f against dist(x, zero set)^L.
 
-    Samples every ranking region through its tight section probe, on a pool
-    of its own with the random and axis rows of `sample`.
+    Samples every ranking region through its tight section probe.  The rows
+    are the random and axis rows of `sample`, whose log|d| and log|f| it
+    has, then the ranking probes, the only rows evaluated here.
     """
     ld = float(loj_dist)
     n = sample.model.n
-    own = sample.with_probes(ranking_probes(family, n))
+    lead = len(_random_directions(sample.plan.seed, sample.plan.directions_per_radius, n)) + 2 * n
+    probes = _normalize_rows(np.array(ranking_probes(family, n), dtype=float).reshape(-1, n))
+    log_probes = _log_abs(probes)
+    log_dirs = np.vstack([sample.log_dirs[:lead], log_probes])
+    log_f = np.hstack([
+        sample.log_f[:, :lead],
+        _log_poly(sample.model.poly(), _pool_table(probes, log_probes), sample.log_r),
+    ])
     members = family.lambda_hitting or (range(n),)
-    log_dist = np.min([own.log_dirs[:, sorted(j)].max(axis=1) for j in members], axis=0)
+    log_dist = np.min([log_dirs[:, sorted(j)].max(axis=1) for j in members], axis=0)
     return _ratio_audit(
-        "L2", ld, own.plan, own.log_f, log_dist + own.log_r[:, None], ld, False, forced
+        "L2", ld, sample.plan, log_f, log_dist + sample.log_r[:, None], ld, False, forced
     )
 
 

@@ -341,6 +341,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with code 2; we reserve that
         raise InputError(message)
 
+    def _parse_optional(self, arg_string):
+        # lojex has no short option but -h, so "-x^2*y^2" is a germ, read as
+        # argparse reads "-1": a positional, or the value of an option
+        if arg_string[:1] == "-" and arg_string[1:2] != "-" and arg_string != "-h":
+            return None
+        return super()._parse_optional(arg_string)
+
 
 def _build_argparser() -> argparse.ArgumentParser:
     p = _Parser(prog="lojex", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -486,8 +493,17 @@ def run(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
-        return run(args)
+        try:
+            return run(_PARSER.parse_args(argv))
+        finally:
+            sys.stdout.flush()  # a closed stdout fails here, not at exit
+    except BrokenPipeError:
+        # the reader of stdout is gone: exit as SIGPIPE would, with stdout on
+        # devnull so that the flush at exit raises no second error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

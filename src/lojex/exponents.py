@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .linalg import dot
 from .polyhedron import NewtonPolyhedron, contains, diagonal_exponent
@@ -217,16 +217,17 @@ class TransversalFamily:
     agree: bool  # do both families describe the same union of subspaces
 
 
-def _union_covers(family_a: Sequence[frozenset], family_b: Sequence[frozenset]) -> bool:
-    """Union of T_J over family_a contains the union over family_b.
-
-    T_J = {x : x_i = 0 for i in J}, so T_J' subset of T_J iff J subset of J',
-    and a subspace inside a finite union of subspaces lies inside one of them.
-    """
-    return all(any(ja <= jb for ja in family_a) for jb in family_b)
-
-
 def transversals(hat_poly: NewtonPolyhedron) -> TransversalFamily:
+    """The zero set as exact transversals of the hat supports (sets that
+    meet each support once) and as minimal hitting sets.
+
+    T_J = {x : x_i = 0 for i in J}, and T_J' lies in T_J iff J lies in J'.
+    The two families describe the same union of the T_J exactly when they
+    are equal: an exact transversal J meets each support once, so dropping
+    j in J misses the support S with J & S = {j}, and every exact
+    transversal is a minimal hitting set; two minimal hitting sets nest only
+    when they are equal.
+    """
     supports = tuple(
         sorted(frozenset(i for i, e in enumerate(v) if e) for v in hat_poly.vertices)
     )
@@ -246,7 +247,7 @@ def transversals(hat_poly: NewtonPolyhedron) -> TransversalFamily:
     ]
     exact_t = tuple(sorted(exact, key=sorted))
     minimal_t = tuple(sorted(minimal, key=sorted))
-    agree = _union_covers(exact_t, minimal_t) and _union_covers(minimal_t, exact_t)
+    agree = exact_t == minimal_t  # both sorted alike
     return TransversalFamily(i_f, supports, exact_t, minimal_t, agree)
 
 

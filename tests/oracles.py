@@ -275,6 +275,15 @@ def family_zero_patterns(family, n: int) -> set[frozenset[int]]:
     return out
 
 
+def union_covers(family_a: Sequence[frozenset], family_b: Sequence[frozenset]) -> bool:
+    """Union of T_J over family_a contains the union over family_b.
+
+    T_J = {x : x_i = 0 for i in J}, so T_J' subset of T_J iff J subset of J',
+    and a subspace inside a finite union of subspaces lies inside one of them.
+    """
+    return all(any(ja <= jb for ja in family_a) for jb in family_b)
+
+
 # ---------------------------------------------------------------------------
 # the distance exponent by walking every ranking
 

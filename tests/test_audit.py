@@ -308,6 +308,17 @@ def _recorded_pools(monkeypatch) -> list:
     return pools
 
 
+def _ranking_rows(family, n: int) -> np.ndarray:
+    """L2's rows after the run's lead rows: the normalized ranking probes."""
+    rows = np.array(ranking_probes(family, n), dtype=float).reshape(-1, n)
+    return rows / np.abs(rows).max(axis=1, keepdims=True)
+
+
+def _lead(plan: SamplePlan, n: int) -> int:
+    """The count of the random and axis rows that begin every pool of `plan`."""
+    return len(audit._random_directions(plan.seed, plan.directions_per_radius, n)) + 2 * n
+
+
 # the gated germs run all five audits; the others have odd exponents and mixed
 # signs, which the sign parity of the log-space terms must get right
 @pytest.mark.parametrize("name", GATED_NONNEG + ["cusp", "inert_axis", "quartic_xyz"])
@@ -317,11 +328,13 @@ def test_log_space_envelopes_match_pointwise_loop(name, monkeypatch):
     outcome = analyze_germ(model, AnalysisOptions(samples=64))
     hull = build_polyhedron(support(model))
     assert len(outcome.audits) == (5 if name in GATED_NONNEG else 2)
-    # the audits read the run's sample, drawn first; L2 draws its own pool
-    shared, *own = pools
-    assert len(own) == sum(a.inequality == "L2" for a in outcome.audits)
+    # the audits read the run's sample, its one pool; L2 reads the pool's
+    # random and axis rows, then the normalized ranking probes
+    [shared] = pools
+    lead = _lead(SamplePlan(directions_per_radius=64), model.n)
+    l2_rows = np.vstack([shared[:lead], _ranking_rows(outcome.report.transversal, model.n)])
     for result in outcome.audits:
-        dirs = own[0] if result.inequality == "L2" else shared
+        dirs = l2_rows if result.inequality == "L2" else shared
         sides = _pointwise_sides(result, model, outcome.report, hull)
         scale = 1.0 if result.exponent is None else result.exponent
         for k, r in enumerate(result.radii):
@@ -361,14 +374,11 @@ def test_audits_of_a_run_share_one_sample(monkeypatch):
     monkeypatch.setattr(audit, "audit_euler_comparison", recording_euler)
     outcome = analyze_germ(model, AnalysisOptions(samples=64))
     assert len(outcome.audits) == 5
-    # the shared pool of L1, L0, euler-comparison and f-vs-g, then L2's, which
-    # begins with the same random and axis rows
-    assert len(pools) == 2
-    shared, own = pools
-    lead = len(audit._random_directions(0, 64, 2)) + 4
-    assert np.array_equal(shared[:lead], own[:lead])
+    # one pool per run: L1, L0, L2, euler-comparison and f-vs-g all read it
+    [shared] = pools
+    ranking = _ranking_rows(outcome.report.transversal, model.n)
     # each row of log|f| is evaluated once: the run's pool, then L2's ranking rows
-    assert [len(rows) for rows in log_f_rows] == [len(shared), len(own) - lead]
+    assert [len(rows) for rows in log_f_rows] == [len(shared), len(ranking)]
     # euler-comparison and f-vs-g read one log g_Gamma
     assert log_g_calls == 1
     # each partial is evaluated once, for L1 and the Euler audit alike; the
@@ -378,34 +388,52 @@ def test_audits_of_a_run_share_one_sample(monkeypatch):
     assert in_euler == [vertex_sum]
 
 
-def test_probe_samples_share_log_d_and_log_f_on_the_lead_rows(monkeypatch):
-    # whichever of a sample and its `with_probes` sample reads log|d| and
-    # log|f| first evaluates them on every row; the other evaluates them on
-    # its own probe rows alone, and gets the arrays of a sample of its own
+def test_L2_evaluates_only_its_ranking_rows(monkeypatch):
+    # L2 evaluates log|d| and log|f| on its ranking rows alone; on the lead
+    # rows it reads the run's arrays, whichever audit read them first, and
+    # its sides are those of a pool of the lead rows and its ranking rows
     model = germ("quartic_mix")
+    n, poly, family = model.n, model.poly(), _family(CATALOG["quartic_mix"])
     plan = SamplePlan(seed=9, directions_per_radius=64)
-    diagonal, ranking = diagonal_probe((1, 3)), [(1.0, 0.0), (-1.0, 0.0), (0.5, -1.0)]
-    lead = len(audit._random_directions(9, 64, 2)) + 4
-    logged = []
-    original = audit._log_abs
-    monkeypatch.setattr(audit, "_log_abs", lambda a: logged.append(a.shape) or original(a))
-    for first_probes, second_probes in ((diagonal, ranking), (ranking, diagonal)):
-        first = Sample(model, plan, first_probes)
-        second = first.with_probes(second_probes)
-        for sample, probes in ((first, first_probes), (second, second_probes)):
-            logged.clear()
-            alone = Sample(model, plan, probes)
-            log_dirs, log_f = sample.log_dirs, sample.log_f
-            rows = lead if sample is second else 0
-            assert logged[0] == (len(alone.dirs) - rows, 2)
-            assert log_dirs.tobytes() == alone.log_dirs.tobytes()
-            assert log_f.tobytes() == alone.log_f.tobytes()
-        assert np.shares_memory(first.log_f, second._lead["log_f"])
+    lead, ranking, log_r = _lead(plan, n), _ranking_rows(family, n), np.log(plan.radii)
+    pool = audit.direction_pool(plan, n, ranking_probes(family, n))
+    log_pool = audit._log_abs(pool)
+    want_f = audit._log_poly(poly, audit._pool_table(pool, log_pool), log_r)
+    members = [sorted(j) for j in family.lambda_hitting]
+    want_dist = np.min([log_pool[:, j].max(axis=1) for j in members], axis=0) + log_r[:, None]
+    tables, evaluated, sides = [], [], []
+    originals = audit._pool_table, audit._log_poly, audit._ratio_audit
+    monkeypatch.setattr(
+        audit, "_pool_table", lambda d, log_d: tables.append((d, log_d)) or originals[0](d, log_d)
+    )
+    monkeypatch.setattr(
+        audit, "_log_poly", lambda p, t, r: evaluated.append(len(t.log_d)) or originals[1](p, t, r)
+    )
+    monkeypatch.setattr(
+        audit, "_ratio_audit", lambda *args: sides.append(args[3:5]) or originals[2](*args)
+    )
+    for read_first in (False, True):
+        sample = Sample(model, plan, diagonal_probe((1, 3)))
+        if read_first:
+            audit_L1(sample, 0.75)  # an audit before L2 reads log|f|
+        tables.clear(), evaluated.clear(), sides.clear()
+        audit_L2(sample, 4, family)
+        # the run's table is built when L2 is the first to read it
+        rows = [(sample.dirs, sample.log_dirs)] * (not read_first)
+        rows.append((ranking, audit._log_abs(ranking)))
+        assert [(d.tobytes(), log_d.tobytes()) for d, log_d in tables] == [
+            (d.tobytes(), log_d.tobytes()) for d, log_d in rows
+        ]
+        assert evaluated == [len(sample.dirs)] * (not read_first) + [len(ranking)]
+        [(log_f, log_dist)] = sides
+        assert log_f[:, :lead].tobytes() == sample.log_f[:, :lead].tobytes()
+        assert log_f.tobytes() == want_f.tobytes()
+        assert log_dist.tobytes() == want_dist.tobytes()
 
 
 def test_verify_draws_only_the_pools_its_audits_read(monkeypatch, capsys):
-    # L2 draws a pool of its own; the shared one is drawn only for L1 or L0,
-    # and L2 alone evaluates log|f| on its own pool, no diagonal row
+    # every verify run draws one pool, the run's; L2 alone evaluates log|f|
+    # on it, its hat-diagonal rows included, and then on its ranking rows
     pools = _recorded_pools(monkeypatch)
     rows = []
     original = audit._log_poly
@@ -413,13 +441,14 @@ def test_verify_draws_only_the_pools_its_audits_read(monkeypatch, capsys):
         audit, "_log_poly", lambda poly, table, log_r: rows.append(len(table.log_d))
         or original(poly, table, log_r)
     )
-    for flags, count in ((["--dist", "2"], 1), (["--theta", "1/2", "--dist", "2"], 2)):
+    ranking = _ranking_rows(_family("x^2 + y^2"), 2)
+    for flags in (["--dist", "2"], ["--theta", "1/2", "--dist", "2"]):
         pools.clear()
         rows.clear()
         assert main(["verify", "x^2 + y^2", "--samples", "64", *flags]) == 0
-        assert len(pools) == count, flags
-        if count == 1:
-            assert rows == [len(pools[0])]
+        assert len(pools) == 1, flags
+        if flags[0] == "--dist":
+            assert rows == [len(pools[0]), len(ranking)]
     capsys.readouterr()
 
 

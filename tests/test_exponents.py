@@ -31,6 +31,7 @@ from .oracles import (
     family_zero_patterns,
     monomial_zero_patterns,
     ranking_data,
+    union_covers,
 )
 
 ALL = Hypotheses(True, True, True)
@@ -177,6 +178,26 @@ def test_zero_set_brute_force_cross_check():
         assert monomial_zero_patterns(fam.supports, n) == family_zero_patterns(
             fam.lambda_hitting, n
         )
+
+
+def test_agree_is_the_comparison_of_the_unions():
+    # `agree` compares the two families; the reference compares the unions
+    # of their subspaces both ways, on hat polyhedra of random 0/1 supports
+    # and of random germ supports
+    rng = random.Random(33)
+    disagree = 0
+    for k in range(600):
+        n = rng.randint(2, 6)
+        if k % 4:
+            vecs = {tuple(1 if i in s else 0 for i in range(n)) for s in random_hat_supports(rng, n)}
+            hat = build_polyhedron(vecs)
+        else:
+            hat = hat_polyhedron(build_polyhedron(random_support(rng, n, max_points=8, max_entry=4)))
+        fam = transversals(hat)
+        exact, hitting = fam.lambda_exact, fam.lambda_hitting
+        assert fam.agree == (union_covers(exact, hitting) and union_covers(hitting, exact)), fam
+        disagree += not fam.agree
+    assert disagree >= 50
 
 
 def test_dist_examples():

@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -368,6 +369,49 @@ def test_declare_does_not_leak_between_calls(tmp_path):
     assert any("declared-nonnegative-violated" in f for f in declared_flags)
     assert not any(f.startswith("declared-") for f in plain_flags)
     assert lojex.cli._PARSER.parse_args(["analyze", "x"]).declare == []
+
+
+def test_germ_with_a_leading_minus_is_the_input(capsys, monkeypatch):
+    # lojex has no short option but -h, so a germ that starts with "-" and
+    # has no space is the input, before or after the options, as after "--"
+    wants = {}
+    for command, options in (
+        ("nondegen", []), ("analyze", ["--seed", "3"]), ("exponents", ["--json", "-"]),
+    ):
+        want = wants[command] = main([command, *options, "--", "-x^2*y^2"]), capsys.readouterr()
+        assert want[0] == 0 and want[1].err == "", command
+        for argv in ([command, "-x^2*y^2", *options], [command, *options, "-x^2*y^2"]):
+            assert (main(argv), capsys.readouterr()) == want, argv
+    # "-" is stdin, -h the help, a negative option value a value and a
+    # misspelt option an error, as before
+    monkeypatch.setattr(sys, "stdin", io.StringIO("-x^2*y^2"))
+    assert (main(["nondegen", "-"]), capsys.readouterr()) == wants["nondegen"]
+    with pytest.raises(SystemExit) as stop:
+        main(["nondegen", "-h"])
+    assert stop.value.code == 0 and capsys.readouterr().out.startswith("usage: lojex nondegen")
+    assert main(["analyze", "-x^2*y^2", "--radius", "-1"]) == 3
+    assert "--radius must be positive and finite" in capsys.readouterr().err
+    assert main(["analyze", "-x^2*y^2", "--sed", "3"]) == 3
+    assert "unrecognized arguments: --sed 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["exponents", "x^2 + y^2"], ["nondegen", "-h"]])
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_ends_quietly(argv, unbuffered):
+    # stdout is a pipe whose read end is closed before lojex starts, so the
+    # first write fails, or with a block-buffered stdout the flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lojex", *argv], stdout=write_end, stderr=subprocess.PIPE,
+            text=True, env={**subprocess_env(), "PYTHONUNBUFFERED": unbuffered}, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    # argparse drops the error of an unbuffered help write itself, and exits 0
+    codes = {0, 141} if argv[-1] == "-h" and unbuffered else {141}
+    assert proc.returncode in codes and proc.stderr == ""
 
 
 def test_parsed_defaults_are_the_analysis_defaults():

@@ -38,8 +38,9 @@ def test_readme_cli_examples_run_without_test_extras(tmp_path):
     )
     proc = run_python("-c", script, str(tmp_path), json.dumps(examples))
     assert proc.returncode == 0, proc.stderr
-    # the nondegen example is degenerate and exits 2
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 0, 2, 0]
+    # the first nondegen example is degenerate and exits 2; the second's
+    # germ begins with "-"
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 0, 2, 0, 0]
 
 
 def test_every_public_name_in_src_is_used():
